@@ -9,6 +9,7 @@ recovering forwarded zeros instead of data, counts as failure.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -110,36 +111,20 @@ def flush_reload(
     threshold: int | None = None,
     privilege: Privilege = Privilege.USER,
     flush_is_privileged: bool = False,
-    evictor=None,
 ) -> ProbeResult:
     """Three-phase probe: flush every oracle line, run the victim step, then
     time a reload of each line.  Hit means the measured latency is below the
     threshold (defaults to the midpoint of the L1-hit and DRAM latencies).
-
-    When flushes are privileged and the caller is user-mode, per-line control
-    falls to `evictor(addr)` if provided; otherwise the error propagates.
-    """
+    When flushes are privileged and the caller is user-mode, the flush
+    raises PrivilegedFlushError and the victim never runs."""
     if threshold is None:
         threshold = (mem.lat.l1_hit + mem.lat.dram) // 2
-    for i in range(line_count):
-        addr = oracle_base + i * LINE_SIZE
-        if evictor is not None and flush_is_privileged and privilege is Privilege.USER:
-            evictor(addr)
-        else:
-            mem.flush_line(addr, privilege=privilege, flush_is_privileged=flush_is_privileged)
+    mem.flush_lines(oracle_base, line_count, privilege, flush_is_privileged)
     if victim is not None:
         victim()
-    latencies = []
-    hits = []
-    for i in range(line_count):
-        addr = oracle_base + i * LINE_SIZE
-        before = mem.read_cycles()
-        mem.access(addr, privilege)
-        elapsed = mem.read_cycles() - before
-        latencies.append(elapsed)
-        if elapsed < threshold:
-            hits.append(i)
-    return ProbeResult(tuple(latencies), tuple(hits), threshold)
+    latencies = mem.probe_lines(oracle_base, line_count, privilege)
+    hits = tuple(i for i, elapsed in enumerate(latencies) if elapsed < threshold)
+    return ProbeResult(tuple(latencies), hits, threshold)
 
 
 # -- victim programs -----------------------------------------------------------
@@ -257,6 +242,13 @@ _UNDERFLOW_DONE_PC = 7
 _UNDERFLOW_PRIME_SLOT = STACK_TOP + 0x200
 
 
+@functools.cache
+def _victim(source: str) -> Program:
+    """A victim source assembled once per process: the sources are constants,
+    Program is frozen and run never mutates it."""
+    return assemble(source)
+
+
 def _outcome(
     variant: str,
     profile: CpuProfile,
@@ -312,7 +304,7 @@ def run_spectre_v1(
     if scenario.window_trigger is WindowTrigger.SPECULATIVE_LOAD:
         return _run_spec_load(profile, scenario, seed)
     st = make_machine(profile, seed)
-    prog = assemble(_V1_SRC)
+    prog = _victim(_V1_SRC)
     st.mem.cells[BOUND_ADDR] = 16
     for i in range(16):
         st.mem.cells[ARRAY_BASE + i * LINE_SIZE] = i
@@ -357,7 +349,7 @@ def run_spectre_v1(
 
 def _run_spec_load(profile: CpuProfile, scenario: Scenario, seed: int) -> AttackOutcome:
     st = make_machine(profile, seed)
-    prog = assemble(_SPEC_LOAD_SRC)
+    prog = _victim(_SPEC_LOAD_SRC)
     st.mem.cells[BOUND_ADDR] = 16
 
     def victim():
@@ -396,7 +388,7 @@ def run_spectre_rsb(
             "fault the return itself, so a page-fault window is undefined"
         )
     st = make_machine(profile, seed)
-    prog = assemble(source)
+    prog = _victim(source)
     st.benign_return_pc = _RSB_DONE_PC
     for k, byte in enumerate(secret):
         st.mem.cells[SECRET_BASE + k * LINE_SIZE] = byte
@@ -432,7 +424,7 @@ def run_meltdown_v3(
     it, a forwarded zero lights oracle line 0 instead and the run fails."""
     profile = _resolve_profile(profile)
     st = make_machine(profile, seed)
-    prog = assemble(_V3_SRC)
+    prog = _victim(_V3_SRC)
     st.privilege = Privilege.USER
     st.recovery_pc = _V3_RECOVERY_PC
     st.mem.pages.set_privileged(KERNEL_BASE, True)
@@ -462,7 +454,7 @@ def run_meltdown_v3a(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     so success hinges on whether the core forwards the register's value."""
     profile = _resolve_profile(profile)
     st = make_machine(profile, seed)
-    prog = assemble(_RSB_SYSREG_SRC)
+    prog = _victim(_RSB_SYSREG_SRC)
     st.benign_return_pc = _RSB_DONE_PC
     st.privilege = Privilege.USER
     st.sysregs[SYSREG_ID] = SYSREG_TEST_VALUE
@@ -489,7 +481,7 @@ def run_spectre_v4(
     dereferenced transiently before the ordering violation forces a replay."""
     profile = _resolve_profile(profile)
     st = make_machine(profile, seed)
-    prog = assemble(_V4_SRC)
+    prog = _victim(_V4_SRC)
     st.mem.cells[DELAY_CELL] = POINTER_SLOT
     st.mem.cells[PUBLIC_CELL] = 256  # dereferences to a line outside the oracle
     for k, byte in enumerate(secret):
@@ -528,7 +520,7 @@ def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     drain, and only disabling the fallback closes the hole."""
     profile = _resolve_profile(profile)
     st = make_machine(profile, seed)
-    prog = assemble(_UNDERFLOW_SRC)
+    prog = _victim(_UNDERFLOW_SRC)
     st.benign_return_pc = _UNDERFLOW_DONE_PC
     secret = SYSREG_TEST_VALUE
     st.mem.cells[SECRET_BASE] = secret

@@ -265,24 +265,16 @@ def receiver_decode(
     # which keeps the shared BTB trained on the benign target.
     state.btb.update(RECEIVER_RET_PC, RECEIVER_CONT_PC)
 
-    hits = []
-    for i in range(lines):
-        addr = PROBE_BASE + i * LINE_BYTES
-        before = mem.read_cycles()
-        mem.access(addr, Privilege.USER)
-        after = mem.read_cycles()
-        latency = after - before
-        if record is not None:
-            record.append(latency)
-        if latency < threshold:
-            hits.append(i)
-    for i in range(lines):
-        mem.flush_line(
-            PROBE_BASE + i * LINE_BYTES,
-            Privilege.USER,
-            flush_is_privileged=profile.mitigations.privileged_flush,
-        )
-
+    latencies = mem.probe_lines(PROBE_BASE, lines, Privilege.USER)
+    if record is not None:
+        record.extend(latencies)
+    mem.flush_lines(
+        PROBE_BASE,
+        lines,
+        Privilege.USER,
+        flush_is_privileged=profile.mitigations.privileged_flush,
+    )
+    hits = [i for i, latency in enumerate(latencies) if latency < threshold]
     if len(hits) == 1:
         return hits[0]
     return None

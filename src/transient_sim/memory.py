@@ -8,7 +8,7 @@ addresses coincide.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 LINE_SIZE = 64
@@ -74,51 +74,24 @@ class CacheGeometry:
 
 
 class CacheLevel:
-    """One set-associative level, strict LRU within each set."""
+    """One set-associative level: per set, a list of line numbers, most
+    recently used first.  MemorySystem applies the strict-LRU policy."""
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
-        # per set: list of line numbers, most recently used first
         self._sets: list = [[] for _ in range(geometry.sets)]
 
-    def _set_for(self, line: int) -> list:
-        return self._sets[line % self.geometry.sets]
-
     def contains(self, line: int) -> bool:
-        return line in self._set_for(line)
-
-    def touch(self, line: int) -> bool:
-        """Look up a line; on hit, refresh its LRU position. Returns hit."""
-        entries = self._set_for(line)
-        if line in entries:
-            entries.remove(line)
-            entries.insert(0, line)
-            return True
-        return False
-
-    def install(self, line: int) -> int | None:
-        """Insert a line as most recent; returns the evicted line, if any."""
-        entries = self._set_for(line)
-        if line in entries:
-            entries.remove(line)
-            entries.insert(0, line)
-            return None
-        evicted = None
-        if len(entries) >= self.geometry.ways:
-            evicted = entries.pop()
-        entries.insert(0, line)
-        return evicted
-
-    def invalidate(self, line: int) -> None:
-        entries = self._set_for(line)
-        if line in entries:
-            entries.remove(line)
+        return line in self._sets[line % self.geometry.sets]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PageEntry:
     mapped: bool = True
     privileged: bool = False
+
+
+_DEFAULT_PAGE = PageEntry()
 
 
 class PageTable:
@@ -128,17 +101,17 @@ class PageTable:
         self._entries: dict = {}
 
     def entry(self, addr: int) -> PageEntry:
-        return self._entries.get(page_of(addr), PageEntry())
+        return self._entries.get(page_of(addr), _DEFAULT_PAGE)
 
     def set_mapped(self, addr: int, mapped: bool) -> None:
         page = page_of(addr)
-        e = self._entries.setdefault(page, PageEntry())
-        e.mapped = mapped
+        self._entries[page] = replace(self._entries.get(page, _DEFAULT_PAGE), mapped=mapped)
 
     def set_privileged(self, addr: int, privileged: bool) -> None:
         page = page_of(addr)
-        e = self._entries.setdefault(page, PageEntry())
-        e.privileged = privileged
+        self._entries[page] = replace(
+            self._entries.get(page, _DEFAULT_PAGE), privileged=privileged
+        )
 
 
 @dataclass
@@ -178,6 +151,9 @@ class Level(Enum):
     L1 = "L1"
     L2 = "L2"
     DRAM = "DRAM"
+
+
+_LEVELS = (Level.L1, Level.L2, Level.DRAM)
 
 
 @dataclass
@@ -227,30 +203,59 @@ class MemorySystem:
         return Level.DRAM
 
     def latency_for(self, level: Level) -> int:
-        return {
-            Level.L1: self.lat.l1_hit,
-            Level.L2: self.lat.l2_hit,
-            Level.DRAM: self.lat.dram,
-        }[level]
+        if level is Level.L1:
+            return self.lat.l1_hit
+        if level is Level.L2:
+            return self.lat.l2_hit
+        return self.lat.dram
 
     def fill(self, addr: int) -> Level:
         """Look up a line and fill every level up to L1 on a miss. Returns the
         level that served the request (before filling)."""
-        line = line_of(addr)
-        if self.l1.touch(line):
-            return Level.L1
-        if self.l2.touch(line):
-            self.l1.install(line)
-            return Level.L2
-        self.l2.install(line)
-        self.l1.install(line)
-        return Level.DRAM
+        return self._fill_lines(line_of(addr), 1, _LEVELS)[0]
+
+    def _fill_lines(self, first: int, count: int, outcomes: tuple) -> list:
+        """Look up `count` consecutive lines from line number `first` in
+        order, filling every level up to L1 on a miss, strict LRU in each
+        set.  Returns, per line, the entry of the (L1, L2, DRAM) triple
+        `outcomes` for the level that served it."""
+        sets1, nsets1, ways1 = self.l1._sets, self.l1.geometry.sets, self.l1.geometry.ways
+        sets2, nsets2, ways2 = self.l2._sets, self.l2.geometry.sets, self.l2.geometry.ways
+        from_l1, from_l2, from_dram = outcomes
+        served = []
+        for line in range(first, first + count):
+            entries = sets1[line % nsets1]
+            if line in entries:
+                if entries[0] != line:
+                    entries.remove(line)
+                    entries.insert(0, line)
+                served.append(from_l1)
+                continue
+            lower = sets2[line % nsets2]
+            if line in lower:
+                lower.remove(line)
+                served.append(from_l2)
+            else:
+                if len(lower) >= ways2:
+                    lower.pop()
+                served.append(from_dram)
+            lower.insert(0, line)
+            if len(entries) >= ways1:
+                entries.pop()
+            entries.insert(0, line)
+        return served
+
+    def _drop_lines(self, first: int, count: int) -> None:
+        for level in (self.l1, self.l2):
+            sets, nsets = level._sets, level.geometry.sets
+            for line in range(first, first + count):
+                entries = sets[line % nsets]
+                if line in entries:
+                    entries.remove(line)
 
     def invalidate_line(self, addr: int) -> None:
         """Drop a line from both levels, no privilege check (experiment plumbing)."""
-        line = line_of(addr)
-        self.l1.invalidate(line)
-        self.l2.invalidate(line)
+        self._drop_lines(line_of(addr), 1)
 
     # -- architectural operations --------------------------------------------
 
@@ -291,12 +296,75 @@ class MemorySystem:
     ) -> None:
         """Invalidate a line from both levels.  Idempotent.  When flushes are
         privileged, user-mode callers get PrivilegedFlushError."""
+        self.flush_lines(addr, 1, privilege, flush_is_privileged)
+
+    # -- Flush+Reload -------------------------------------------------------
+
+    def flush_lines(
+        self,
+        base: int,
+        count: int,
+        privilege: Privilege = Privilege.KERNEL,
+        flush_is_privileged: bool = False,
+    ) -> None:
+        """Flush `count` consecutive lines from `base`, one cycle each.  A
+        privileged flush refused to a user-mode caller raises
+        PrivilegedFlushError before any line is dropped."""
         if flush_is_privileged and privilege is Privilege.USER:
             raise PrivilegedFlushError(
-                f"flush of {addr:#x} requires kernel privilege under this configuration"
+                f"flush of {base:#x} requires kernel privilege under this configuration"
             )
-        self.invalidate_line(addr)
-        self.counter.advance(1)
+        self._drop_lines(line_of(base), count)
+        self.counter.current += count
+
+    def probe_lines(
+        self, base: int, count: int, privilege: Privilege = Privilege.KERNEL
+    ) -> list[int]:
+        """Timed reload of `count` consecutive lines from `base`.
+
+        Returns each line's measured latency, bracketed by two counter reads
+        exactly as read_cycles, access, read_cycles would give it line by
+        line: the same quantization, the same noise draws in the same order,
+        the same cache and counter state.  A faulting line raises its
+        PageFault or PrivilegeFault after the lines before it were reloaded
+        and counted and its own first counter read was taken.
+        """
+        reached, fault = self._first_fault(base, count, privilege)
+        lat = self.lat
+        timings = self._fill_lines(line_of(base), reached, (lat.l1_hit, lat.l2_hit, lat.dram))
+        counter = self.counter
+        res = counter.resolution
+        now = counter.current
+        amp = counter.noise_amplitude if self.rng is not None else 0
+        draw = self.rng.randint if amp else None
+        for i, cost in enumerate(timings):
+            before = now // res * res
+            if amp:
+                before += draw(-amp, amp)
+            now += cost
+            after = now // res * res
+            if amp:
+                after += draw(-amp, amp)
+            timings[i] = after - before
+        counter.current = now
+        if fault is not None:
+            if amp:
+                draw(-amp, amp)  # the faulting line's first counter read
+            raise fault
+        return timings
+
+    def _first_fault(self, base: int, count: int, privilege: Privilege) -> tuple:
+        """(lines accessible before the first fault, that fault or None) for
+        `count` lines from `base`.  Every line of a page shares its check."""
+        i = 0
+        while i < count:
+            addr = base + i * LINE_SIZE
+            try:
+                self.check_access(addr, privilege)
+            except MemoryFault as fault:
+                return i, fault
+            i += -(-(PAGE_SIZE - addr % PAGE_SIZE) // LINE_SIZE)
+        return count, None
 
     def read_cycles(self) -> int:
         return self.counter.read(self.rng)

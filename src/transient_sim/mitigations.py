@@ -77,11 +77,7 @@ def pmu_noise_effect(
             mem.access(addr)  # warm the line
         else:
             mem.invalidate_line(addr)
-        t0 = mem.read_cycles()
-        mem.access(addr)
-        t1 = mem.read_cycles()
-        measured = t1 - t0
-        classified_hit = measured < threshold
+        classified_hit = mem.probe_lines(addr, 1)[0] < threshold
         if classified_hit == want_hit:
             correct += 1
     return correct / trials

@@ -7,12 +7,13 @@ import pytest
 from transient_sim.memory import (
     LINE_SIZE,
     CacheGeometry,
-    CacheLevel,
     CycleCounter,
     EvictionParams,
     EvictionRegionError,
+    PAGE_SIZE,
     Latencies,
     Level,
+    MemoryFault,
     MemorySystem,
     PageFault,
     Privilege,
@@ -122,12 +123,14 @@ def test_probe_level_does_not_perturb_lru():
     assert mem.probe_level(0) is Level.L2  # 0 was LRU despite the probes
 
 
-def test_cache_level_install_reports_eviction():
-    level = CacheLevel(CacheGeometry(1, 2))
-    assert level.install(0) is None
-    assert level.install(1) is None
-    assert level.install(2) == 0
-    assert level.install(1) is None  # already present, refreshed
+def test_full_set_evicts_its_least_recent_line():
+    mem = MemorySystem(l1=CacheGeometry(1, 2), l2=CacheGeometry(1, 8))
+    assert [mem.fill(k * LINE_SIZE) for k in (0, 1, 2)] == [Level.DRAM] * 3
+    assert mem.probe_level(0) is Level.L2  # line 2 evicted line 0 from L1
+    assert mem.fill(LINE_SIZE) is Level.L1  # already present, refreshed
+    assert mem.fill(0) is Level.L2
+    assert mem.probe_level(2 * LINE_SIZE) is Level.L2  # 2 was least recent
+    assert mem.probe_level(LINE_SIZE) is Level.L1
 
 
 def test_geometry_must_be_power_of_two():
@@ -188,6 +191,117 @@ class TestFaults:
         mem.flush_line(0x40)
         mem.flush_line(0x40)
         assert mem.probe_level(0x40) is Level.DRAM
+
+
+REGION = 0x1_0000  # four pages of lines for the Flush+Reload twins
+REGION_LINES = 4 * PAGE_SIZE // LINE_SIZE
+
+
+def _per_line_probe(mem, base, count, privilege):
+    """The reload phase spelled out with the per-line public calls."""
+    latencies = []
+    for i in range(count):
+        before = mem.read_cycles()
+        mem.access(base + i * LINE_SIZE, privilege)
+        latencies.append(mem.read_cycles() - before)
+    return latencies
+
+
+def _per_line_flush(mem, base, count, privilege, flush_is_privileged):
+    for i in range(count):
+        mem.flush_line(base + i * LINE_SIZE, privilege, flush_is_privileged)
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except (MemoryFault, PrivilegedFlushError) as exc:
+        return None, (type(exc), getattr(exc, "addr", None), str(exc))
+
+
+def _state(mem):
+    """Everything a later operation could observe: the level of every line in
+    the region, the counter, the noise stream, then the levels a fixed access
+    sequence meets (which exposes the LRU order within each set)."""
+    levels = [mem.probe_level(REGION + k * LINE_SIZE) for k in range(REGION_LINES + 8)]
+    counter, rng_state = mem.counter.current, mem.rng.getstate()
+    follow = random.Random(7)
+    replay = [mem.fill(REGION + follow.randrange(REGION_LINES) * LINE_SIZE) for _ in range(64)]
+    return levels, counter, rng_state, replay
+
+
+class TestFlushReloadPrimitive:
+    """probe_lines/flush_lines against the per-line public path they replace,
+    from seeded random cache states over seeded random line ranges."""
+
+    @staticmethod
+    def _twins(seed, resolution, noise, pages):
+        def build():
+            mem = MemorySystem(
+                l1=CacheGeometry(4, 2),
+                l2=CacheGeometry(16, 4),
+                counter=CycleCounter(current=seed * 13, resolution=resolution,
+                                     noise_amplitude=noise),
+                rng=random.Random(seed),
+            )
+            warm = random.Random(seed)
+            for _ in range(120):
+                mem.fill(REGION + warm.randrange(REGION_LINES) * LINE_SIZE)
+            for page, attr in pages:
+                getattr(mem.pages, attr)(REGION + page * PAGE_SIZE, attr == "set_privileged")
+            return mem
+
+        return build(), build()
+
+    @pytest.mark.parametrize(
+        "resolution, noise, privilege, pages, faults",
+        [
+            (1, 0, Privilege.USER, (), False),
+            (1, 5, Privilege.USER, (), False),
+            (8, 0, Privilege.USER, (), False),
+            (8, 3, Privilege.USER, (), False),
+            (1, 4, Privilege.USER, ((2, "set_privileged"),), True),
+            (1, 4, Privilege.KERNEL, ((2, "set_privileged"),), False),
+            (4, 2, Privilege.KERNEL, ((1, "set_mapped"),), True),
+        ],
+        ids=["exact", "noise", "resolution", "noise+resolution", "privileged-page-user",
+             "privileged-page-kernel", "unmapped-page"],
+    )
+    def test_probe_then_flush_then_probe_matches_per_line_path(
+        self, resolution, noise, privilege, pages, faults
+    ):
+        faulted = 0
+        for seed in range(40):
+            fast, slow = self._twins(seed, resolution, noise, pages)
+            pick = random.Random(1000 + seed)
+            base = REGION + pick.randrange(REGION_LINES) * LINE_SIZE + pick.randrange(LINE_SIZE)
+            count = pick.randint(1, 130)
+            for step in ("probe", "flush", "probe"):
+                if step == "probe":
+                    got = _outcome(lambda: fast.probe_lines(base, count, privilege))
+                    want = _outcome(lambda: _per_line_probe(slow, base, count, privilege))
+                else:
+                    got = _outcome(lambda: fast.flush_lines(base, count, privilege))
+                    want = _outcome(lambda: _per_line_flush(slow, base, count, privilege, False))
+                assert got == want, f"seed {seed} {step} {base:#x}+{count}"
+                assert _state(fast) == _state(slow), f"seed {seed} {step} {base:#x}+{count}"
+                faulted += got[1] is not None
+        assert bool(faulted) == faults
+
+    @pytest.mark.parametrize("privilege", [Privilege.USER, Privilege.KERNEL])
+    def test_privileged_flush_matches_per_line_path(self, privilege):
+        for seed in range(10):
+            fast, slow = self._twins(seed, 1, 3, ())
+            base, count = REGION + seed * 5 * LINE_SIZE, 20 + seed
+            start = fast.counter.current
+            got = _outcome(lambda: fast.flush_lines(base, count, privilege, True))
+            want = _outcome(lambda: _per_line_flush(slow, base, count, privilege, True))
+            assert got == want
+            refused = privilege is Privilege.USER
+            assert (got[1] is not None) == refused
+            # one cycle per flushed line; a refused flush drops nothing
+            assert fast.counter.current == start + (0 if refused else count)
+            assert _state(fast) == _state(slow)
 
 
 class TestCycleCounter:
