@@ -707,7 +707,9 @@ class _Engine:
             return
         oldest = min(violators, key=lambda o: o.seq)
         self.trace.mispredicts += 1
-        self._squash_younger(store.seq, self.cycle, f"store-order violation @{store.pc}")
+        # replay from the oldest violating load: ops between it and the store
+        # read nothing the store wrote and stay in the window
+        self._squash_younger(oldest.seq - 1, self.cycle, f"store-order violation @{store.pc}")
         self._redirect(oldest.pc, self.cycle)
 
     # -- resolution ----------------------------------------------------------

@@ -10,12 +10,16 @@ import random
 import pytest
 
 from _reference import (
+    DATA_BASE,
+    STACK_BASE,
+    GeneratedProgram,
     RefState,
     final_state_matches,
     generate_program,
     run_engine,
     run_reference,
 )
+from transient_sim.isa import assemble
 from transient_sim.mitigations import MitigationSet
 from transient_sim.profiles import get_profile
 
@@ -55,6 +59,34 @@ def test_mitigations_do_not_change_benign_results():
         assert ok, f"seed {20_000 + seed}: {detail}\n{gen.text}"
 
 
+# The store's address comes from a cold cell, so the younger load of the same
+# cell runs ahead and the store-order check replays it.  The replay must also
+# re-execute the independent MOVI between the two.
+_STORE_ORDER_REPLAY_SRC = """
+    LD r13, [r14 + 0]
+    ST [r13 + 0], r1
+    MOVI r2, 7
+    LD r3, [r14 + 8]
+    HALT
+"""
+
+
+@pytest.mark.parametrize("name", ["cortex_a72", "intel_i7"])
+def test_store_order_replay_keeps_ops_between_store_and_load(name):
+    regs = [0] * 16
+    regs[1], regs[2] = 99, -1
+    regs[14], regs[15] = DATA_BASE, STACK_BASE
+    gen = GeneratedProgram(
+        _STORE_ORDER_REPLAY_SRC,
+        assemble(_STORE_ORDER_REPLAY_SRC),
+        regs,
+        {DATA_BASE: DATA_BASE + 8, DATA_BASE + 8: 5},
+        {},
+    )
+    ok, detail = final_state_matches(gen, get_profile(name))
+    assert ok, detail
+
+
 def test_engine_runs_are_repeatable():
     gen = generate_program(random.Random(31))
     prof = get_profile("cortex_a72")
@@ -66,8 +98,6 @@ def test_engine_runs_are_repeatable():
 
 
 def test_reference_interpreter_rejects_runaway_programs():
-    from transient_sim.isa import assemble
-
     # a return to address 0 loops forever; the step guard must trip
     prog = assemble("loop:\n    CALL loop\n    HALT\n")
     with pytest.raises(RuntimeError, match="exceeded"):
