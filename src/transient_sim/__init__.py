@@ -38,7 +38,6 @@ from .attacks import (
     run_spectre_rsb,
     run_spectre_v1,
     run_spectre_v4,
-    speculative_load_test,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +81,6 @@ __all__ = [
     "run_spectre_rsb",
     "run_spectre_v1",
     "run_spectre_v4",
-    "speculative_load_test",
     "sweep_bits",
     "sweep_evict",
     "__version__",

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DEFAULT_SEED, MachineState, Trace, make_machine, run
+from .core import DEFAULT_SEED, MachineState, Rsb, Trace, make_machine, run
 from .isa import Program, assemble
 from .memory import LINE_SIZE, MemorySystem, Privilege, PrivilegedFlushError
 from .profiles import CpuProfile, get_profile
@@ -36,6 +36,11 @@ SYSREG_ID = 1
 SYSREG_TEST_VALUE = 0xA5
 
 DEFAULT_SECRET = bytes((41, 7, 255))
+
+RSB_PAGE_FAULT_UNDEFINED = (
+    "the return-stack attack evicts the stack line; unmapping it would "
+    "fault the return itself, so a page-fault window is undefined"
+)
 
 
 class WindowTrigger(Enum):
@@ -155,10 +160,12 @@ skip:
 
 # A callee that redirects its own return: the return stack still predicts the
 # instruction after the call site, so the gadget there runs transiently while
-# the real return target is fetched from the evicted stack line.
+# the real return target is fetched from the evicted stack line.  The gadget's
+# first line reads the payload into r5: a memory load for the return-stack
+# attack, a system-register read for V3a.
 _RSB_SRC = """
     CALL victim
-    LD r5, [r4+0]        ; gadget (never architecturally reached)
+    {payload}
     SHL r6, r5, 6
     ADD r7, r6, r8
     LD r9, [r7+0]
@@ -173,24 +180,6 @@ victim:
     RET
 """
 _RSB_DONE_PC = 5
-
-# Same harness with a system-register read as the gadget payload.
-_RSB_SYSREG_SRC = """
-    CALL victim
-    MRS r5, s1           ; gadget: privileged register read
-    SHL r6, r5, 6
-    ADD r7, r6, r8
-    LD r9, [r7+0]
-done:
-    HALT
-victim:
-    MOVI r10, 5
-    ST [r15+0], r10
-    FLUSH [r15+0]
-    FENCE
-    YIELD
-    RET
-"""
 
 # Direct read of a kernel cell from user mode; the fault is deferred to
 # retirement, which then lands on the recovery HALT.
@@ -365,30 +354,20 @@ def _run_spec_load(profile: CpuProfile, scenario: Scenario, seed: int) -> Attack
     return _outcome("V1", profile, scenario, (SPEC_LOAD_LINE,), [hit], probe)
 
 
-def speculative_load_test(profile, seed: int = DEFAULT_SEED) -> bool:
-    """Does a single load in a mispredicted branch shadow leave its line cached?"""
-    profile = _resolve_profile(profile)
-    return _run_spec_load(profile, Scenario(WindowTrigger.SPECULATIVE_LOAD), seed).success
-
-
 def run_spectre_rsb(
     profile,
     scenario: Scenario = Scenario(),
     secret: bytes = DEFAULT_SECRET,
     seed: int = DEFAULT_SEED,
-    source: str = _RSB_SRC,
 ) -> AttackOutcome:
     """Return-stack mismatch.  The callee overwrites its saved return target,
     so the predicted return (gadget after the call site) diverges from the
     architectural one; the window lasts until the evicted stack line arrives."""
     profile = _resolve_profile(profile)
     if scenario.window_trigger is WindowTrigger.PAGE_FAULT:
-        raise ValueError(
-            "the return-stack attack evicts the stack line; unmapping it would "
-            "fault the return itself, so a page-fault window is undefined"
-        )
+        raise ValueError(RSB_PAGE_FAULT_UNDEFINED)
     st = make_machine(profile, seed)
-    prog = _victim(source)
+    prog = _victim(_RSB_SRC.format(payload="LD r5, [r4+0]"))
     st.benign_return_pc = _RSB_DONE_PC
     for k, byte in enumerate(secret):
         st.mem.cells[SECRET_BASE + k * LINE_SIZE] = byte
@@ -454,7 +433,7 @@ def run_meltdown_v3a(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     so success hinges on whether the core forwards the register's value."""
     profile = _resolve_profile(profile)
     st = make_machine(profile, seed)
-    prog = _victim(_RSB_SYSREG_SRC)
+    prog = _victim(_RSB_SRC.format(payload=f"MRS r5, s{SYSREG_ID}"))
     st.benign_return_pc = _RSB_DONE_PC
     st.privilege = Privilege.USER
     st.sysregs[SYSREG_ID] = SYSREG_TEST_VALUE
@@ -545,7 +524,7 @@ def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     for off in range(0, 8 * depth + 1, LINE_SIZE):
         st.mem.fill(STACK_TOP + off)  # drains resolve fast
     st.mem.fill(SECRET_BASE)
-    st.rsb.flush()
+    st.rsb = Rsb(profile.rsb_size)  # the victim context starts with an empty stack
 
     def victim():
         st.mem.invalidate_line(attack_slot)  # the seeded site resolves slowly

@@ -1,5 +1,10 @@
 """Experiment configuration: JSON files, environment, and merge rules.
 
+This is the one module that turns user input into the objects experiments
+run on: profiles, mitigation sets, attack scenarios and channel settings.
+Everything a user can get wrong is rejected here as a ConfigError, before
+any experiment runs.
+
 Precedence, highest first: explicit CLI flags, then the config file, then
 profile defaults.  The seed falls back to the TRANSIENT_SIM_SEED environment
 variable and finally to the fixed default, so unconfigured runs are still
@@ -12,9 +17,10 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 
+from .attacks import RSB_PAGE_FAULT_UNDEFINED, Scenario, SecretLocation, WindowTrigger
 from .core import DEFAULT_SEED
+from .covert import ChannelConfig
 from .memory import Latencies
 from .mitigations import MitigationSet
 from .profiles import CpuProfile, ExceptionPolicy, PipelineKind, RsbUnderflow, SquashPolicy, get_profile
@@ -26,6 +32,22 @@ VARIANTS = ("v1", "v3", "v3a", "v4", "rsb")
 SCENARIOS = ("specload", "cachemiss", "pagefault")
 SECRET_LOCS = ("l1", "dram")
 OUTPUT_FORMATS = ("json", "csv", "table")
+
+_WINDOW_TRIGGERS = {
+    "specload": WindowTrigger.SPECULATIVE_LOAD,
+    "cachemiss": WindowTrigger.CACHE_MISS,
+    "pagefault": WindowTrigger.PAGE_FAULT,
+}
+_SECRET_LOCATIONS = {"l1": SecretLocation.L1, "dram": SecretLocation.MAIN_MEMORY}
+# ExperimentConfig field -> ChannelConfig field; an unset (None) value keeps
+# ChannelConfig's own default
+_CHANNEL_FIELDS = {
+    "bits": "bits_per_cs",
+    "noise": "noise_probability",
+    "context_switch_cost": "context_switch_cost",
+    "probe_cost_per_line": "probe_cost_per_line",
+    "rsb_fill_depth": "rsb_fill_depth",
+}
 
 
 class ConfigError(ValueError):
@@ -76,10 +98,12 @@ class ExperimentConfig:
             )
         if self.output not in OUTPUT_FORMATS:
             raise ConfigError(f"unknown output {self.output!r}; expected one of {OUTPUT_FORMATS}")
-        get_profile(self.profile)  # unknown profile fails here, early
-        # Building the resolved profile applies every module-level invariant
-        # (rsb_size range, latency ordering, mitigation exclusivity).
+        # Building the derived objects applies every module-level invariant
+        # (rsb_size range, latency ordering, mitigation exclusivity, channel
+        # bounds, the scenarios an attack supports).
         self.resolved_profile()
+        self.attack_scenario()
+        self.channel_config()
 
     def with_updates(self, **updates) -> "ExperimentConfig":
         """Non-None updates win over current values (CLI-over-file merge)."""
@@ -102,12 +126,31 @@ class ExperimentConfig:
             raise ConfigError(f"secret is not valid hex: {self.secret_hex!r}") from None
 
     def resolved_profile(self) -> CpuProfile:
-        prof = get_profile(self.profile)
+        try:
+            prof = get_profile(self.profile)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.profile_overrides:
             prof = _apply_profile_overrides(prof, self.profile_overrides)
         if self.mitigations:
-            prof = prof.with_overrides(mitigations=_build_mitigations(self.mitigations))
+            prof = prof.with_overrides(mitigations=mitigation_set(self.mitigations))
         return prof
+
+    def attack_scenario(self) -> Scenario:
+        if self.variant == "rsb" and self.scenario == "pagefault":
+            raise ConfigError(RSB_PAGE_FAULT_UNDEFINED)
+        return Scenario(_WINDOW_TRIGGERS[self.scenario], _SECRET_LOCATIONS[self.secret_loc])
+
+    def channel_config(self) -> ChannelConfig:
+        values = {
+            name: getattr(self, key)
+            for key, name in _CHANNEL_FIELDS.items()
+            if getattr(self, key) is not None
+        }
+        try:
+            return ChannelConfig(**values)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -167,12 +210,22 @@ def _apply_profile_overrides(prof: CpuProfile, overrides: dict) -> CpuProfile:
         raise ConfigError(str(exc)) from None
 
 
-def _build_mitigations(flags: dict) -> MitigationSet:
-    unknown = set(flags) - _MITIGATION_FIELDS
+def mitigation_set(flags: dict) -> MitigationSet:
+    """The one mitigation builder, for config files and --flags alike.  A
+    string value (from `name=value` on the command line) must be an integer."""
+    values = {}
+    for key, value in flags.items():
+        if isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"flag {key!r} needs an integer value, got {value!r}") from None
+        values[key] = value
+    unknown = set(values) - _MITIGATION_FIELDS
     if unknown:
         raise ConfigError(f"unknown mitigation flags: {sorted(unknown)}")
     try:
-        return MitigationSet(**flags)
+        return MitigationSet(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -192,6 +245,15 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
+
+
+def experiment_config(experiment: str, path: str | None, overrides: dict) -> ExperimentConfig:
+    """The config file at `path` (or the defaults) run as `experiment`, with
+    every non-None override named after an ExperimentConfig field on top."""
+    cfg = load_config(path) if path else ExperimentConfig(experiment=experiment)
+    updates = {key: overrides.get(key) for key in _CONFIG_KEYS}
+    updates["experiment"] = experiment
+    return cfg.with_updates(**updates)
 
 
 def load_config(path: str) -> ExperimentConfig:

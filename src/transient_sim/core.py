@@ -158,6 +158,17 @@ class MachineState:
     rng: random.Random = field(default_factory=lambda: random.Random(DEFAULT_SEED))
 
 
+def context_switch(state: MachineState, profile: CpuProfile) -> None:
+    """What the core does to the return stack at a context switch: nothing,
+    flush it, or refill every entry with the benign return address (a refill
+    with no benign address set flushes instead)."""
+    mit = profile.mitigations
+    if mit.rsb_refill_on_cs and state.benign_return_pc is not None:
+        state.rsb.refill(state.benign_return_pc)
+    elif mit.rsb_flush_on_cs or mit.rsb_refill_on_cs:
+        state.rsb.flush()
+
+
 def make_machine(profile: CpuProfile, seed: int = DEFAULT_SEED) -> MachineState:
     rng = random.Random(seed)
     counter = CycleCounter(
@@ -768,13 +779,7 @@ class _Engine:
         elif opc is Opcode.RET:
             state.btb.update(op.pc, op.actual_next)
         elif opc is Opcode.YIELD:
-            if profile.mitigations.rsb_flush_on_cs:
-                state.rsb.flush()
-            elif profile.mitigations.rsb_refill_on_cs:
-                if state.benign_return_pc is not None:
-                    state.rsb.refill(state.benign_return_pc)
-                else:
-                    state.rsb.flush()
+            context_switch(state, profile)
             if op.pc + 1 >= len(self.program):
                 # a trailing yield ends the context's turn
                 self.halted = True

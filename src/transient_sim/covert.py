@@ -28,11 +28,12 @@ so channel bandwidth is b / cost(b) bits per cycle.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
 
-from .core import MachineState, make_machine
+from .core import MachineState, context_switch, make_machine
 from .memory import Privilege, PrivilegedFlushError
 from .profiles import CpuProfile, SquashPolicy
 
@@ -280,17 +281,9 @@ def receiver_decode(
     return None
 
 
-def _context_switch(state: MachineState, profile: CpuProfile) -> None:
-    mit = profile.mitigations
-    if mit.rsb_flush_on_cs:
-        state.rsb.flush()
-    elif mit.rsb_refill_on_cs:
-        state.rsb.refill(BENIGN_RETURN_PC)
-
-
 def run_channel(
     profile: CpuProfile,
-    config: ChannelConfig,
+    config: ChannelConfig = ChannelConfig(),
     message: bytes = DEFAULT_MESSAGE,
     seed: int = 7,
     gadget_base: int = GADGET_BASE,
@@ -308,6 +301,7 @@ def run_channel(
     sender is buried by the next injection before anything pops it.
     """
     state = make_machine(profile, seed=seed)
+    state.benign_return_pc = BENIGN_RETURN_PC
     state.btb.update(RECEIVER_RET_PC, RECEIVER_CONT_PC)
     noise_rng = random.Random(seed ^ 0x5EED)
 
@@ -331,14 +325,14 @@ def run_channel(
         if config.noise_probability and noise_rng.random() < config.noise_probability:
             state.rsb.push(INTERLOPER_PC)
             state.mem.fill(INTERLOPER_LINE)
-        _context_switch(state, profile)
+        context_switch(state, profile)
         record: list[int] | None = [] if record_latencies else None
         try:
             got = receiver_decode(state, profile, config, gadget_base, record)
         except PrivilegedFlushError:
             aborted = True
             break
-        _context_switch(state, profile)
+        context_switch(state, profile)
         state.mem.counter.current = base + cost
         cycles += cost
 
@@ -376,33 +370,14 @@ def sweep_bits(
     profile: CpuProfile,
     message: bytes = DEFAULT_MESSAGE,
     seed: int = 7,
-    noise_probability: float = 0.0,
-    config: ChannelConfig | None = None,
-    b_range: range | None = None,
+    config: ChannelConfig = ChannelConfig(),
 ) -> list[ChannelReport]:
-    """Run the channel once per symbol width (default every b in [1, 6])."""
-    base = config or ChannelConfig()
-    reports = []
-    for bits in b_range if b_range is not None else range(MIN_BITS, MAX_BITS + 1):
-        cfg = ChannelConfig(
-            bits_per_cs=bits,
-            context_switch_cost=base.context_switch_cost,
-            probe_cost_per_line=base.probe_cost_per_line,
-            noise_probability=noise_probability or base.noise_probability,
-            rsb_fill_depth=base.rsb_fill_depth,
-        )
-        reports.append(run_channel(profile, cfg, message, seed=seed))
-    return reports
-
-
-def sweep_to_csv(reports: list[ChannelReport]) -> str:
-    lines = ["b,bandwidth,errors,memory"]
-    for r in reports:
-        lines.append(
-            f"{r.bits_per_cs},{r.bandwidth_bits_per_kcycle:.6f},"
-            f"{r.bit_errors},{r.required_memory_bytes}"
-        )
-    return "\n".join(lines) + "\n"
+    """Run the channel once per symbol width b in [1, 6]; every other
+    setting comes from `config`."""
+    return [
+        run_channel(profile, dataclasses.replace(config, bits_per_cs=bits), message, seed=seed)
+        for bits in range(MIN_BITS, MAX_BITS + 1)
+    ]
 
 
 def latency_trace_to_csv(report: ChannelReport) -> str:

@@ -71,10 +71,6 @@ class CpuProfile:
         if self.branch_resolve_extra < 0 or self.return_resolve_extra < 0:
             raise ValueError("resolve-extra constants must be non-negative")
 
-    @property
-    def out_of_order(self) -> bool:
-        return self.pipeline is PipelineKind.OUT_OF_ORDER
-
     def with_overrides(self, **changes) -> "CpuProfile":
         return dataclasses.replace(self, **changes)
 

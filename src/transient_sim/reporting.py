@@ -15,7 +15,7 @@ from .attacks import (
     matrix_mismatches,
     matrix_susceptibility,
 )
-from .covert import ChannelReport, sweep_to_csv
+from .covert import ChannelReport
 
 
 @dataclass
@@ -54,14 +54,57 @@ def _yn(value: bool) -> str:
     return "Y" if value else "N"
 
 
-def _matrix_csv(report: SuiteReport) -> str:
-    lines = ["cell,profile,expected,actual"]
+# The fields each single-record report shows in its table and CSV forms.
+_ATTACK_KEYS = ("variant", "profile", "scenario", "success", "recovered_hex", "expected_hex")
+_CHANNEL_KEYS = (
+    "profile",
+    "bits_per_cs",
+    "symbols_sent",
+    "bits_sent",
+    "bit_errors",
+    "symbol_errors",
+    "erasures",
+    "total_cycles",
+    "bandwidth_bits_per_kcycle",
+    "required_memory_bytes",
+    "aborted",
+    "decoded_hex",
+)
+_RECORD_KEYS = {AttackOutcome: _ATTACK_KEYS, ChannelReport: _CHANNEL_KEYS}
+_SWEEP_HEADER = ("b", "bandwidth", "errors", "memory")
+_MATRIX_HEADER = ("cell", "profile", "expected", "actual")
+
+
+def _kv_table(pairs) -> str:
+    """Aligned `key  value` lines, one per pair."""
+    pairs = list(pairs)
+    width = max(len(k) for k, _ in pairs)
+    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs) + "\n"
+
+
+def _csv(header, rows) -> str:
+    """A header line and one comma-separated line per row."""
+    lines = [",".join(header)]
+    lines += [",".join(str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _matrix_rows(report: SuiteReport):
     sus = report.susceptibility
     for cell in sus:
         for prof, actual in sus[cell].items():
             expected = report.golden.get(cell, {}).get(prof)
-            lines.append(f"{cell},{prof},{_yn(bool(expected))},{_yn(actual)}")
-    return "\n".join(lines) + "\n"
+            yield cell, prof, _yn(bool(expected)), _yn(actual)
+
+
+def _sweep_rows(reports: list):
+    for r in reports:
+        yield (
+            r.bits_per_cs,
+            f"{r.bandwidth_bits_per_kcycle:.6f}",
+            r.bit_errors,
+            r.required_memory_bytes,
+        )
 
 
 def _matrix_table(report: SuiteReport) -> str:
@@ -89,55 +132,6 @@ def _matrix_table(report: SuiteReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _kv_table(pairs: list) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs) + "\n"
-
-
-def _attack_table(outcome: AttackOutcome) -> str:
-    d = outcome.to_dict()
-    pairs = [(k, str(d[k])) for k in ("variant", "profile", "scenario", "success",
-                                      "recovered_hex", "expected_hex")]
-    return _kv_table(pairs)
-
-
-def _attack_csv(outcome: AttackOutcome) -> str:
-    d = outcome.to_dict()
-    keys = ["variant", "profile", "scenario", "success", "recovered_hex", "expected_hex"]
-    return (
-        ",".join(keys) + "\n" + ",".join(str(d[k]) for k in keys) + "\n"
-    )
-
-
-_CHANNEL_KEYS = [
-    "profile",
-    "bits_per_cs",
-    "symbols_sent",
-    "bits_sent",
-    "bit_errors",
-    "symbol_errors",
-    "erasures",
-    "total_cycles",
-    "bandwidth_bits_per_kcycle",
-    "required_memory_bytes",
-    "aborted",
-    "decoded_hex",
-]
-
-
-def _channel_table(report: ChannelReport) -> str:
-    d = report.to_dict()
-    return _kv_table([(k, str(d[k])) for k in _CHANNEL_KEYS])
-
-
-def _channel_csv(report: ChannelReport) -> str:
-    d = report.to_dict()
-    return (
-        ",".join(_CHANNEL_KEYS) + "\n"
-        + ",".join(str(d[k]) for k in _CHANNEL_KEYS) + "\n"
-    )
-
-
 def _sweep_table(reports: list) -> str:
     header = f"{'b':>2}  {'bandwidth(b/kcyc)':>18}  {'errors':>6}  {'memory(B)':>9}"
     rows = [header, "-" * len(header)]
@@ -150,9 +144,7 @@ def _sweep_table(reports: list) -> str:
 
 
 def _to_jsonable(obj):
-    if isinstance(obj, SuiteReport):
-        return obj.to_dict()
-    if isinstance(obj, (AttackOutcome, ChannelReport)):
+    if isinstance(obj, (SuiteReport, AttackOutcome, ChannelReport)):
         return obj.to_dict()
     if isinstance(obj, list):
         return [_to_jsonable(x) for x in obj]
@@ -161,25 +153,27 @@ def _to_jsonable(obj):
 
 def emit_report(report, fmt: str = "json") -> str:
     """Serialize any runner result: a SuiteReport, an AttackOutcome, a
-    ChannelReport, or a list of ChannelReports (a sweep)."""
+    ChannelReport, a list of ChannelReports (a sweep), or a flat summary
+    dict (table and JSON only)."""
     if fmt == "json":
         return json.dumps(_to_jsonable(report), sort_keys=True, indent=2) + "\n"
+    keys = _RECORD_KEYS.get(type(report))
     if fmt == "csv":
+        if keys is not None:
+            d = report.to_dict()
+            return _csv(keys, [[d[k] for k in keys]])
         if isinstance(report, SuiteReport):
-            return _matrix_csv(report)
-        if isinstance(report, AttackOutcome):
-            return _attack_csv(report)
-        if isinstance(report, ChannelReport):
-            return _channel_csv(report)
+            return _csv(_MATRIX_HEADER, _matrix_rows(report))
         if isinstance(report, list):
-            return sweep_to_csv(report)
+            return _csv(_SWEEP_HEADER, _sweep_rows(report))
     if fmt == "table":
+        if keys is not None:
+            d = report.to_dict()
+            return _kv_table((k, d[k]) for k in keys)
+        if isinstance(report, dict):
+            return _kv_table(report.items())
         if isinstance(report, SuiteReport):
             return _matrix_table(report)
-        if isinstance(report, AttackOutcome):
-            return _attack_table(report)
-        if isinstance(report, ChannelReport):
-            return _channel_table(report)
         if isinstance(report, list):
             return _sweep_table(report)
     raise ValueError(f"cannot emit {type(report).__name__} as {fmt!r}")

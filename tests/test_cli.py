@@ -55,6 +55,42 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("covert", "--bits", "9"),
+            ("sweep-bits", "--noise", "2"),
+            ("attack", "--variant", "rsb", "--scenario", "pagefault"),
+            ("mitigate", "--flags", "magic_shield"),
+            ("mitigate", "--flags", "pmu_noise_amplitude=lots"),
+            ("mitigate", "--flags", "rsb_flush_on_cs,rsb_refill_on_cs"),
+        ],
+    )
+    def test_bad_input_is_rejected_before_any_experiment_runs(
+        self, capsys, monkeypatch, argv
+    ):
+        import transient_sim.cli as cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an experiment ran on bad input")
+
+        for name in ("run_channel", "sweep_bits", "run_matrix", "run_spectre_rsb"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_internal_error_is_not_a_usage_error(self, monkeypatch):
+        import transient_sim.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(cli, "run_matrix", broken)
+        with pytest.raises(ValueError, match="engine bug"):
+            main(["matrix"])
+
     def test_unknown_profile_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["attack", "--profile", "pentium_2"])
@@ -111,6 +147,27 @@ class TestSweepCommand:
         assert len(lines) == 7
         memories = [int(row.split(",")[3]) for row in lines[1:]]
         assert memories == [128, 256, 512, 1024, 2048, 4096]
+
+    def test_config_file_costs_reach_every_width(self, capsys, tmp_path):
+        path = tmp_path / "costs.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "experiment": "sweep",
+                    "context_switch_cost": 10,
+                    "probe_cost_per_line": 20,
+                    "rsb_fill_depth": 4,
+                }
+            )
+        )
+        code, out, _ = run_cli(capsys, "sweep-bits", "--config", str(path), "--format", "csv")
+        assert code == 0
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == [1, 2, 3, 4, 5, 6]
+        for row in rows:
+            bits = int(row[0])
+            cost = 2 * 10 + 2 * 4 + 20 * 2**bits  # error-free: b bits per symbol
+            assert row[1] == f"{1000 * bits / cost:.6f}"
 
     def test_json_on_request(self, capsys):
         code, out, _ = run_cli(capsys, "sweep-bits", "--format", "json")
@@ -216,6 +273,21 @@ class TestConfigFiles:
         cfg = config_from_dict({"experiment": "covert", "message_hex": "zz"})
         with pytest.raises(ConfigError, match="not valid hex"):
             cfg.message_bytes()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"bits": 9}, r"bits_per_cs must be in \[1, 6\]"),
+            ({"noise": 1.5}, r"noise_probability must be in \[0, 1\]"),
+            ({"context_switch_cost": -1}, "non-negative"),
+            ({"rsb_fill_depth": 0}, "at least 1"),
+            ({"variant": "rsb", "scenario": "pagefault"}, "page-fault window is undefined"),
+            ({"mitigations": {"rsb_flush_on_cs": True, "rsb_refill_on_cs": True}}, "exclusive"),
+        ],
+    )
+    def test_unusable_values_are_config_errors(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"experiment": "covert", **data})
 
     def test_with_updates_ignores_none(self):
         cfg = ExperimentConfig(experiment="covert", bits=4)

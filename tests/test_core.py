@@ -304,6 +304,18 @@ class TestContextSwitchHooks:
         run(assemble("    YIELD\n"), st, prof)
         assert st.rsb.snapshot() == [9] * prof.rsb_size
 
+    def test_yield_flushes_rsb_under_refill_mitigation_without_benign_target(self):
+        from transient_sim.mitigations import MitigationSet
+
+        prof = get_profile("intel_i7").with_overrides(
+            mitigations=MitigationSet(rsb_refill_on_cs=True)
+        )
+        st = make_machine(prof)
+        assert st.benign_return_pc is None
+        st.rsb.push(123)
+        run(assemble("    YIELD\n"), st, prof)
+        assert st.rsb.snapshot() == []
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):

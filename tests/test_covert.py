@@ -14,11 +14,11 @@ from transient_sim.covert import (
     required_memory_bytes,
     run_channel,
     sweep_bits,
-    sweep_to_csv,
     unpack_symbols,
 )
 from transient_sim.mitigations import MitigationSet
 from transient_sim.profiles import get_profile
+from transient_sim.reporting import emit_report
 
 I7 = get_profile("intel_i7")
 A72 = get_profile("cortex_a72")
@@ -184,6 +184,15 @@ class TestChannelRequirements:
         assert received == {None}  # every symbol erased, zero mutual information
         assert report.bits_sent >= 1000
 
+    def test_rsb_refill_mitigation_erases_every_symbol(self):
+        # the refill buries the sender's entries under the benign return
+        # address, which names no gadget, so no probe line ever lights
+        armored = I7.with_overrides(mitigations=MitigationSet(rsb_refill_on_cs=True))
+        report = run_channel(armored, ChannelConfig(bits_per_cs=3), b"HI")
+        assert report.symbols_sent == 6
+        assert report.erasures == report.symbols_sent
+        assert {got for (_, got) in report.confusion} == {None}
+
     def test_privileged_flush_aborts_the_receiver(self):
         armored = I7.with_overrides(mitigations=MitigationSet(privileged_flush=True))
         report = run_channel(armored, ChannelConfig(bits_per_cs=3), b"HI")
@@ -218,7 +227,7 @@ class TestConfigValidation:
 
 class TestReporting:
     def test_sweep_csv_layout(self):
-        lines = sweep_to_csv(sweep_bits(I7)).splitlines()
+        lines = emit_report(sweep_bits(I7), "csv").splitlines()
         assert lines[0] == "b,bandwidth,errors,memory"
         assert len(lines) == 7
         first = lines[1].split(",")
