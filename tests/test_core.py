@@ -336,3 +336,94 @@ class TestDeterminism:
         prog = assemble("loop:\n    CALL loop\n    HALT\n")
         trace = run(prog, st, prof, max_cycles=2_000)
         assert trace.abort is not None
+
+
+# Programs that between them make every kind of trace event on the five
+# bundled cores.  Each entry: (source, privilege, recovery_pc, setup).
+def _map_out(st):
+    st.mem.pages.set_mapped(DATA + 0x1000, False)
+
+
+def _kernel_page(st):
+    st.mem.pages.set_privileged(DATA, True)
+    st.mem.cells[DATA] = 0x55
+
+
+def _point_to_self(st):
+    st.mem.cells[DATA] = DATA
+
+
+_DIGEST_PROGRAMS = (
+    # branch mispredict over a load: predict (BGE), fill, squash
+    (SHADOW_LOAD, Privilege.KERNEL, None, None),
+    # late store address: store-order violation and replay
+    (
+        "    MOVI r2, 99\n    LD r1, [r14]\n    ST [r1 + 8], r2\n    MOVI r5, 3\n"
+        "    LD r4, [r14 + 8]\n    HALT\n",
+        Privilege.KERNEL, None, _point_to_self,
+    ),
+    # overwritten return address: predict (RET) and a return mispredict
+    (
+        "    CALL f\n    MOVI r8, 1\ndone:\n    MOVI r9, 1\n    HALT\n"
+        "f:\n    MOVI r1, 2\n    ST [r15], r1\n    RET\n",
+        Privilege.KERNEL, None, None,
+    ),
+    # user-mode system-register read: retired fault, squash, recovery
+    ("    MRS r1, s1\n    ADD r2, r1, 5\n    HALT\n", Privilege.USER, 2, None),
+    # user-mode load of a kernel page and a dependent probe
+    (
+        "    LD r1, [r14]\n    SHL r2, r1, 6\n    ADD r3, r2, r14\n    LD r4, [r3 + 64]\n"
+        "    HALT\n",
+        Privilege.USER, 4, _kernel_page,
+    ),
+    # demand paging on an unmapped page
+    ("    LD r1, [r14 + 4096]\n    AND r2, r1, 7\n    HALT\n", Privilege.KERNEL, None, _map_out),
+    # bounded loop with a flush, a fence, cycle reads and a trailing yield
+    (
+        "    MOVI r1, 3\nloop:\n    ADD r1, r1, -1\n    FLUSH [r14]\n    RDCYC r2\n"
+        "    LD r3, [r14]\n    CMP r1, 0\n    BGE loop\n    FENCE\n    NOP\n    YIELD\n",
+        Privilege.KERNEL, None, None,
+    ),
+)
+
+
+def _digest_traces():
+    from transient_sim.profiles import PROFILES
+
+    logs, payloads = [], []
+    for name in sorted(PROFILES):
+        for source, privilege, recovery_pc, setup in _DIGEST_PROGRAMS:
+            prof, st = _machine(name, privilege=privilege, recovery_pc=recovery_pc)
+            st.regs[14] = DATA
+            st.regs[15] = 0x8000
+            if setup is not None:
+                setup(st)
+            trace = run(assemble(source), st, prof)
+            logs.extend(trace.log_lines())
+            payloads.append(trace.to_json())
+    return logs, payloads
+
+
+class TestTraceBytes:
+    """The trace text is a public output: its bytes may not drift."""
+
+    LOG_SHA256 = "9f95a71756c98720f4396a452bd54976b196b63a6d982f6de6a5aee2f92463c2"
+    JSON_SHA256 = "1eb1af96feac28e5b1861294c1d5c3a36d8e8245b0e02e25b77e6ab779b3e7c5"
+
+    def test_every_event_kind_is_covered(self):
+        logs, _ = _digest_traces()
+        text = "\n".join(logs)
+        for needle in (
+            " fetch #", " execute #", " retire #", " fill @", " predict bge@",
+            " predict ret@", " squash mispredict @", " squash store-order violation @",
+            " squash fault @", " fault demand-page @", "(retired)",
+        ):
+            assert needle in text, needle
+
+    def test_log_and_json_bytes_are_unchanged(self):
+        import hashlib
+
+        logs, payloads = _digest_traces()
+        log_digest = hashlib.sha256("\n".join(logs).encode()).hexdigest()
+        json_digest = hashlib.sha256("\n".join(payloads).encode()).hexdigest()
+        assert (log_digest, json_digest) == (self.LOG_SHA256, self.JSON_SHA256)
