@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .isa import Instruction, Opcode, Program, Mem, Reg, Imm, LabelRef, SysReg
+from .isa import Imm, Instruction, Opcode, Program, Reg
 from .memory import (
     CycleCounter,
     Latencies,
@@ -196,14 +196,12 @@ def make_machine(profile: CpuProfile, seed: int = DEFAULT_SEED) -> MachineState:
 
 
 @dataclass
-class TraceEvent:
-    cycle: int
-    kind: str  # fetch | execute | retire | squash | fill | fault | predict
-    detail: str
-
-
-@dataclass
 class Trace:
+    """What one run did.  Each event is kept as plain values, the tuple
+    (cycle, kind, template, args) with kind one of fetch | execute | retire |
+    squash | fill | fault | predict; log_lines() and to_json() make its text,
+    template.format(*args), only when they are called."""
+
     events: list = field(default_factory=list)
     transient_lines: set = field(default_factory=set)
     retired_seqs: set = field(default_factory=set)
@@ -213,11 +211,12 @@ class Trace:
     halted: bool = False
     abort: str | None = None
 
-    def add(self, cycle: int, kind: str, detail: str) -> None:
-        self.events.append(TraceEvent(cycle, kind, detail))
+    def add(self, cycle: int, kind: str, template: str, *args) -> None:
+        self.events.append((cycle, kind, template, args))
 
     def log_lines(self) -> list:
-        return [f"{e.cycle} {e.kind} {e.detail}" for e in self.events]
+        return [f"{cycle} {kind} {template.format(*args)}"
+                for cycle, kind, template, args in self.events]
 
     def to_json(self) -> str:
         payload = {
@@ -227,8 +226,8 @@ class Trace:
             "mispredicts": self.mispredicts,
             "transient_lines": sorted(self.transient_lines),
             "events": [
-                {"cycle": e.cycle, "kind": e.kind, "detail": e.detail}
-                for e in self.events
+                {"cycle": cycle, "kind": kind, "detail": template.format(*args)}
+                for cycle, kind, template, args in self.events
             ],
         }
         return json.dumps(payload, sort_keys=True)
@@ -241,7 +240,6 @@ class _Op:
         "issued", "issue_cycle", "complete",
         "is_load", "is_store", "is_control",
         "mem_addr", "mem_offset_src", "store_data_src", "store_value",
-        "addr_ready", "bypassed", "forwarded",
         "fill_addr", "fill_complete",
         "predicted_next", "actual_next", "resolve_cycle", "resolved",
         "fault", "fault_ready",
@@ -252,7 +250,7 @@ class _Op:
         self.pc = pc
         self.instr = instr
         self.dispatch = dispatch
-        self.reads = {}           # reg index -> ("val", int) | ("op", _Op)
+        self.reads = {}           # reg index -> source operand
         self.dst = None
         self.value = None
         self.issued = False
@@ -263,11 +261,8 @@ class _Op:
         self.is_control = False
         self.mem_addr = None
         self.mem_offset_src = 0
-        self.store_data_src = None  # ("val", v) | ("op", op)
+        self.store_data_src = None  # source operand of the stored value
         self.store_value = None
-        self.addr_ready = None
-        self.bypassed = False
-        self.forwarded = False
         self.fill_addr = None
         self.fill_complete = None
         self.predicted_next = None
@@ -277,26 +272,28 @@ class _Op:
         self.fault = None
         self.fault_ready = None
 
-    def src_ready(self, cycle: int) -> bool:
-        for src in self.reads.values():
-            kind, ref = src
-            if kind == "op" and (not ref.issued or ref.complete > cycle):
-                return False
-        return True
-
-    def src_bound(self) -> int | None:
-        """Lower bound on the cycle all register sources are ready, or None."""
+    def src_bound(self) -> int:
+        """Cycle from which every register source is ready (_INF: not known)."""
         bound = self.dispatch
-        for kind, ref in self.reads.values():
-            if kind == "op":
-                if not ref.issued:
-                    return None
-                bound = max(bound, ref.complete)
+        for src in self.reads.values():
+            bound = max(bound, _ready_at(src))
         return bound
 
     def src_value(self, reg: int) -> int:
-        kind, ref = self.reads[reg]
-        return ref if kind == "val" else ref.value
+        return _value(self.reads[reg])
+
+
+def _ready_at(src) -> int:
+    """Cycle from which a source operand, a plain value or the _Op that
+    produces it, can be read: at once for a value, at the producer's
+    completion once it has issued, and _INF before that."""
+    if isinstance(src, _Op):
+        return src.complete if src.issued else _INF
+    return 0
+
+
+def _value(src) -> int:
+    return src.value if isinstance(src, _Op) else src
 
 
 def _sign(delta: int) -> int:
@@ -315,12 +312,12 @@ class _Engine:
         self.cycle = 0
         self.cycle_base = state.mem.counter.current
         self.seq = 0
-        self.window: list = []
+        self.window: list = []  # in-flight ops, oldest first (ascending seq)
         self.rename: dict = {}
         self.fetch_pc = state.pc
         self.fetch_active = True
         self.dispatch_ready = 0
-        self.blockers: list = []  # ("retire"|"complete"|"resolve", _Op)
+        self.blockers: list = []  # ("retire"|"resolve", _Op)
         self.last_retire = -1
         self.halted = False
         self.abort = None
@@ -331,10 +328,8 @@ class _Engine:
     def _read_src(self, reg: int):
         producer = self.rename.get(reg)
         if producer is not None:
-            return ("op", producer)
-        if reg == FLAGS:
-            return ("val", self.state.flags)
-        return ("val", self.state.regs[reg])
+            return producer
+        return self.state.flags if reg == FLAGS else self.state.regs[reg]
 
     def _redirect(self, target: int, cycle: int) -> None:
         self.fetch_pc = target
@@ -342,9 +337,10 @@ class _Engine:
         self.dispatch_ready = cycle + 1
         self.blockers = []
 
-    def _squash_younger(self, resolver_seq: int, cycle: int, reason: str) -> None:
+    def _squash_younger(self, resolver_seq: int, cycle: int, reason: str, pc: int) -> None:
         keep_inflight = self.profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS
-        doomed = [op for op in self.window if op.seq > resolver_seq]
+        kept = [op for op in self.window if op.seq <= resolver_seq]
+        doomed = self.window[len(kept):]
         if not doomed:
             return
         persisted = []
@@ -352,21 +348,19 @@ class _Engine:
             self.trace.squashed_seqs.add(op.seq)
             if op.fill_addr is not None:
                 if op.fill_complete <= cycle or keep_inflight:
-                    persisted.append(op.fill_addr)
+                    persisted.append(line_of(op.fill_addr))
                     self.trace.transient_lines.add(line_of(op.fill_addr))
                 else:
                     self.mem.invalidate_line(op.fill_addr)
-        self.window = [op for op in self.window if op.seq <= resolver_seq]
+        self.window = kept
         self.rename = {}
-        for op in self.window:
+        for op in kept:
             if op.dst is not None:
                 self.rename[op.dst] = op
         self.blockers = [b for b in self.blockers if b[1].seq <= resolver_seq]
-        lines = sorted(line_of(a) for a in persisted)
         self.trace.add(
-            cycle,
-            "squash",
-            f"{reason}: dropped {len(doomed)} ops, persisted transient lines {lines}",
+            cycle, "squash", "{} @{}: dropped {} ops, persisted transient lines {}",
+            reason, pc, len(doomed), sorted(persisted),
         )
 
     # -- dispatch ------------------------------------------------------------
@@ -430,7 +424,7 @@ class _Engine:
             op.is_store = True  # pushes the return address onto the software stack
             op.dst = 15
             op.reads[15] = self._read_src(15)
-            op.store_data_src = ("val", pc + 1)
+            op.store_data_src = pc + 1
             state.rsb.push(pc + 1)  # speculative push, survives squash
             next_pc = ops[0].target
             op.predicted_next = next_pc
@@ -450,7 +444,7 @@ class _Engine:
                 predicted = None
             op.predicted_next = predicted
             if predicted is not None:
-                self.trace.add(self.cycle, "predict", f"ret@{pc} -> {predicted}")
+                self.trace.add(self.cycle, "predict", "ret@{} -> {}", pc, predicted)
                 next_pc = predicted
             else:
                 self.fetch_active = False
@@ -467,14 +461,14 @@ class _Engine:
                 op.predicted_next = taken_target if taken else pc + 1
                 next_pc = op.predicted_next
                 self.trace.add(
-                    self.cycle, "predict",
-                    f"bge@{pc} {'taken' if taken else 'not-taken'} -> {next_pc}",
+                    self.cycle, "predict", "bge@{} {} -> {}",
+                    pc, "taken" if taken else "not-taken", next_pc,
                 )
 
         if op.dst is not None:
             self.rename[op.dst] = op
         self.window.append(op)
-        self.trace.add(self.cycle, "fetch", f"#{op.seq} @{pc} {instr}")
+        self.trace.add(self.cycle, "fetch", "#{} @{} {}", op.seq, pc, instr)
 
         if opc is Opcode.HALT:
             self.fetch_active = False
@@ -490,44 +484,38 @@ class _Engine:
 
     # -- issue ---------------------------------------------------------------
 
-    def _older_stores(self, op: _Op) -> list:
-        return [o for o in self.window if o.is_store and o.seq < op.seq]
-
-    def _load_hazard(self, op: _Op) -> tuple:
-        """Returns (ready: bool, forward: _Op | None, bypassed: bool)."""
-        addr = op.mem_addr
+    def _load_hazard(self, op: _Op, addr: int) -> tuple:
+        """(ready, forward) for a load of addr: not ready while an older
+        store's address is unknown (unless the core speculates past it) or the
+        youngest older store to addr has no data yet; forward is that store,
+        or None when the load reads memory."""
         forward = None
-        bypassed = False
-        for store in self._older_stores(op):
+        for store in self.window:
+            if store.seq >= op.seq:
+                break
+            if not store.is_store:
+                continue
             if store.mem_addr is None:
                 if self.profile.stl_speculation:
-                    bypassed = True
                     continue
-                return False, None, False  # conservative: wait for the address
+                return False, None  # conservative: wait for the address
             if store.mem_addr == addr:
                 forward = store  # youngest older alias wins; keep scanning
-        if forward is not None:
-            kind, ref = forward.store_data_src
-            if kind == "op" and (not ref.issued or ref.complete > self.cycle):
-                return False, None, False  # alias known, data not yet available
-        return True, forward, bypassed
+        if forward is not None and _ready_at(forward.store_data_src) > self.cycle:
+            return False, None  # alias known, data not yet available
+        return True, forward
 
     def _issue_load(self, op: _Op) -> bool:
-        base = next(iter(op.reads))
-        op.mem_addr = op.src_value(base) + op.mem_offset_src
-        ready, forward, bypassed = self._load_hazard(op)
+        addr = op.src_value(op.instr.operands[1].base) + op.mem_offset_src
+        ready, forward = self._load_hazard(op, addr)
         if not ready:
-            op.mem_addr = None
             return False
-        op.bypassed = bypassed
+        op.mem_addr = addr
         lat = self.mem.lat
         if forward is not None:
-            op.forwarded = True
-            kind, ref = forward.store_data_src
-            op.value = ref if kind == "val" else ref.value
+            op.value = _value(forward.store_data_src)
             return self._finish_issue(op, lat.l1_hit)
 
-        addr = op.mem_addr
         entry = self.mem.pages.entry(addr)
         if not entry.mapped and not (
             entry.privileged and self.state.privilege is Privilege.USER
@@ -537,7 +525,7 @@ class _Engine:
             self.mem.fill(addr)
             op.fill_addr = addr
             op.value = self.mem.cells.get(addr, 0)
-            self.trace.add(self.cycle, "fault", f"demand-page @{addr:#x}")
+            self.trace.add(self.cycle, "fault", "demand-page @{:#x}", addr)
             done = self._finish_issue(op, lat.page_fault)
             op.fill_complete = op.complete
             return done
@@ -548,10 +536,7 @@ class _Engine:
                 op.value = self.mem.cells.get(addr, 0)
             else:
                 op.value = 0
-            op.fault = "privilege"
-            done = self._finish_issue(op, self.mem.latency_for(level))
-            op.fault_ready = op.issue_cycle + lat.page_fault
-            return done
+            return self._issue_faulting(op, "privilege", self.mem.latency_for(level))
 
         level = self.mem.fill(addr)
         latency = self.mem.latency_for(level)
@@ -559,42 +544,42 @@ class _Engine:
         op.value = self.mem.cells.get(addr, 0)
         done = self._finish_issue(op, latency)
         op.fill_complete = op.complete
-        self.trace.add(self.cycle, "fill", f"@{addr:#x} from {level.value}")
+        self.trace.add(self.cycle, "fill", "@{:#x} from {}", addr, level.value)
         return done
 
     def _finish_issue(self, op: _Op, latency: int) -> bool:
         op.issued = True
         op.issue_cycle = self.cycle
         op.complete = self.cycle + latency
-        self.trace.add(self.cycle, "execute", f"#{op.seq} @{op.pc} {op.instr.opcode.value}")
+        self.trace.add(self.cycle, "execute", "#{} @{} {}", op.seq, op.pc, op.instr.opcode.value)
         return True
 
+    def _issue_faulting(self, op: _Op, fault: str, latency: int) -> bool:
+        """Issue op with an exception that is raised when it retires."""
+        op.fault = fault
+        op.fault_ready = self.cycle + self.mem.lat.page_fault
+        return self._finish_issue(op, latency)
+
     def _issue(self, op: _Op) -> bool:
-        """Try to issue op at the current cycle. Returns True on progress."""
+        """Try to issue op at the current cycle.  Returns False only when
+        nothing changed; a store whose address resolves stays unissued."""
         state, profile = self.state, self.profile
         opc = op.instr.opcode
         ops = op.instr.operands
         lat = self.mem.lat
 
-        if op.is_store and not op.is_control:  # ST
-            if op.mem_addr is None:
-                base = next(iter(op.reads))
-                src = op.reads[base]
-                if src[0] == "op" and (not src[1].issued or src[1].complete > self.cycle):
-                    return False
-                op.mem_addr = op.src_value(base) + op.mem_offset_src
-                op.addr_ready = self.cycle
-                self._store_violation_check(op)
-                return True
-            kind, ref = op.store_data_src
-            if kind == "op" and (not ref.issued or ref.complete > self.cycle):
-                return False
-            op.store_value = ref if kind == "val" else ref.value
-            return self._finish_issue(op, 1)
-
-        if not op.src_ready(self.cycle):
+        if op.src_bound() > self.cycle:
             return False
 
+        if opc is Opcode.ST:
+            if op.mem_addr is None:
+                op.mem_addr = op.src_value(ops[0].base) + op.mem_offset_src
+                self._store_violation_check(op)
+                return True
+            if _ready_at(op.store_data_src) > self.cycle:
+                return False
+            op.store_value = _value(op.store_data_src)
+            return self._finish_issue(op, 1)
         if opc is Opcode.MOVI:
             op.value = ops[1].value
             return self._finish_issue(op, 1)
@@ -616,16 +601,12 @@ class _Engine:
         if opc is Opcode.LD:
             return self._issue_load(op)
         if opc is Opcode.FLUSH:
-            base = next(iter(op.reads))
-            op.mem_addr = op.src_value(base) + op.mem_offset_src
+            op.mem_addr = op.src_value(ops[0].base) + op.mem_offset_src
             if (
                 profile.mitigations.privileged_flush
                 and state.privilege is Privilege.USER
             ):
-                op.fault = "privileged-flush"
-                done = self._finish_issue(op, 1)
-                op.fault_ready = op.issue_cycle + lat.page_fault
-                return done
+                return self._issue_faulting(op, "privileged-flush", 1)
             return self._finish_issue(op, 1)
         if opc is Opcode.RDCYC:
             counter = self.mem.counter
@@ -638,112 +619,91 @@ class _Engine:
             idx = ops[1].index
             if state.privilege is Privilege.USER:
                 op.value = state.sysregs.get(idx, 0) if profile.sysreg_transient_forward else 0
-                op.fault = "sysreg"
-                done = self._finish_issue(op, 1)
-                op.fault_ready = op.issue_cycle + lat.page_fault
-                return done
+                return self._issue_faulting(op, "sysreg", 1)
             op.value = state.sysregs.get(idx, 0)
             return self._finish_issue(op, 1)
         if opc is Opcode.BGE:
-            flags = op.src_value(FLAGS)
-            taken = flags >= 0
-            op.actual_next = op.instr.operands[0].target if taken else op.pc + 1
+            taken = op.src_value(FLAGS) >= 0
+            op.actual_next = ops[0].target if taken else op.pc + 1
             op.value = 1 if taken else 0
-            base = max(op.dispatch, self.cycle)
-            op.resolve_cycle = base + profile.branch_resolve_extra
-            op.issued = True
-            op.issue_cycle = self.cycle
-            op.complete = op.resolve_cycle
-            self.trace.add(self.cycle, "execute", f"#{op.seq} @{op.pc} BGE")
+            self._finish_issue(op, profile.branch_resolve_extra)
+            op.resolve_cycle = op.complete
             return True
         if opc is Opcode.CALL:
             old = op.src_value(15)
             op.value = old - 8
             op.mem_addr = old - 8
-            op.addr_ready = self.cycle
             self._store_violation_check(op)
             op.store_value = op.pc + 1
             return self._finish_issue(op, 1)
         if opc is Opcode.RET:
-            if op.mem_addr is None:
-                op.mem_addr = op.src_value(15)
-                ready, forward, bypassed = self._load_hazard(op)
-                if not ready:
-                    op.mem_addr = None
-                    return False
-                op.bypassed = bypassed
-                if forward is not None:
-                    op.forwarded = True
-                    kind, ref = forward.store_data_src
-                    op.actual_next = ref if kind == "val" else ref.value
-                    latency = lat.l1_hit
-                else:
-                    addr = op.mem_addr
-                    try:
-                        self.mem.check_access(addr, state.privilege)
-                    except (PageFault, PrivilegeFault):
-                        self.abort = f"return address fetch faulted at {addr:#x}"
-                        return True
-                    level = self.mem.fill(addr)
-                    latency = self.mem.latency_for(level)
-                    op.fill_addr = addr
-                    op.fill_complete = self.cycle + latency
-                    op.actual_next = self.mem.cells.get(addr, 0)
-                op.value = op.src_value(15) + 8
-                op.issued = True
-                op.issue_cycle = self.cycle
-                op.resolve_cycle = self.cycle + latency + profile.return_resolve_extra
-                op.complete = op.resolve_cycle
-                self.trace.add(self.cycle, "execute", f"#{op.seq} @{op.pc} RET")
-                return True
-            return False
+            addr = op.src_value(15)
+            ready, forward = self._load_hazard(op, addr)
+            if not ready:
+                return False
+            op.mem_addr = addr
+            if forward is not None:
+                op.actual_next = _value(forward.store_data_src)
+                latency = lat.l1_hit
+            else:
+                try:
+                    self.mem.check_access(addr, state.privilege)
+                except (PageFault, PrivilegeFault):
+                    self.abort = f"return address fetch faulted at {addr:#x}"
+                    return True
+                level = self.mem.fill(addr)
+                latency = self.mem.latency_for(level)
+                op.fill_addr = addr
+                op.fill_complete = self.cycle + latency
+                op.actual_next = self.mem.cells.get(addr, 0)
+            op.value = addr + 8
+            self._finish_issue(op, latency + profile.return_resolve_extra)
+            op.resolve_cycle = op.complete
+            return True
         # NOP, FENCE, YIELD, HALT
-        op.value = None
-        op.dst = None
         return self._finish_issue(op, 1)
 
     def _store_violation_check(self, store: _Op) -> None:
         """Called when a store's address resolves; younger loads that already
         read the same cell were mis-speculated and must re-execute."""
-        violators = [
-            o
-            for o in self.window
-            if o.is_load
-            and o.seq > store.seq
-            and o.issued
-            and o.mem_addr == store.mem_addr
-            and o.issue_cycle < self.cycle
-        ]
-        if not violators:
+        oldest = next(
+            (
+                o
+                for o in self.window
+                if o.is_load
+                and o.seq > store.seq
+                and o.issued
+                and o.mem_addr == store.mem_addr
+                and o.issue_cycle < self.cycle
+            ),
+            None,
+        )
+        if oldest is None:
             return
-        oldest = min(violators, key=lambda o: o.seq)
         self.trace.mispredicts += 1
         # replay from the oldest violating load: ops between it and the store
         # read nothing the store wrote and stay in the window
-        self._squash_younger(oldest.seq - 1, self.cycle, f"store-order violation @{store.pc}")
+        self._squash_younger(oldest.seq - 1, self.cycle, "store-order violation", store.pc)
         self._redirect(oldest.pc, self.cycle)
 
     # -- resolution ----------------------------------------------------------
 
-    def _due_resolutions(self) -> list:
-        return sorted(
-            (
-                op
-                for op in self.window
-                if op.is_control
-                and not op.resolved
-                and op.resolve_cycle is not None
-                and op.resolve_cycle <= self.cycle
-            ),
-            key=lambda o: o.seq,
-        )
-
     def _resolve_controls(self) -> None:
         while True:
-            due = self._due_resolutions()
-            if not due:
+            # the oldest due control first: the window is in program order
+            op = next(
+                (
+                    o
+                    for o in self.window
+                    if o.is_control
+                    and not o.resolved
+                    and o.resolve_cycle is not None
+                    and o.resolve_cycle <= self.cycle
+                ),
+                None,
+            )
+            if op is None:
                 return
-            op = due[0]
             op.resolved = True
             if op.predicted_next is None:
                 # fetch was stalled on this control: late redirect, no squash
@@ -752,7 +712,7 @@ class _Engine:
                 continue
             if op.predicted_next != op.actual_next:
                 self.trace.mispredicts += 1
-                self._squash_younger(op.seq, op.resolve_cycle, f"mispredict @{op.pc}")
+                self._squash_younger(op.seq, op.resolve_cycle, "mispredict", op.pc)
                 self._redirect(op.actual_next, op.resolve_cycle)
 
     # -- retirement ----------------------------------------------------------
@@ -761,8 +721,8 @@ class _Engine:
         state, profile = self.state, self.profile
         opc = op.instr.opcode
         if op.fault:
-            self.trace.add(when, "fault", f"#{op.seq} @{op.pc} {op.fault} (retired)")
-            self._squash_younger(op.seq, when, f"fault @{op.pc}")
+            self.trace.add(when, "fault", "#{} @{} {} (retired)", op.seq, op.pc, op.fault)
+            self._squash_younger(op.seq, when, "fault", op.pc)
             if state.recovery_pc is not None:
                 self._redirect(state.recovery_pc, when)
             else:
@@ -795,24 +755,24 @@ class _Engine:
             if self.rename.get(op.dst) is op:
                 del self.rename[op.dst]
 
+    def _retire_at(self, op: _Op) -> int:
+        """Earliest cycle the oldest op can retire (_INF: not known yet)."""
+        if not op.issued or (op.is_control and not op.resolved):
+            return _INF
+        ready = max(op.complete, op.fault_ready) if op.fault else op.complete
+        return max(ready, self.last_retire + 1)
+
     def _retire(self) -> None:
         while self.window:
             op = self.window[0]
-            if not op.issued:
-                return
-            if op.is_control and not op.resolved:
-                return
-            ready = op.complete
-            if op.fault:
-                ready = max(ready, op.fault_ready)
-            when = max(ready, self.last_retire + 1)
+            when = self._retire_at(op)
             if when > self.cycle:
                 return
             self.last_retire = when
             self.window.pop(0)
             self.trace.retired_seqs.add(op.seq)
             if not op.fault:
-                self.trace.add(when, "retire", f"#{op.seq} @{op.pc} {op.instr.opcode.value}")
+                self.trace.add(when, "retire", "#{} @{} {}", op.seq, op.pc, op.instr.opcode.value)
             self._retire_effects(op, when)
             if any(b[1] is op for b in self.blockers):
                 self.blockers = [b for b in self.blockers if b[1] is not op]
@@ -839,22 +799,13 @@ class _Engine:
                 best = min(best, t)
         for op in self.window:
             if not op.issued:
-                bound = op.src_bound()
-                if bound is not None and bound > self.cycle:
-                    best = min(best, bound)
-                if op.store_data_src is not None and op.store_data_src[0] == "op":
-                    ref = op.store_data_src[1]
-                    if ref.issued and ref.complete > self.cycle:
-                        best = min(best, ref.complete)
+                for ready in (op.src_bound(), _ready_at(op.store_data_src)):
+                    if self.cycle < ready < best:
+                        best = ready
             elif op.is_control and not op.resolved and op.resolve_cycle is not None:
                 best = min(best, op.resolve_cycle)
         if self.window:
-            op = self.window[0]
-            if op.issued and not (op.is_control and not op.resolved):
-                ready = op.complete
-                if op.fault:
-                    ready = max(ready, op.fault_ready)
-                best = min(best, max(ready, self.last_retire + 1))
+            best = min(best, self._retire_at(self.window[0]))
         return best
 
     def run(self) -> Trace:
@@ -877,11 +828,7 @@ class _Engine:
                 progressed = False
                 for op in list(self.window):
                     if not op.issued:
-                        before = (op.issued, op.mem_addr)
-                        if self._issue(op):
-                            progressed = True
-                        elif (op.issued, op.mem_addr) != before:
-                            progressed = True
+                        progressed |= self._issue(op)
                         if self.abort:
                             break
                 if self.abort:
@@ -891,14 +838,9 @@ class _Engine:
             nxt = self._next_event()
             if nxt >= _INF:
                 if not self.window and not self.fetch_active:
-                    if not self.halted:
-                        self.abort = "program ended without HALT"
+                    self.abort = "program ended without HALT"
                     break
-                self.cycle += 1
-                if self.cycle > self.max_cycles:
-                    self.abort = f"cycle limit {self.max_cycles} exceeded"
-                    break
-                continue
+                nxt = self.cycle + 1
             self.cycle = max(nxt, self.cycle + 1)
         self.trace.cycles = self.cycle
         self.trace.halted = self.halted
