@@ -8,6 +8,7 @@ configuration errors.  Any other error is a bug and surfaces as a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .attacks import (
@@ -140,15 +141,19 @@ def _cmd_attack(args) -> int:
 def _cmd_covert(args) -> int:
     cfg = experiment_config("covert", args.config, vars(args))
     profile = cfg.resolved_profile()
-    report = run_channel(
-        profile,
-        cfg.channel_config(),
-        cfg.message_bytes(),
-        seed=cfg.seed,
-        record_latencies=bool(args.emit_latency_trace),
-    )
-    if args.emit_latency_trace:
-        with open(args.emit_latency_trace, "w", encoding="utf-8") as fh:
+    channel, message = cfg.channel_config(), cfg.message_bytes()
+    path = args.emit_latency_trace
+    latency_file = contextlib.nullcontext()
+    if path:
+        try:  # before the transfer, so a bad path costs no run
+            latency_file = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    with latency_file as fh:
+        report = run_channel(
+            profile, channel, message, seed=cfg.seed, record_latencies=fh is not None
+        )
+        if fh is not None:
             fh.write(latency_trace_to_csv(report))
     sys.stdout.write(emit_report(report, cfg.output))
     return 1 if report.aborted else 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 
 from .attacks import RSB_PAGE_FAULT_UNDEFINED, Scenario, SecretLocation, WindowTrigger
@@ -231,6 +232,19 @@ def mitigation_set(flags: dict) -> MitigationSet:
 
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# field -> the types its annotation admits; None only where the default is None
+_FIELD_TYPES = {
+    name: typing.get_args(hint) or (hint,)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
+
+
+def _has_type(value, types: tuple) -> bool:
+    if isinstance(value, bool):
+        return bool in types  # a JSON true is not the integer 1
+    if isinstance(value, int) and float in types:
+        return True
+    return isinstance(value, types)
 
 
 def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
@@ -239,6 +253,11 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"{source}: unknown keys: {sorted(unknown)}")
+    for key, value in data.items():
+        types = _FIELD_TYPES[key]
+        if not _has_type(value, types):
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ConfigError(f"{source}: {key} must be {expected}, got {value!r}")
     try:
         return ExperimentConfig(**data)
     except ConfigError:

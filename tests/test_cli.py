@@ -64,13 +64,15 @@ class TestExitCodes:
             ("mitigate", "--flags", "magic_shield"),
             ("mitigate", "--flags", "pmu_noise_amplitude=lots"),
             ("mitigate", "--flags", "rsb_flush_on_cs,rsb_refill_on_cs"),
+            ("covert", "--emit-latency-trace", "no-such-dir/latency.csv"),
         ],
     )
     def test_bad_input_is_rejected_before_any_experiment_runs(
-        self, capsys, monkeypatch, argv
+        self, capsys, monkeypatch, tmp_path, argv
     ):
         import transient_sim.cli as cli
 
+        monkeypatch.chdir(tmp_path)  # relative paths resolve in an empty directory
         def must_not_run(*args, **kwargs):
             raise AssertionError("an experiment ran on bad input")
 
@@ -283,6 +285,8 @@ class TestConfigFiles:
             ({"rsb_fill_depth": 0}, "at least 1"),
             ({"variant": "rsb", "scenario": "pagefault"}, "page-fault window is undefined"),
             ({"mitigations": {"rsb_flush_on_cs": True, "rsb_refill_on_cs": True}}, "exclusive"),
+            ({"seed": "abc"}, "seed must be int, got 'abc'"),
+            ({"message_hex": 12}, "message_hex must be str, got 12"),
         ],
     )
     def test_unusable_values_are_config_errors(self, data, message):
