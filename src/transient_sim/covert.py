@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .core import MachineState, context_switch, make_machine
 from .memory import Privilege, PrivilegedFlushError
-from .profiles import CpuProfile, SquashPolicy
+from .profiles import CpuProfile, PipelineKind, SquashPolicy
 
 LINE_BYTES = 64
 MIN_BITS = 1
@@ -220,7 +220,10 @@ def _window_admits(profile: CpuProfile) -> bool:
     # to complete; the mispredicted return resolves once its own stack load
     # (also DRAM-deep here, the sender keeps the stack line evicted) finishes
     # plus the core's extra return-resolution delay.  Keep-in-flight cores
-    # admit the fill regardless.
+    # admit the fill regardless.  An in-order core never predicts a return
+    # (it stalls fetch until the return resolves), so no window opens.
+    if profile.pipeline is PipelineKind.IN_ORDER:
+        return False
     if profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS:
         return True
     return profile.return_resolve_extra >= 2

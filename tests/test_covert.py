@@ -17,7 +17,7 @@ from transient_sim.covert import (
     unpack_symbols,
 )
 from transient_sim.mitigations import MitigationSet
-from transient_sim.profiles import get_profile
+from transient_sim.profiles import SquashPolicy, get_profile
 from transient_sim.reporting import emit_report
 
 I7 = get_profile("intel_i7")
@@ -169,6 +169,19 @@ class TestChannelRequirements:
             report = run_channel(prof, ChannelConfig(bits_per_cs=3), b"HI")
             assert report.symbol_errors == report.symbols_sent
             assert report.decoded != b"HI"
+
+    @pytest.mark.parametrize("name", ["cortex_a53", "cortex_a8"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"squash_policy": SquashPolicy.KEEP_INFLIGHT_FILLS}, {"return_resolve_extra": 20}],
+        ids=["keep-inflight-fills", "slow-return-resolve"],
+    )
+    def test_in_order_cores_open_no_window(self, name, overrides):
+        # the pipeline never predicts a return on an in-order core, so what
+        # would admit a window on an out-of-order one changes nothing here
+        prof = get_profile(name).with_overrides(**overrides)
+        report = run_channel(prof, ChannelConfig(bits_per_cs=3), b"HI")
+        assert report.erasures == report.symbols_sent == 6
 
     def test_gadget_misplaced_by_one_line_erases_everything(self):
         report = run_channel(
