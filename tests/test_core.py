@@ -387,10 +387,9 @@ _DIGEST_PROGRAMS = (
 )
 
 
-def _digest_traces():
+def _digest_runs():
     from transient_sim.profiles import PROFILES
 
-    logs, payloads = [], []
     for name in sorted(PROFILES):
         for source, privilege, recovery_pc, setup in _DIGEST_PROGRAMS:
             prof, st = _machine(name, privilege=privilege, recovery_pc=recovery_pc)
@@ -398,9 +397,14 @@ def _digest_traces():
             st.regs[15] = 0x8000
             if setup is not None:
                 setup(st)
-            trace = run(assemble(source), st, prof)
-            logs.extend(trace.log_lines())
-            payloads.append(trace.to_json())
+            yield run(assemble(source), st, prof)
+
+
+def _digest_traces():
+    logs, payloads = [], []
+    for trace in _digest_runs():
+        logs.extend(trace.log_lines())
+        payloads.append(trace.to_json())
     return logs, payloads
 
 
@@ -419,6 +423,15 @@ class TestTraceBytes:
             " squash fault @", " fault demand-page @", "(retired)",
         ):
             assert needle in text, needle
+
+    def test_events_hold_plain_values_only(self):
+        # a finished run keeps no pipeline objects alive through its trace
+        from transient_sim.isa import Instruction
+
+        for trace in _digest_runs():
+            for _cycle, _kind, _template, args in trace.events:
+                for arg in args:
+                    assert isinstance(arg, (int, str, list, Instruction)), arg
 
     def test_log_and_json_bytes_are_unchanged(self):
         import hashlib
