@@ -826,8 +826,11 @@ class _Engine:
             progressed = True
             while progressed:
                 progressed = False
+                squashed = self.trace.squashed_seqs
                 for op in list(self.window):
-                    if not op.issued:
+                    # a store-order violation earlier in this pass may have
+                    # squashed ops that are still in the copy
+                    if not op.issued and op.seq not in squashed:
                         progressed |= self._issue(op)
                         if self.abort:
                             break

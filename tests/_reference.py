@@ -206,6 +206,64 @@ def generate_program(rng: random.Random) -> GeneratedProgram:
     return GeneratedProgram(text, program, list(regs), mem, sysregs)
 
 
+def generate_pointer_program(rng: random.Random) -> GeneratedProgram:
+    """Loads and stores through r13, a pointer loaded from a cold data cell.
+
+    The store addresses resolve only when that load completes, so younger
+    loads through r14 may run ahead of a store to the same cell: the
+    store-order hazard the store-to-load speculating cores replay."""
+    target = DATA_BASE + 8 * rng.randrange(DATA_SLOTS - 8)
+    ptr_slot = 8 * rng.randrange(DATA_SLOTS)
+    lines = [f"    LD r13, [r14 + {ptr_slot}]"]
+    for _ in range(rng.randint(6, 16)):
+        d = rng.randrange(13)
+        roll = rng.random()
+        if roll < 0.3:
+            lines.append(f"    ST [r13 + {8 * rng.randrange(8)}], r{rng.randrange(13)}")
+        elif roll < 0.55:
+            lines.append(f"    LD r{d}, [r13 + {8 * rng.randrange(8)}]")
+        elif roll < 0.8:
+            # the cells the pointer reaches, named through the data base
+            lines.append(f"    LD r{d}, [r14 + {target - DATA_BASE + 8 * rng.randrange(8)}]")
+        else:
+            lines.append(f"    ADD r{d}, r{rng.randrange(13)}, {rng.randint(-8, 8)}")
+    lines.append("    HALT")
+    text = "\n".join(lines) + "\n"
+    regs = [rng.randint(-16, 256) for _ in range(16)]
+    regs[14] = DATA_BASE
+    regs[15] = STACK_BASE
+    mem = {target + 8 * k: rng.randint(0, 1 << 16) for k in range(8)}
+    mem[DATA_BASE + ptr_slot] = target
+    return GeneratedProgram(text, assemble(text), regs, mem, {})
+
+
+def events_after_squash(trace) -> list:
+    """Execute and fill events of ops logged after the squash that dropped them.
+
+    Replays the trace's fetch, retire and squash events to learn which ops
+    each squash dropped (the youngest in flight), then returns every later
+    execute event of a dropped op and the fill event that follows it."""
+    live, dropped, late = [], set(), []
+    executing = None
+    for event in trace.events:
+        _cycle, kind, template, args = event
+        if kind == "fetch":
+            live.append(args[0])
+        elif kind == "retire" or (kind == "fault" and template.endswith("(retired)")):
+            live.remove(args[0])
+        elif kind == "squash":
+            count = args[2]
+            dropped.update(live[len(live) - count:])
+            del live[len(live) - count:]
+        elif kind == "execute":
+            executing = args[0]
+            if executing in dropped:
+                late.append(event)
+        elif kind == "fill" and executing in dropped:
+            late.append(event)
+    return late
+
+
 def run_engine(gen: GeneratedProgram, profile: CpuProfile):
     """Run a generated program on the pipelined engine from its initial state."""
     st = make_machine(profile)
