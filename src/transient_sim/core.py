@@ -376,7 +376,9 @@ class _Engine:
     def _dispatch(self) -> None:
         state, profile = self.state, self.profile
         if self.fetch_pc >= len(self.program) or self.fetch_pc < 0:
-            self.abort = f"fetch ran past program end (pc={self.fetch_pc})"
+            # fetch stalls: a wrong path is redirected when its control
+            # resolves, and an architectural run-off drains the window and
+            # ends the run without HALT
             self.fetch_active = False
             return
         pc = self.fetch_pc

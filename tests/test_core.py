@@ -246,6 +246,27 @@ class TestArchitecturalSemantics:
         assert st.pc == 2  # execution continued past the yield to the halt
 
 
+class TestProgramEnd:
+    RUN_OFF = "    MOVI r1, 1\n    CMP r1, 5\n    BGE t\n    HALT\nt:\n    NOP\n"
+
+    def test_wrong_path_running_off_the_program_does_not_end_the_run(self):
+        prof, st = _machine("intel_i7")
+        st.pht.counters[2] = 3  # BGE at pc 2 predicted taken, into the NOP
+        trace = run(assemble(self.RUN_OFF), st, prof)
+        assert trace.mispredicts == 1
+        assert trace.halted and trace.abort is None
+        assert st.pc == 3
+
+    @pytest.mark.parametrize("name", ["cortex_a53", "intel_i7"])
+    def test_architectural_run_off_ends_without_halt(self, name):
+        prof, st = _machine(name)
+        st.pht.counters[2] = 3
+        trace = run(assemble(self.RUN_OFF.replace("5", "0")), st, prof)  # taken
+        assert not trace.halted
+        assert trace.abort == "program ended without HALT"
+        assert st.regs[1] == 1
+
+
 class TestFaultHandling:
     def test_fault_with_recovery_pc_redirects(self):
         prof, st = _machine("intel_i7")
