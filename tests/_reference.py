@@ -6,9 +6,11 @@ It shares nothing with the engine in core.py except the instruction set
 dataclasses, so agreement between the two on final architectural state is
 evidence, not a tautology.
 
-The generator produces random programs that terminate by construction:
+The main generator produces random programs that terminate by construction:
 branches only jump forward within their own block, and calls only go to
-later-numbered functions, so the control-flow graph is acyclic.
+later-numbered functions, so the control-flow graph is acyclic.  Two more
+cover the hazards it does not reach: counted backward loops, and loads and
+stores through a pointer that resolves late.
 """
 
 from __future__ import annotations
@@ -234,6 +236,35 @@ def generate_pointer_program(rng: random.Random) -> GeneratedProgram:
     regs[15] = STACK_BASE
     mem = {target + 8 * k: rng.randint(0, 1 << 16) for k in range(8)}
     mem[DATA_BASE + ptr_slot] = target
+    return GeneratedProgram(text, assemble(text), regs, mem, {})
+
+
+def generate_loop_program(rng: random.Random) -> GeneratedProgram:
+    """A counted backward loop of 50 to 300 passes: load, two ALU ops, store,
+    shift, counter, CMP and BGE back to the top.  Half the loops load the
+    cell the previous pass stored, so the load waits on that store's data."""
+    iterations = rng.randint(50, 300)
+    a, b, c, d = rng.sample(range(12), 4)
+    load_slot = 8 * rng.randrange(8)
+    store_slot = load_slot if rng.random() < 0.5 else 8 * rng.randrange(8)
+    lines = [
+        f"    MOVI r12, {iterations}",
+        "top:",
+        f"    LD r{a}, [r14 + {load_slot}]",
+        f"    ADD r{b}, r{a}, r{c}",
+        f"    AND r{c}, r{b}, {rng.randint(0, 255)}",
+        f"    ST [r14 + {store_slot}], r{c}",
+        f"    SHL r{d}, r{b}, {rng.randint(0, 8)}",
+        "    ADD r12, r12, -1",
+        "    CMP r12, 1",
+        "    BGE top",
+        "    HALT",
+    ]
+    text = "\n".join(lines) + "\n"
+    regs = [rng.randint(-16, 256) for _ in range(16)]
+    regs[14] = DATA_BASE
+    regs[15] = STACK_BASE
+    mem = {DATA_BASE + 8 * k: rng.randint(0, 1 << 16) for k in range(8)}
     return GeneratedProgram(text, assemble(text), regs, mem, {})
 
 

@@ -408,22 +408,69 @@ _DIGEST_PROGRAMS = (
 )
 
 
-def _digest_runs():
+def _seed_cells(st):
+    for k in range(64):
+        st.mem.cells[DATA + 8 * k] = (k * 2_654_435_761) % 65_537
+
+
+def _late_pointer(st):
+    _seed_cells(st)
+    st.mem.cells[DATA + 232] = DATA + 224
+
+
+# Programs that also build the long windows: 300 passes of the benchmark's
+# loop body (load, ALU, store, shift, counter, compare, backward branch), the
+# same loop with the load reading the cell the previous pass stored, and
+# stores and loads through a pointer loaded from a cold cell.
+_STATE_PROGRAMS = _DIGEST_PROGRAMS + (
+    (
+        "    MOVI r12, 300\ntop:\n    LD r8, [r14 + 384]\n    ADD r0, r8, r9\n"
+        "    AND r9, r0, 76\n    ST [r14 + 376], r9\n    SHL r4, r0, 2\n    ADD r12, r12, -1\n"
+        "    CMP r12, 1\n    BGE top\n    HALT\n",
+        Privilege.KERNEL, None, _seed_cells,
+    ),
+    (
+        "    MOVI r12, 300\ntop:\n    LD r8, [r14 + 376]\n    ADD r0, r8, r9\n"
+        "    AND r9, r0, 76\n    ST [r14 + 376], r9\n    SHL r4, r0, 2\n    ADD r12, r12, -1\n"
+        "    CMP r12, 1\n    BGE top\n    HALT\n",
+        Privilege.KERNEL, None, _seed_cells,
+    ),
+    (
+        "    LD r13, [r14 + 232]\n    MOVI r5, 302\n    SHL r8, r2, 8\n    LD r6, [r13 + 32]\n"
+        "    ST [r13 + 16], r1\n    ST [r13 + 0], r5\n    SHL r7, r8, 1\n    LD r5, [r13 + 32]\n"
+        "    MOVI r5, 244\n    ST [r13 + 0], r1\n    LD r11, [r14 + 240]\n    LD r3, [r14 + 256]\n"
+        "    LD r4, [r13 + 40]\n    LD r9, [r14 + 224]\n    HALT\n",
+        Privilege.KERNEL, None, _late_pointer,
+    ),
+)
+
+
+def _digest_runs(programs=_DIGEST_PROGRAMS):
+    """(core name, final machine state, trace) of each program on each core."""
     from transient_sim.profiles import PROFILES
 
     for name in sorted(PROFILES):
-        for source, privilege, recovery_pc, setup in _DIGEST_PROGRAMS:
+        for source, privilege, recovery_pc, setup in programs:
             prof, st = _machine(name, privilege=privilege, recovery_pc=recovery_pc)
             st.regs[14] = DATA
             st.regs[15] = 0x8000
             if setup is not None:
                 setup(st)
-            yield run(assemble(source), st, prof)
+            yield name, st, run(assemble(source), st, prof)
+
+
+def _state_text(st):
+    """Everything a run can leave behind in the machine, as text."""
+    return repr((
+        st.regs, st.flags, st.pc, sorted(st.mem.cells.items()),
+        st.mem.l1._sets, st.mem.l2._sets, st.rsb.snapshot(), st.pht.counters,
+        sorted(st.btb.entries.items()), st.mem.counter.current, st.rng.getstate(),
+    ))
 
 
 def _digest_traces():
     logs, payloads = [], []
-    for trace in _digest_runs():
+    for _name, _st, trace in _digest_runs():
         logs.extend(trace.log_lines())
         payloads.append(trace.to_json())
     return logs, payloads
@@ -434,6 +481,13 @@ class TestTraceBytes:
 
     LOG_SHA256 = "9f95a71756c98720f4396a452bd54976b196b63a6d982f6de6a5aee2f92463c2"
     JSON_SHA256 = "1eb1af96feac28e5b1861294c1d5c3a36d8e8245b0e02e25b77e6ab779b3e7c5"
+    STATE_SHA256 = {
+        "cortex_a53": "60a2de897f2821fbae4d8ab6966746970b62872c7918704e17471d2fe193d0e0",
+        "cortex_a72": "533a92abf90bc89589dffe13ec167d7f8ba4c66b0519c159176f65f077b5ea6b",
+        "cortex_a8": "60a2de897f2821fbae4d8ab6966746970b62872c7918704e17471d2fe193d0e0",
+        "cortex_a9": "0527812cd0b8544122d2ae1cce446e87c41d50200503e63da9f407fc8bcfbfea",
+        "intel_i7": "8502e30c857655b5205e8d82542bcc9c80a9d8c46b242955dc71837ee3f0c0a0",
+    }
 
     def test_every_event_kind_is_covered(self):
         logs, _ = _digest_traces()
@@ -449,7 +503,7 @@ class TestTraceBytes:
         # a finished run keeps no pipeline objects alive through its trace
         from transient_sim.isa import Instruction
 
-        for trace in _digest_runs():
+        for _name, _st, trace in _digest_runs():
             for _cycle, _kind, _template, args in trace.events:
                 for arg in args:
                     assert isinstance(arg, (int, str, list, Instruction)), arg
@@ -461,3 +515,15 @@ class TestTraceBytes:
         log_digest = hashlib.sha256("\n".join(logs).encode()).hexdigest()
         json_digest = hashlib.sha256("\n".join(payloads).encode()).hexdigest()
         assert (log_digest, json_digest) == (self.LOG_SHA256, self.JSON_SHA256)
+
+    def test_final_machine_state_is_unchanged(self):
+        import hashlib
+
+        states = {}
+        for name, st, _trace in _digest_runs(_STATE_PROGRAMS):
+            states.setdefault(name, []).append(_state_text(st))
+        digests = {
+            name: hashlib.sha256("\n".join(texts).encode()).hexdigest()
+            for name, texts in states.items()
+        }
+        assert digests == self.STATE_SHA256

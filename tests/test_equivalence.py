@@ -16,6 +16,7 @@ from _reference import (
     RefState,
     events_after_squash,
     final_state_matches,
+    generate_loop_program,
     generate_pointer_program,
     generate_program,
     run_engine,
@@ -132,6 +133,16 @@ def test_pointer_programs_match_reference(name):
         replays += any(" store-order " in line for line in trace.log_lines())
     if prof.stl_speculation:
         assert replays >= 10  # the sweep does reach the store-order hazard
+
+
+@pytest.mark.parametrize("name", ["cortex_a53", "cortex_a8", "cortex_a9", "cortex_a72", "intel_i7"])
+def test_loops_match_reference(name):
+    # the loops fill the window with many passes in flight at once
+    prof = get_profile(name)
+    for seed in range(6):
+        gen = generate_loop_program(random.Random(50_000 + seed))
+        ok, detail = final_state_matches(gen, prof)
+        assert ok, f"seed {50_000 + seed} on {name}: {detail}\n{gen.text}"
 
 
 def test_engine_runs_are_repeatable():
