@@ -10,12 +10,28 @@ survive it; fills still in flight survive only under keep-inflight-fills.
 On in-order profiles nothing is fetched past an unresolved control transfer
 and each instruction completes before the next dispatches, so no transient
 instruction ever executes.
+
+The engine only visits cycles at which something can happen, and it finds
+the work of a cycle without scanning the window (Tomasulo-style wakeup).
+Each op counts its register sources whose producer has not issued yet, and
+each producer keeps a list of the ops waiting on it; when the last one
+issues, the op's ready cycle is known and it goes on a heap of
+(cycle, seq) wakeups.  A cycle's issue pass tries the ops woken for it in
+program order.  An op woken behind the cursor, such as a store once its
+address has resolved, is tried in a further pass over the same cycle, so
+ops ready in the same cycle issue in the order a walk of the whole window
+would give.  A load held back by an older store is woken when a store
+address resolves or when the forwarded data is ready.  Control resolutions
+wait on their own heap, and a squash drops only the ops it squashes; heap
+entries of squashed ops are skipped when they come up.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from .isa import Imm, Instruction, Opcode, Program, Reg
@@ -236,7 +252,8 @@ class Trace:
 class _Op:
     __slots__ = (
         "seq", "pc", "instr", "dispatch",
-        "reads", "dst", "value",
+        "reads", "dst", "value", "prev",
+        "pending", "ready", "consumers", "waiters", "squashed",
         "issued", "issue_cycle", "complete",
         "is_load", "is_store", "is_control",
         "mem_addr", "mem_offset_src", "store_data_src", "store_value",
@@ -253,6 +270,12 @@ class _Op:
         self.reads = {}           # reg index -> source operand
         self.dst = None
         self.value = None
+        self.prev = None          # the dst's producer this op renamed over
+        self.pending = 0          # register sources whose producer has not issued
+        self.ready = dispatch     # cycle from which every register source is ready
+        self.consumers = []       # ops counting this op among their pending sources
+        self.waiters = []         # ops to wake at this op's completion
+        self.squashed = False
         self.issued = False
         self.issue_cycle = None
         self.complete = None
@@ -271,13 +294,6 @@ class _Op:
         self.resolved = False
         self.fault = None
         self.fault_ready = None
-
-    def src_bound(self) -> int:
-        """Cycle from which every register source is ready (_INF: not known)."""
-        bound = self.dispatch
-        for src in self.reads.values():
-            bound = max(bound, _ready_at(src))
-        return bound
 
     def src_value(self, reg: int) -> int:
         return _value(self.reads[reg])
@@ -312,8 +328,19 @@ class _Engine:
         self.cycle = 0
         self.cycle_base = state.mem.counter.current
         self.seq = 0
-        self.window: list = []  # in-flight ops, oldest first (ascending seq)
+        self.window = deque()  # in-flight ops, oldest first (ascending seq)
+        self.stores = deque()  # the window's stores, CALL included
+        self.loads = deque()   # the window's loads, RET included
         self.rename: dict = {}
+        self.faulted: dict = {}  # reg -> retired faulting op, still its name
+        # (cycle, seq, op): try op from that cycle on.  Each key is a cycle at
+        # which an unissued op's sources or a store's data become ready.
+        self.wakeups: list = []
+        self.resolutions: list = []  # (resolve cycle, seq, control op)
+        self.blocked: dict = {}  # seq -> load held back by an older store
+        self.cursor = None  # seq of the op the issue pass is trying
+        self.this_pass: list = []  # (seq, op) still to try in this pass
+        self.next_pass: list = []  # (seq, op) woken behind the cursor
         self.fetch_pc = state.pc
         self.fetch_active = True
         self.dispatch_ready = 0
@@ -337,14 +364,45 @@ class _Engine:
         self.dispatch_ready = cycle + 1
         self.blockers = []
 
+    def _wake(self, op: _Op, cycle: int) -> None:
+        """Try op again from cycle on.  Inside an issue pass, an op woken for
+        this cycle joins the pass if it lies ahead of the cursor and the next
+        pass if not, as when every pass walked the whole window."""
+        if self.cursor is None or cycle > self.cycle:
+            heapq.heappush(self.wakeups, (cycle, op.seq, op))
+        elif op.seq > self.cursor:
+            heapq.heappush(self.this_pass, (op.seq, op))
+        else:
+            self.next_pass.append((op.seq, op))
+
     def _squash_younger(self, resolver_seq: int, cycle: int, reason: str, pc: int) -> None:
-        keep_inflight = self.profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS
-        kept = [op for op in self.window if op.seq <= resolver_seq]
-        doomed = self.window[len(kept):]
+        window = self.window
+        doomed = []
+        while window and window[-1].seq > resolver_seq:
+            doomed.append(window.pop())
         if not doomed:
             return
+        while self.stores and self.stores[-1].seq > resolver_seq:
+            self.stores.pop()
+        while self.loads and self.loads[-1].seq > resolver_seq:
+            self.loads.pop()
+        for reg, op in self.faulted.items():
+            if self.rename.get(reg) is op:
+                del self.rename[reg]
+        self.faulted.clear()
+        oldest_live = window[0].seq if window else self.seq
+        for op in doomed:  # youngest first: each restores the name it renamed
+            op.squashed = True
+            self.blocked.pop(op.seq, None)
+            if op.dst is not None and self.rename.get(op.dst) is op:
+                prev = op.prev
+                if prev is not None and prev.seq >= oldest_live:
+                    self.rename[op.dst] = prev
+                else:
+                    del self.rename[op.dst]
+        keep_inflight = self.profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS
         persisted = []
-        for op in doomed:
+        for op in reversed(doomed):
             self.trace.squashed_seqs.add(op.seq)
             if op.fill_addr is not None:
                 if op.fill_complete <= cycle or keep_inflight:
@@ -352,11 +410,6 @@ class _Engine:
                     self.trace.transient_lines.add(line_of(op.fill_addr))
                 else:
                     self.mem.invalidate_line(op.fill_addr)
-        self.window = kept
-        self.rename = {}
-        for op in kept:
-            if op.dst is not None:
-                self.rename[op.dst] = op
         self.blockers = [b for b in self.blockers if b[1].seq <= resolver_seq]
         self.trace.add(
             cycle, "squash", "{} @{}: dropped {} ops, persisted transient lines {}",
@@ -468,8 +521,14 @@ class _Engine:
                 )
 
         if op.dst is not None:
+            op.prev = self.rename.get(op.dst)
             self.rename[op.dst] = op
         self.window.append(op)
+        if op.is_store:
+            self.stores.append(op)
+        if op.is_load:
+            self.loads.append(op)
+        self._await_sources(op)
         self.trace.add(self.cycle, "fetch", "#{} @{} {}", op.seq, pc, instr)
 
         if opc is Opcode.HALT:
@@ -484,7 +543,57 @@ class _Engine:
             # so a deferred fault can never shadow-execute its dependents
             self.blockers.append(("retire", op))
 
+    def _await_sources(self, op: _Op) -> None:
+        """Register op with the producers it waits on.  It is woken once, at
+        its ready cycle, when the last of its register sources has issued; a
+        store is also woken when its data becomes ready."""
+        for src in op.reads.values():
+            if isinstance(src, _Op):
+                if not src.issued:
+                    src.consumers.append(op)
+                    op.pending += 1
+                elif src.complete > op.ready:
+                    op.ready = src.complete
+        if not op.pending:
+            self._wake(op, op.ready)
+        data = op.store_data_src
+        if isinstance(data, _Op):
+            if not data.issued:
+                data.waiters.append(op)
+            elif data.complete > self.cycle:
+                self._wake(op, data.complete)
+
     # -- issue ---------------------------------------------------------------
+
+    def _issue_ready(self) -> None:
+        """Try, in program order, every op woken for this cycle.  An op woken
+        behind the cursor is tried in a further pass over the same cycle, as
+        a store is once its address resolves."""
+        wakeups = self.wakeups
+        if not wakeups or wakeups[0][0] > self.cycle:
+            return
+        due = []
+        while wakeups and wakeups[0][0] <= self.cycle:
+            _, seq, op = heapq.heappop(wakeups)
+            due.append((seq, op))
+        heapq.heapify(due)
+        while due:
+            self.this_pass, self.next_pass = due, []
+            last = None
+            while due:
+                seq, op = heapq.heappop(due)
+                if seq == last or op.issued or op.squashed:
+                    continue  # woken twice, or done with
+                last = self.cursor = seq
+                self._issue(op)
+                if self.abort:
+                    break
+            if self.abort:
+                break
+            due = self.next_pass
+            heapq.heapify(due)
+        self.cursor = None
+        self.this_pass = self.next_pass = []
 
     def _load_hazard(self, op: _Op, addr: int) -> tuple:
         """(ready, forward) for a load of addr: not ready while an older
@@ -492,11 +601,9 @@ class _Engine:
         youngest older store to addr has no data yet; forward is that store,
         or None when the load reads memory."""
         forward = None
-        for store in self.window:
+        for store in self.stores:
             if store.seq >= op.seq:
                 break
-            if not store.is_store:
-                continue
             if store.mem_addr is None:
                 if self.profile.stl_speculation:
                     continue
@@ -504,19 +611,32 @@ class _Engine:
             if store.mem_addr == addr:
                 forward = store  # youngest older alias wins; keep scanning
         if forward is not None and _ready_at(forward.store_data_src) > self.cycle:
-            return False, None  # alias known, data not yet available
+            return False, forward  # alias known, data not yet available
         return True, forward
 
-    def _issue_load(self, op: _Op) -> bool:
+    def _hold(self, op: _Op, forward) -> None:
+        """Park a load its hazard holds back until an older store's address
+        resolves or, when it waits on forward's data, until that is ready."""
+        self.blocked[op.seq] = op
+        if forward is not None:
+            data = forward.store_data_src
+            if data.issued:
+                self._wake(op, data.complete)
+            else:
+                data.waiters.append(op)
+
+    def _issue_load(self, op: _Op) -> None:
         addr = op.src_value(op.instr.operands[1].base) + op.mem_offset_src
         ready, forward = self._load_hazard(op, addr)
         if not ready:
-            return False
+            self._hold(op, forward)
+            return
         op.mem_addr = addr
         lat = self.mem.lat
         if forward is not None:
             op.value = _value(forward.store_data_src)
-            return self._finish_issue(op, lat.l1_hit)
+            self._finish_issue(op, lat.l1_hit)
+            return
 
         entry = self.mem.pages.entry(addr)
         if not entry.mapped and not (
@@ -528,9 +648,9 @@ class _Engine:
             op.fill_addr = addr
             op.value = self.mem.cells.get(addr, 0)
             self.trace.add(self.cycle, "fault", "demand-page @{:#x}", addr)
-            done = self._finish_issue(op, lat.page_fault)
+            self._finish_issue(op, lat.page_fault)
             op.fill_complete = op.complete
-            return done
+            return
         if entry.privileged and self.state.privilege is Privilege.USER:
             # exception deferred to retirement; dependents see a forwarded value
             level = self.mem.probe_level(addr)
@@ -538,54 +658,66 @@ class _Engine:
                 op.value = self.mem.cells.get(addr, 0)
             else:
                 op.value = 0
-            return self._issue_faulting(op, "privilege", self.mem.latency_for(level))
+            self._issue_faulting(op, "privilege", self.mem.latency_for(level))
+            return
 
         level = self.mem.fill(addr)
         latency = self.mem.latency_for(level)
         op.fill_addr = addr
         op.value = self.mem.cells.get(addr, 0)
-        done = self._finish_issue(op, latency)
+        self._finish_issue(op, latency)
         op.fill_complete = op.complete
         self.trace.add(self.cycle, "fill", "@{:#x} from {}", addr, level.value)
-        return done
 
-    def _finish_issue(self, op: _Op, latency: int) -> bool:
+    def _finish_issue(self, op: _Op, latency: int) -> None:
         op.issued = True
         op.issue_cycle = self.cycle
-        op.complete = self.cycle + latency
+        op.complete = complete = self.cycle + latency
         self.trace.add(self.cycle, "execute", "#{} @{} {}", op.seq, op.pc, op.instr.opcode.value)
-        return True
+        for consumer in op.consumers:
+            if consumer.squashed:
+                continue
+            if complete > consumer.ready:
+                consumer.ready = complete
+            consumer.pending -= 1
+            if not consumer.pending:
+                self._wake(consumer, consumer.ready)
+        for waiter in op.waiters:
+            if not waiter.squashed:
+                self._wake(waiter, complete)
+        op.consumers = op.waiters = None
 
-    def _issue_faulting(self, op: _Op, fault: str, latency: int) -> bool:
+    def _issue_faulting(self, op: _Op, fault: str, latency: int) -> None:
         """Issue op with an exception that is raised when it retires."""
         op.fault = fault
         op.fault_ready = self.cycle + self.mem.lat.page_fault
-        return self._finish_issue(op, latency)
+        self._finish_issue(op, latency)
 
-    def _issue(self, op: _Op) -> bool:
-        """Try to issue op at the current cycle.  Returns False only when
-        nothing changed; a store whose address resolves stays unissued."""
+    def _issue(self, op: _Op) -> None:
+        """Issue op at the current cycle if it can go.  A store whose address
+        resolves stays unissued and is tried again in the next pass."""
+        if op.pending or op.ready > self.cycle:
+            return  # woken early, for its data; its sources will wake it
         state, profile = self.state, self.profile
         opc = op.instr.opcode
         ops = op.instr.operands
         lat = self.mem.lat
 
-        if op.src_bound() > self.cycle:
-            return False
-
         if opc is Opcode.ST:
             if op.mem_addr is None:
                 op.mem_addr = op.src_value(ops[0].base) + op.mem_offset_src
-                self._store_violation_check(op)
-                return True
+                self._store_address_known(op)
+                if _ready_at(op.store_data_src) <= self.cycle:
+                    self._wake(op, self.cycle)
+                return
             if _ready_at(op.store_data_src) > self.cycle:
-                return False
+                return  # its data's producer wakes it
             op.store_value = _value(op.store_data_src)
-            return self._finish_issue(op, 1)
-        if opc is Opcode.MOVI:
+            self._finish_issue(op, 1)
+        elif opc is Opcode.MOVI:
             op.value = ops[1].value
-            return self._finish_issue(op, 1)
-        if opc in (Opcode.ADD, Opcode.SHL, Opcode.AND):
+            self._finish_issue(op, 1)
+        elif opc in (Opcode.ADD, Opcode.SHL, Opcode.AND):
             a = op.src_value(ops[1].index)
             b = ops[2].value if isinstance(ops[2], Imm) else op.src_value(ops[2].index)
             if opc is Opcode.ADD:
@@ -594,55 +726,59 @@ class _Engine:
                 op.value = a << (b & 63)
             else:
                 op.value = a & b
-            return self._finish_issue(op, 1)
-        if opc is Opcode.CMP:
+            self._finish_issue(op, 1)
+        elif opc is Opcode.CMP:
             a = op.src_value(ops[0].index)
             b = ops[1].value if isinstance(ops[1], Imm) else op.src_value(ops[1].index)
             op.value = _sign(a - b)
-            return self._finish_issue(op, 1)
-        if opc is Opcode.LD:
-            return self._issue_load(op)
-        if opc is Opcode.FLUSH:
+            self._finish_issue(op, 1)
+        elif opc is Opcode.LD:
+            self.blocked.pop(op.seq, None)
+            self._issue_load(op)
+        elif opc is Opcode.FLUSH:
             op.mem_addr = op.src_value(ops[0].base) + op.mem_offset_src
             if (
                 profile.mitigations.privileged_flush
                 and state.privilege is Privilege.USER
             ):
-                return self._issue_faulting(op, "privileged-flush", 1)
-            return self._finish_issue(op, 1)
-        if opc is Opcode.RDCYC:
+                self._issue_faulting(op, "privileged-flush", 1)
+            else:
+                self._finish_issue(op, 1)
+        elif opc is Opcode.RDCYC:
             counter = self.mem.counter
             saved = counter.current
             counter.current = self.cycle_base + self.cycle
             op.value = counter.read(self.state.rng)
             counter.current = saved
-            return self._finish_issue(op, 1)
-        if opc is Opcode.MRS:
+            self._finish_issue(op, 1)
+        elif opc is Opcode.MRS:
             idx = ops[1].index
             if state.privilege is Privilege.USER:
                 op.value = state.sysregs.get(idx, 0) if profile.sysreg_transient_forward else 0
-                return self._issue_faulting(op, "sysreg", 1)
-            op.value = state.sysregs.get(idx, 0)
-            return self._finish_issue(op, 1)
-        if opc is Opcode.BGE:
+                self._issue_faulting(op, "sysreg", 1)
+            else:
+                op.value = state.sysregs.get(idx, 0)
+                self._finish_issue(op, 1)
+        elif opc is Opcode.BGE:
             taken = op.src_value(FLAGS) >= 0
             op.actual_next = ops[0].target if taken else op.pc + 1
             op.value = 1 if taken else 0
             self._finish_issue(op, profile.branch_resolve_extra)
-            op.resolve_cycle = op.complete
-            return True
-        if opc is Opcode.CALL:
+            self._await_resolution(op)
+        elif opc is Opcode.CALL:
             old = op.src_value(15)
             op.value = old - 8
             op.mem_addr = old - 8
-            self._store_violation_check(op)
+            self._store_address_known(op)
             op.store_value = op.pc + 1
-            return self._finish_issue(op, 1)
-        if opc is Opcode.RET:
+            self._finish_issue(op, 1)
+        elif opc is Opcode.RET:
+            self.blocked.pop(op.seq, None)
             addr = op.src_value(15)
             ready, forward = self._load_hazard(op, addr)
             if not ready:
-                return False
+                self._hold(op, forward)
+                return
             op.mem_addr = addr
             if forward is not None:
                 op.actual_next = _value(forward.store_data_src)
@@ -652,7 +788,7 @@ class _Engine:
                     self.mem.check_access(addr, state.privilege)
                 except (PageFault, PrivilegeFault):
                     self.abort = f"return address fetch faulted at {addr:#x}"
-                    return True
+                    return
                 level = self.mem.fill(addr)
                 latency = self.mem.latency_for(level)
                 op.fill_addr = addr
@@ -660,59 +796,52 @@ class _Engine:
                 op.actual_next = self.mem.cells.get(addr, 0)
             op.value = addr + 8
             self._finish_issue(op, latency + profile.return_resolve_extra)
-            op.resolve_cycle = op.complete
-            return True
-        # NOP, FENCE, YIELD, HALT
-        return self._finish_issue(op, 1)
+            self._await_resolution(op)
+        else:  # NOP, FENCE, YIELD, HALT
+            self._finish_issue(op, 1)
 
-    def _store_violation_check(self, store: _Op) -> None:
-        """Called when a store's address resolves; younger loads that already
-        read the same cell were mis-speculated and must re-execute."""
-        oldest = next(
-            (
-                o
-                for o in self.window
-                if o.is_load
-                and o.seq > store.seq
-                and o.issued
-                and o.mem_addr == store.mem_addr
-                and o.issue_cycle < self.cycle
-            ),
-            None,
-        )
-        if oldest is None:
-            return
-        self.trace.mispredicts += 1
-        # replay from the oldest violating load: ops between it and the store
-        # read nothing the store wrote and stay in the window
-        self._squash_younger(oldest.seq - 1, self.cycle, "store-order violation", store.pc)
-        self._redirect(oldest.pc, self.cycle)
+    def _store_address_known(self, store: _Op) -> None:
+        """A store's address just resolved.  Younger loads that already read
+        the same cell were mis-speculated and must re-execute; loads held
+        back by older stores may now go."""
+        addr = store.mem_addr
+        oldest = None
+        for load in reversed(self.loads):
+            if load.seq <= store.seq:
+                break
+            if load.issued and load.mem_addr == addr and load.issue_cycle < self.cycle:
+                oldest = load
+        if oldest is not None:
+            self.trace.mispredicts += 1
+            # replay from the oldest violating load: ops between it and the
+            # store read nothing the store wrote and stay in the window
+            self._squash_younger(oldest.seq - 1, self.cycle, "store-order violation", store.pc)
+            self._redirect(oldest.pc, self.cycle)
+        if self.blocked:
+            for seq in [seq for seq in self.blocked if seq > store.seq]:
+                self._wake(self.blocked.pop(seq), self.cycle)
 
     # -- resolution ----------------------------------------------------------
 
+    def _await_resolution(self, op: _Op) -> None:
+        op.resolve_cycle = op.complete
+        heapq.heappush(self.resolutions, (op.resolve_cycle, op.seq, op))
+
     def _resolve_controls(self) -> None:
-        while True:
-            # the oldest due control first: the window is in program order
-            op = next(
-                (
-                    o
-                    for o in self.window
-                    if o.is_control
-                    and not o.resolved
-                    and o.resolve_cycle is not None
-                    and o.resolve_cycle <= self.cycle
-                ),
-                None,
-            )
-            if op is None:
-                return
+        pending = self.resolutions
+        due = []
+        while pending and pending[0][0] <= self.cycle:
+            due.append(heapq.heappop(pending)[2])
+        due.sort(key=lambda op: op.seq)  # the oldest due control first
+        for op in due:
+            if op.squashed:
+                continue
             op.resolved = True
             if op.predicted_next is None:
                 # fetch was stalled on this control: late redirect, no squash
                 self.blockers = [b for b in self.blockers if b[1] is not op]
                 self._redirect(op.actual_next, op.resolve_cycle)
-                continue
-            if op.predicted_next != op.actual_next:
+            elif op.predicted_next != op.actual_next:
                 self.trace.mispredicts += 1
                 self._squash_younger(op.seq, op.resolve_cycle, "mispredict", op.pc)
                 self._redirect(op.actual_next, op.resolve_cycle)
@@ -723,6 +852,10 @@ class _Engine:
         state, profile = self.state, self.profile
         opc = op.instr.opcode
         if op.fault:
+            if op.dst is not None:
+                # its name survives, and younger ops read its value, until a
+                # squash that drops ops clears it
+                self.faulted[op.dst] = op
             self.trace.add(when, "fault", "#{} @{} {} (retired)", op.seq, op.pc, op.fault)
             self._squash_younger(op.seq, when, "fault", op.pc)
             if state.recovery_pc is not None:
@@ -771,12 +904,17 @@ class _Engine:
             if when > self.cycle:
                 return
             self.last_retire = when
-            self.window.pop(0)
+            self.window.popleft()
+            if op.is_store:
+                self.stores.popleft()
+            if op.is_load:
+                self.loads.popleft()
+            op.reads = op.prev = None  # keep no chain of retired ops alive
             self.trace.retired_seqs.add(op.seq)
             if not op.fault:
                 self.trace.add(when, "retire", "#{} @{} {}", op.seq, op.pc, op.instr.opcode.value)
             self._retire_effects(op, when)
-            if any(b[1] is op for b in self.blockers):
+            if self.blockers and any(b[1] is op for b in self.blockers):
                 self.blockers = [b for b in self.blockers if b[1] is not op]
                 self.dispatch_ready = max(self.dispatch_ready, when + 1)
             if self.halted or self.abort:
@@ -785,6 +923,10 @@ class _Engine:
     # -- main loop -----------------------------------------------------------
 
     def _next_event(self) -> int:
+        """The next cycle at which something can happen: dispatch, an op's
+        sources or a store's data becoming ready, a control resolving, or the
+        oldest op retiring.  Squashed and finished heap entries are dropped
+        from the top as they are met."""
         best = _INF
         if self.fetch_active:
             t = self.dispatch_ready
@@ -798,14 +940,17 @@ class _Engine:
                     else:
                         known = False
             if known:
-                best = min(best, t)
-        for op in self.window:
-            if not op.issued:
-                for ready in (op.src_bound(), _ready_at(op.store_data_src)):
-                    if self.cycle < ready < best:
-                        best = ready
-            elif op.is_control and not op.resolved and op.resolve_cycle is not None:
-                best = min(best, op.resolve_cycle)
+                best = t
+        wakeups = self.wakeups
+        while wakeups and (wakeups[0][2].issued or wakeups[0][2].squashed):
+            heapq.heappop(wakeups)
+        if wakeups and self.cycle < wakeups[0][0] < best:
+            best = wakeups[0][0]
+        pending = self.resolutions
+        while pending and pending[0][2].squashed:
+            heapq.heappop(pending)
+        if pending and pending[0][0] < best:
+            best = pending[0][0]
         if self.window:
             best = min(best, self._retire_at(self.window[0]))
         return best
@@ -825,19 +970,7 @@ class _Engine:
                 and not self._dispatch_blocked()
             ):
                 self._dispatch()
-            progressed = True
-            while progressed:
-                progressed = False
-                squashed = self.trace.squashed_seqs
-                for op in list(self.window):
-                    # a store-order violation earlier in this pass may have
-                    # squashed ops that are still in the copy
-                    if not op.issued and op.seq not in squashed:
-                        progressed |= self._issue(op)
-                        if self.abort:
-                            break
-                if self.abort:
-                    break
+            self._issue_ready()
             if self.abort:
                 break
             nxt = self._next_event()
