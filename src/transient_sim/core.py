@@ -312,6 +312,33 @@ def _value(src) -> int:
     return src.value if isinstance(src, _Op) else src
 
 
+def _decode(instr: Instruction) -> tuple:
+    """What dispatch needs of an instruction: (dst, source registers, stored
+    register, memory offset, is_load, is_store, is_control)."""
+    opc, ops = instr.opcode, instr.operands
+    if opc in (Opcode.ADD, Opcode.SHL, Opcode.AND):
+        srcs = (ops[1].index,) + ((ops[2].index,) if isinstance(ops[2], Reg) else ())
+        return ops[0].index, tuple(dict.fromkeys(srcs)), None, 0, False, False, False
+    if opc in (Opcode.MOVI, Opcode.RDCYC, Opcode.MRS):
+        return ops[0].index, (), None, 0, False, False, False
+    if opc is Opcode.CMP:
+        srcs = (ops[0].index,) + ((ops[1].index,) if isinstance(ops[1], Reg) else ())
+        return FLAGS, tuple(dict.fromkeys(srcs)), None, 0, False, False, False
+    if opc is Opcode.LD:
+        return ops[0].index, (ops[1].base,), None, ops[1].offset, True, False, False
+    if opc is Opcode.ST:
+        return None, (ops[0].base,), ops[1].index, ops[0].offset, False, True, False
+    if opc is Opcode.FLUSH:
+        return None, (ops[0].base,), None, ops[0].offset, False, False, False
+    if opc is Opcode.BGE:
+        return None, (FLAGS,), None, 0, False, False, True
+    if opc is Opcode.CALL:  # pushes the return address onto the software stack
+        return 15, (15,), None, 0, False, True, True
+    if opc is Opcode.RET:  # fetches the return address from the software stack
+        return 15, (15,), None, 0, True, False, True
+    return None, (), None, 0, False, False, False
+
+
 def _sign(delta: int) -> int:
     return (delta > 0) - (delta < 0)
 
@@ -349,6 +376,7 @@ class _Engine:
         self.halted = False
         self.abort = None
         self.trace = Trace()
+        self.decoded: list = [None] * len(program)  # pc -> _decode(instr)
 
     # -- helpers -------------------------------------------------------------
 
@@ -442,53 +470,22 @@ class _Engine:
         ops = instr.operands
 
         next_pc = pc + 1
-        if opc in (Opcode.ADD, Opcode.SHL, Opcode.AND):
-            op.dst = ops[0].index
-            op.reads[ops[1].index] = self._read_src(ops[1].index)
-            if isinstance(ops[2], Reg):
-                op.reads.setdefault(ops[2].index, self._read_src(ops[2].index))
-        elif opc is Opcode.MOVI:
-            op.dst = ops[0].index
-        elif opc is Opcode.CMP:
-            op.dst = FLAGS
-            op.reads[ops[0].index] = self._read_src(ops[0].index)
-            if isinstance(ops[1], Reg):
-                op.reads.setdefault(ops[1].index, self._read_src(ops[1].index))
-        elif opc is Opcode.LD:
-            op.dst = ops[0].index
-            op.is_load = True
-            op.reads[ops[1].base] = self._read_src(ops[1].base)
-            op.mem_offset_src = ops[1].offset
-        elif opc is Opcode.ST:
-            op.is_store = True
-            op.reads[ops[0].base] = self._read_src(ops[0].base)
-            op.mem_offset_src = ops[0].offset
-            op.store_data_src = self._read_src(ops[1].index)
-        elif opc is Opcode.FLUSH:
-            op.reads[ops[0].base] = self._read_src(ops[0].base)
-            op.mem_offset_src = ops[0].offset
-        elif opc is Opcode.RDCYC:
-            op.dst = ops[0].index
-        elif opc is Opcode.MRS:
-            op.dst = ops[0].index
-        elif opc is Opcode.BGE:
-            op.is_control = True
-            op.reads[FLAGS] = self._read_src(FLAGS)
-        elif opc is Opcode.CALL:
-            op.is_control = True
-            op.is_store = True  # pushes the return address onto the software stack
-            op.dst = 15
-            op.reads[15] = self._read_src(15)
+        decoded = self.decoded[pc]
+        if decoded is None:
+            decoded = self.decoded[pc] = _decode(instr)
+        op.dst, srcs, data, op.mem_offset_src, op.is_load, op.is_store, op.is_control = decoded
+        reads = op.reads
+        for reg in srcs:
+            reads[reg] = self._read_src(reg)
+        if data is not None:
+            op.store_data_src = self._read_src(data)
+        if opc is Opcode.CALL:
             op.store_data_src = pc + 1
             state.rsb.push(pc + 1)  # speculative push, survives squash
             next_pc = ops[0].target
             op.predicted_next = next_pc
             op.resolved = True  # static target, cannot mispredict
         elif opc is Opcode.RET:
-            op.is_control = True
-            op.is_load = True  # fetches the return address from the software stack
-            op.dst = 15
-            op.reads[15] = self._read_src(15)
             predicted = state.rsb.pop(
                 profile.rsb_underflow,
                 btb=state.btb,
