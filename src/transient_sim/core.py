@@ -251,7 +251,7 @@ class Trace:
 
 class _Op:
     __slots__ = (
-        "seq", "pc", "instr", "dispatch",
+        "seq", "pc", "instr",
         "reads", "dst", "value", "prev",
         "pending", "ready", "consumers", "waiters", "squashed",
         "issued", "issue_cycle", "complete",
@@ -266,7 +266,6 @@ class _Op:
         self.seq = seq
         self.pc = pc
         self.instr = instr
-        self.dispatch = dispatch
         self.reads = {}           # reg index -> source operand
         self.dst = None
         self.value = None
@@ -419,6 +418,8 @@ class _Engine:
                 del self.rename[reg]
         self.faulted.clear()
         oldest_live = window[0].seq if window else self.seq
+        keep_inflight = self.profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS
+        persisted = []
         for op in doomed:  # youngest first: each restores the name it renamed
             op.squashed = True
             self.blocked.pop(op.seq, None)
@@ -428,9 +429,6 @@ class _Engine:
                     self.rename[op.dst] = prev
                 else:
                     del self.rename[op.dst]
-        keep_inflight = self.profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS
-        persisted = []
-        for op in reversed(doomed):
             self.trace.squashed_seqs.add(op.seq)
             if op.fill_addr is not None:
                 if op.fill_complete <= cycle or keep_inflight:
@@ -501,8 +499,7 @@ class _Engine:
             else:
                 self.fetch_active = False
                 self.blockers.append(("resolve", op))
-
-        if opc is Opcode.BGE:
+        elif opc is Opcode.BGE:
             taken_target = ops[0].target
             if self.in_order:
                 op.predicted_next = None
@@ -567,30 +564,22 @@ class _Engine:
         behind the cursor is tried in a further pass over the same cycle, as
         a store is once its address resolves."""
         wakeups = self.wakeups
-        if not wakeups or wakeups[0][0] > self.cycle:
-            return
         due = []
         while wakeups and wakeups[0][0] <= self.cycle:
             _, seq, op = heapq.heappop(wakeups)
             due.append((seq, op))
-        heapq.heapify(due)
-        while due:
+        while due and not self.abort:
+            heapq.heapify(due)
             self.this_pass, self.next_pass = due, []
             last = None
-            while due:
+            while due and not self.abort:
                 seq, op = heapq.heappop(due)
                 if seq == last or op.issued or op.squashed:
                     continue  # woken twice, or done with
                 last = self.cursor = seq
                 self._issue(op)
-                if self.abort:
-                    break
-            if self.abort:
-                break
             due = self.next_pass
-            heapq.heapify(due)
         self.cursor = None
-        self.this_pass = self.next_pass = []
 
     def _load_hazard(self, op: _Op, addr: int) -> tuple:
         """(ready, forward) for a load of addr: not ready while an older
@@ -695,6 +684,8 @@ class _Engine:
         resolves stays unissued and is tried again in the next pass."""
         if op.pending or op.ready > self.cycle:
             return  # woken early, for its data; its sources will wake it
+        if op.is_load:
+            self.blocked.pop(op.seq, None)  # _hold parks it again if need be
         state, profile = self.state, self.profile
         opc = op.instr.opcode
         ops = op.instr.operands
@@ -730,7 +721,6 @@ class _Engine:
             op.value = _sign(a - b)
             self._finish_issue(op, 1)
         elif opc is Opcode.LD:
-            self.blocked.pop(op.seq, None)
             self._issue_load(op)
         elif opc is Opcode.FLUSH:
             op.mem_addr = op.src_value(ops[0].base) + op.mem_offset_src
@@ -770,7 +760,6 @@ class _Engine:
             op.store_value = op.pc + 1
             self._finish_issue(op, 1)
         elif opc is Opcode.RET:
-            self.blocked.pop(op.seq, None)
             addr = op.src_value(15)
             ready, forward = self._load_hazard(op, addr)
             if not ready:
