@@ -413,7 +413,7 @@ class _Engine:
             self.stores.pop()
         while self.loads and self.loads[-1].seq > resolver_seq:
             self.loads.pop()
-        for reg, op in self.faulted.items():
+        for reg, op in self.faulted.items():  # only a squash that drops ops forgets them
             if self.rename.get(reg) is op:
                 del self.rename[reg]
         self.faulted.clear()
