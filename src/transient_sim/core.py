@@ -358,7 +358,6 @@ class _Engine:
         self.stores = deque()  # the window's stores, CALL included
         self.loads = deque()   # the window's loads, RET included
         self.rename: dict = {}
-        self.faulted: dict = {}  # reg -> retired faulting op, still its name
         # (cycle, seq, op): try op from that cycle on.  Each key is a cycle at
         # which an unissued op's sources or a store's data become ready.
         self.wakeups: list = []
@@ -413,10 +412,6 @@ class _Engine:
             self.stores.pop()
         while self.loads and self.loads[-1].seq > resolver_seq:
             self.loads.pop()
-        for reg, op in self.faulted.items():  # only a squash that drops ops forgets them
-            if self.rename.get(reg) is op:
-                del self.rename[reg]
-        self.faulted.clear()
         oldest_live = window[0].seq if window else self.seq
         keep_inflight = self.profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS
         persisted = []
@@ -838,10 +833,8 @@ class _Engine:
         state, profile = self.state, self.profile
         opc = op.instr.opcode
         if op.fault:
-            if op.dst is not None:
-                # its name survives, and younger ops read its value, until a
-                # squash that drops ops clears it
-                self.faulted[op.dst] = op
+            if op.dst is not None and self.rename.get(op.dst) is op:
+                del self.rename[op.dst]  # the register keeps its old value
             self.trace.add(when, "fault", "#{} @{} {} (retired)", op.seq, op.pc, op.fault)
             self._squash_younger(op.seq, when, "fault", op.pc)
             if state.recovery_pc is not None:

@@ -278,6 +278,19 @@ class TestFaultHandling:
         assert st.regs[1] == 0  # faulting read never retires a value
         assert st.regs[2] == 0  # the shadow of the fault was squashed
 
+    @pytest.mark.parametrize("name", ["cortex_a53", "cortex_a8", "cortex_a9", "cortex_a72", "intel_i7"])
+    def test_recovery_path_reads_the_architectural_register(self, name):
+        # on the in-order cores nothing younger is in flight when the fault
+        # retires; the load's transient value must still not reach r2
+        prof, st = _machine(name, privilege=Privilege.USER, recovery_pc=2)
+        st.regs[1], st.regs[14] = 7, DATA
+        st.mem.pages.set_privileged(DATA, True)
+        st.mem.cells[DATA] = 0x55
+        prog = assemble("    LD r1, [r14]\n    FENCE\n    ADD r2, r1, 0\n    HALT\n")
+        trace = run(prog, st, prof)
+        assert trace.halted
+        assert (st.regs[1], st.regs[2]) == (7, 7)
+
     def test_fault_without_recovery_aborts(self):
         prof, st = _machine("intel_i7")
         st.privilege = Privilege.USER
