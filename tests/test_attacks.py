@@ -4,10 +4,13 @@ The expected grid is written out literally here, independent of the copy the
 package ships, so a regression in either one shows up as a disagreement.
 """
 
+import hashlib
+
 import pytest
 
 from transient_sim.attacks import (
     DEFAULT_SECRET,
+    MATRIX_PROFILES,
     SYSREG_TEST_VALUE,
     AttackOutcome,
     Scenario,
@@ -18,10 +21,13 @@ from transient_sim.attacks import (
     run_matrix,
     run_meltdown_v3,
     run_meltdown_v3a,
+    run_refill_bypass,
     run_spectre_rsb,
     run_spectre_v1,
     run_spectre_v4,
 )
+from transient_sim.mitigations import MitigationSet, apply_mitigations
+from transient_sim.profiles import get_profile
 
 A53, A8, A9, A72, I7 = (
     "cortex_a53",
@@ -158,3 +164,28 @@ def test_matrix_is_deterministic():
     a = matrix_susceptibility(run_matrix(seed=7))
     b = matrix_susceptibility(run_matrix(seed=7))
     assert a == b
+
+
+# The benchmark's four mitigation sets plus counter noise, which moves every
+# probe latency.
+PINNED_MITIGATIONS = (
+    MitigationSet(),
+    MitigationSet(privileged_flush=True),
+    MitigationSet(rsb_flush_on_cs=True, btb_fallback_disabled=True),
+    MitigationSet(rsb_refill_on_cs=True),
+    MitigationSet(pmu_noise_amplitude=40),
+)
+OUTCOMES_SHA256 = "089bcf3e65ed0f5cf27c9e8f4fbf06df669bb8f80e2eabe989f197c2455912c4"
+
+
+def test_attack_outcome_bytes_are_unchanged():
+    # every field of every outcome, probe latencies included
+    digest = hashlib.sha256()
+    for mit in PINNED_MITIGATIONS:
+        profiles = [apply_mitigations(get_profile(n), mit) for n in MATRIX_PROFILES]
+        results = run_matrix(profiles, secret=bytes((200, 13, 97, 1)), seed=3)
+        outcomes = [o for row in results.values() for o in row.values()]
+        outcomes += [run_refill_bypass(p, seed=3) for p in profiles]
+        for outcome in outcomes:
+            digest.update(outcome.to_json().encode() + b"\n")
+    assert digest.hexdigest() == OUTCOMES_SHA256
