@@ -458,11 +458,12 @@ _STATE_PROGRAMS = _DIGEST_PROGRAMS + (
 )
 
 
-def _digest_runs(programs=_DIGEST_PROGRAMS):
-    """(core name, final machine state, trace) of each program on each core."""
+def _digest_runs(programs=_DIGEST_PROGRAMS, names=None):
+    """(core name, final machine state, trace) of each program on each core,
+    or on the named cores only."""
     from transient_sim.profiles import PROFILES
 
-    for name in sorted(PROFILES):
+    for name in names or sorted(PROFILES):
         for source, privilege, recovery_pc, setup in programs:
             prof, st = _machine(name, privilege=privilege, recovery_pc=recovery_pc)
             st.regs[14] = DATA
@@ -540,3 +541,73 @@ class TestTraceBytes:
             for name, texts in states.items()
         }
         assert digests == self.STATE_SHA256
+
+
+# A counted loop with a fence and a yield in its body, so both stall points
+# recur with younger ops already on the predicted path.
+_FENCED_LOOP = (
+    "    MOVI r1, 2\nloop:\n    LD r2, [r14]\n    FENCE\n    ADD r1, r1, -1\n    YIELD\n"
+    "    CMP r1, 0\n    BGE loop\n    HALT\n",
+    Privilege.KERNEL, None, None,
+)
+
+
+def _fetches_and_retires(trace):
+    """({seq: (fetch cycle, opcode)}, {seq: retire cycle}) from a trace's
+    events; a retired fault counts as its op's retirement."""
+    fetched, retired = {}, {}
+    for cycle, kind, template, args in trace.events:
+        if kind == "fetch":
+            fetched[args[0]] = (cycle, args[2].opcode.value)
+        elif kind == "retire" or (kind == "fault" and "(retired)" in template):
+            retired[args[0]] = cycle
+    return fetched, retired
+
+
+class TestStallRule:
+    """When fetch waits: for a FENCE or YIELD to retire, for every op to
+    retire on an in-order core, and for an unpredicted return to resolve."""
+
+    @pytest.mark.parametrize("name", ["cortex_a9", "cortex_a72", "intel_i7"])
+    def test_nothing_younger_than_a_fence_or_yield_is_fetched_before_it_retires(self, name):
+        stalls = 0
+        for _core, _st, trace in _digest_runs(_STATE_PROGRAMS + (_FENCED_LOOP,), [name]):
+            fetched, retired = _fetches_and_retires(trace)
+            for seq, (_cycle, opcode) in fetched.items():
+                if opcode not in ("FENCE", "YIELD") or seq not in retired:
+                    continue
+                stalls += 1
+                for younger, (cycle, _opcode) in fetched.items():
+                    if younger > seq:
+                        assert cycle > retired[seq], (younger, seq)
+        assert stalls >= 6
+
+    @pytest.mark.parametrize("name", ["cortex_a53", "cortex_a8"])
+    def test_in_order_fetch_waits_for_the_previous_op(self, name):
+        checked = 0
+        for _core, _st, trace in _digest_runs(_STATE_PROGRAMS + (_FENCED_LOOP,), [name]):
+            fetched, retired = _fetches_and_retires(trace)
+            seqs = sorted(fetched)
+            assert set(seqs) == set(retired)  # nothing is fetched on a wrong path
+            for older, seq in zip(seqs, seqs[1:]):
+                assert fetched[seq][0] > retired[older], (older, seq)
+                checked += 1
+        assert checked > 1_000
+
+    @pytest.mark.parametrize("name", ["cortex_a9", "cortex_a72", "intel_i7"])
+    def test_unpredicted_return_fetches_its_target_after_it_resolves(self, name):
+        # the return stack is empty and, on intel_i7, the target buffer too,
+        # so the RET has no prediction; its stack line is cold
+        prof, st = _machine(name)
+        st.regs[15] = 0x8000
+        st.mem.cells[0x8000] = 2
+        prog = assemble("    RET\n    MOVI r2, 9\nt:\n    MOVI r2, 1\n    HALT\n")
+        trace = run(prog, st, prof)
+        assert trace.halted and trace.mispredicts == 0 and st.regs[2] == 1
+        fetched, retired = _fetches_and_retires(trace)
+        assert [fetched[seq][1] for seq in sorted(fetched)] == ["RET", "MOVI", "HALT"]
+        # the RET is the oldest op, so it retires in the cycle it resolves
+        execute = next(c for c, kind, _t, args in trace.events if kind == "execute")
+        resolve = execute + prof.latencies.dram + prof.return_resolve_extra
+        assert retired[0] == resolve
+        assert fetched[1][0] == resolve + 1
