@@ -11,6 +11,12 @@ On in-order profiles nothing is fetched past an unresolved control transfer
 and each instruction completes before the next dispatches, so no transient
 instruction ever executes.
 
+Fetch waits for one of two things.  A FENCE or YIELD, and on an in-order
+core every op, becomes the drain op: nothing younger dispatches until it
+retires.  A control transfer fetched without a prediction (a return with
+nothing to predict it, any branch on an in-order core) stops fetch until it
+resolves and redirects it.
+
 The engine only visits cycles at which something can happen, and it finds
 the work of a cycle without scanning the window (Tomasulo-style wakeup).
 Each op counts its register sources whose producer has not issued yet, and
@@ -258,7 +264,7 @@ class _Op:
         "is_load", "is_store", "is_control",
         "mem_addr", "mem_offset_src", "store_data_src", "store_value",
         "fill_addr", "fill_complete",
-        "predicted_next", "actual_next", "resolve_cycle", "resolved",
+        "predicted_next", "actual_next", "resolved",
         "fault", "fault_ready",
     )
 
@@ -289,7 +295,6 @@ class _Op:
         self.fill_complete = None
         self.predicted_next = None
         self.actual_next = None
-        self.resolve_cycle = None
         self.resolved = False
         self.fault = None
         self.fault_ready = None
@@ -369,7 +374,7 @@ class _Engine:
         self.fetch_pc = state.pc
         self.fetch_active = True
         self.dispatch_ready = 0
-        self.blockers: list = []  # ("retire"|"resolve", _Op)
+        self.drain = None  # the op whose retirement dispatch waits for
         self.last_retire = -1
         self.halted = False
         self.abort = None
@@ -388,7 +393,7 @@ class _Engine:
         self.fetch_pc = target
         self.fetch_active = True
         self.dispatch_ready = cycle + 1
-        self.blockers = []
+        self.drain = None
 
     def _wake(self, op: _Op, cycle: int) -> None:
         """Try op again from cycle on.  Inside an issue pass, an op woken for
@@ -431,21 +436,12 @@ class _Engine:
                     self.trace.transient_lines.add(line_of(op.fill_addr))
                 else:
                     self.mem.invalidate_line(op.fill_addr)
-        self.blockers = [b for b in self.blockers if b[1].seq <= resolver_seq]
         self.trace.add(
             cycle, "squash", "{} @{}: dropped {} ops, persisted transient lines {}",
             reason, pc, len(doomed), sorted(persisted),
         )
 
     # -- dispatch ------------------------------------------------------------
-
-    def _dispatch_blocked(self) -> bool:
-        for kind, op in self.blockers:
-            if kind == "retire":
-                return True  # cleared explicitly at retirement
-            if kind == "resolve" and not op.resolved:
-                return True
-        return False
 
     def _dispatch(self) -> None:
         state, profile = self.state, self.profile
@@ -492,14 +488,12 @@ class _Engine:
                 self.trace.add(self.cycle, "predict", "ret@{} -> {}", pc, predicted)
                 next_pc = predicted
             else:
-                self.fetch_active = False
-                self.blockers.append(("resolve", op))
+                self.fetch_active = False  # until the return resolves
         elif opc is Opcode.BGE:
             taken_target = ops[0].target
             if self.in_order:
                 op.predicted_next = None
-                self.fetch_active = False
-                self.blockers.append(("resolve", op))
+                self.fetch_active = False  # until the branch resolves
             else:
                 taken = state.pht.predict(pc)
                 op.predicted_next = taken_target if taken else pc + 1
@@ -522,15 +516,14 @@ class _Engine:
 
         if opc is Opcode.HALT:
             self.fetch_active = False
-        elif opc in (Opcode.FENCE, Opcode.YIELD):
-            self.blockers.append(("retire", op))
+        if self.in_order or opc in (Opcode.FENCE, Opcode.YIELD):
+            # nothing younger dispatches until this retires; on an in-order
+            # core that holds for every op, so a deferred fault can never
+            # shadow-execute its dependents
+            self.drain = op
         if self.fetch_active:
             self.fetch_pc = next_pc
         self.dispatch_ready = self.cycle + 1
-        if self.in_order:
-            # precise pipeline: nothing younger dispatches until this retires,
-            # so a deferred fault can never shadow-execute its dependents
-            self.blockers.append(("retire", op))
 
     def _await_sources(self, op: _Op) -> None:
         """Register op with the producers it waits on.  It is woken once, at
@@ -746,7 +739,7 @@ class _Engine:
             op.actual_next = ops[0].target if taken else op.pc + 1
             op.value = 1 if taken else 0
             self._finish_issue(op, profile.branch_resolve_extra)
-            self._await_resolution(op)
+            heapq.heappush(self.resolutions, (op.complete, op.seq, op))
         elif opc is Opcode.CALL:
             old = op.src_value(15)
             op.value = old - 8
@@ -777,7 +770,7 @@ class _Engine:
                 op.actual_next = self.mem.cells.get(addr, 0)
             op.value = addr + 8
             self._finish_issue(op, latency + profile.return_resolve_extra)
-            self._await_resolution(op)
+            heapq.heappush(self.resolutions, (op.complete, op.seq, op))
         else:  # NOP, FENCE, YIELD, HALT
             self._finish_issue(op, 1)
 
@@ -804,10 +797,6 @@ class _Engine:
 
     # -- resolution ----------------------------------------------------------
 
-    def _await_resolution(self, op: _Op) -> None:
-        op.resolve_cycle = op.complete
-        heapq.heappush(self.resolutions, (op.resolve_cycle, op.seq, op))
-
     def _resolve_controls(self) -> None:
         pending = self.resolutions
         due = []
@@ -820,12 +809,11 @@ class _Engine:
             op.resolved = True
             if op.predicted_next is None:
                 # fetch was stalled on this control: late redirect, no squash
-                self.blockers = [b for b in self.blockers if b[1] is not op]
-                self._redirect(op.actual_next, op.resolve_cycle)
+                self._redirect(op.actual_next, op.complete)
             elif op.predicted_next != op.actual_next:
                 self.trace.mispredicts += 1
-                self._squash_younger(op.seq, op.resolve_cycle, "mispredict", op.pc)
-                self._redirect(op.actual_next, op.resolve_cycle)
+                self._squash_younger(op.seq, op.complete, "mispredict", op.pc)
+                self._redirect(op.actual_next, op.complete)
 
     # -- retirement ----------------------------------------------------------
 
@@ -893,8 +881,8 @@ class _Engine:
             if not op.fault:
                 self.trace.add(when, "retire", "#{} @{} {}", op.seq, op.pc, op.instr.opcode.value)
             self._retire_effects(op, when)
-            if self.blockers and any(b[1] is op for b in self.blockers):
-                self.blockers = [b for b in self.blockers if b[1] is not op]
+            if op is self.drain:
+                self.drain = None
                 self.dispatch_ready = max(self.dispatch_ready, when + 1)
             if self.halted or self.abort:
                 return
@@ -907,19 +895,8 @@ class _Engine:
         oldest op retiring.  Squashed and finished heap entries are dropped
         from the top as they are met."""
         best = _INF
-        if self.fetch_active:
-            t = self.dispatch_ready
-            known = True
-            for kind, op in self.blockers:
-                if kind == "retire":
-                    known = False
-                elif kind == "resolve":
-                    if op.resolve_cycle is not None:
-                        t = max(t, op.resolve_cycle + 1)
-                    else:
-                        known = False
-            if known:
-                best = t
+        if self.fetch_active and self.drain is None:
+            best = self.dispatch_ready
         wakeups = self.wakeups
         while wakeups and (wakeups[0][2].issued or wakeups[0][2].squashed):
             heapq.heappop(wakeups)
@@ -943,11 +920,7 @@ class _Engine:
             self._retire()
             if self.halted or self.abort:
                 break
-            if (
-                self.fetch_active
-                and self.dispatch_ready <= self.cycle
-                and not self._dispatch_blocked()
-            ):
+            if self.fetch_active and self.drain is None and self.dispatch_ready <= self.cycle:
                 self._dispatch()
             self._issue_ready()
             if self.abort:
