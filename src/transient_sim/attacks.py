@@ -242,19 +242,19 @@ def _outcome(
     variant: str,
     profile: CpuProfile,
     scenario: Scenario | None,
-    expected: tuple,
-    recovered: list,
-    last_probe: ProbeResult | None,
+    expected,
+    probes: list,
 ) -> AttackOutcome:
-    recovered_t = tuple(recovered)
+    """One recovered value per probe; the last probe's latencies are kept."""
+    recovered = tuple(probe.single_hit() for probe in probes)
     return AttackOutcome(
         variant=variant,
         profile=profile.name,
         scenario=scenario,
-        success=recovered_t == expected,
-        recovered=recovered_t,
-        expected=expected,
-        probe_latencies=last_probe.latencies if last_probe else (),
+        success=recovered == tuple(expected),
+        recovered=recovered,
+        expected=tuple(expected),
+        probe_latencies=probes[-1].latencies if probes else (),
     )
 
 
@@ -262,22 +262,47 @@ def _resolve_profile(profile) -> CpuProfile:
     return get_profile(profile) if isinstance(profile, str) else profile
 
 
-def _attack_probe(state: MachineState, profile: CpuProfile, victim) -> ProbeResult:
-    """The attacker's probe always runs user-mode, whatever privilege the
-    victim step holds.  With flushes restricted to privileged code the probe
-    cannot set up, so the attack comes back empty-handed."""
+def _run_from(st: MachineState, profile: CpuProfile, prog: Program, regs: dict,
+              pc: int = 0) -> Trace:
+    """Run prog from pc with the registers in regs (index -> value) set."""
+    st.pc = pc
+    for reg, value in regs.items():
+        st.regs[reg] = value
+    return run(prog, st, profile)
+
+
+def _attack_probe(st: MachineState, profile: CpuProfile, prog: Program, regs: dict) -> ProbeResult:
+    """Flush+Reload around one victim run of prog from pc 0.  The attacker's
+    probe always runs user-mode, whatever privilege the victim holds.  With
+    flushes restricted to privileged code the probe cannot set up, so the
+    attack comes back empty-handed."""
     try:
         return flush_reload(
-            state.mem,
+            st.mem,
             ORACLE_BASE,
             ORACLE_LINES,
-            victim=victim,
+            victim=lambda: _run_from(st, profile, prog, regs),
             privilege=Privilege.USER,
             flush_is_privileged=profile.mitigations.privileged_flush,
         )
     except PrivilegedFlushError:
-        threshold = (state.mem.lat.l1_hit + state.mem.lat.dram) // 2
+        threshold = (st.mem.lat.l1_hit + st.mem.lat.dram) // 2
         return ProbeResult((), (), threshold)
+
+
+def _plant(st: MachineState, base: int, secret: bytes) -> list:
+    """Write the secret one byte per line from base; the bytes' addresses."""
+    addrs = [base + k * LINE_SIZE for k in range(len(secret))]
+    st.mem.cells.update(zip(addrs, secret))
+    return addrs
+
+
+def _place_secret(st: MachineState, addr: int, location: SecretLocation) -> None:
+    """Cache the secret byte's line in L1 or evict it to main memory."""
+    if location is SecretLocation.L1:
+        st.mem.fill(addr)
+    else:
+        st.mem.invalidate_line(addr)
 
 
 def run_spectre_v1(
@@ -297,61 +322,31 @@ def run_spectre_v1(
     st.mem.cells[BOUND_ADDR] = 16
     for i in range(16):
         st.mem.cells[ARRAY_BASE + i * LINE_SIZE] = i
-    for k, byte in enumerate(secret):
-        st.mem.cells[SECRET_BASE + k * LINE_SIZE] = byte
-
-    recovered = []
-    probe = None
-    for k, byte in enumerate(secret):
+    probes = []
+    for secret_addr in _plant(st, SECRET_BASE, secret):
         st.mem.fill(BOUND_ADDR)
         for j in range(5):  # train the branch toward in-bounds
-            st.pc = 0
-            st.regs[1] = BOUND_ADDR
-            st.regs[2] = j % 16
-            st.regs[4] = ARRAY_BASE + (j % 16) * LINE_SIZE
-            st.regs[8] = TRAIN_ORACLE_BASE
-            run(prog, st, profile)
+            regs = {1: BOUND_ADDR, 2: j, 4: ARRAY_BASE + j * LINE_SIZE, 8: TRAIN_ORACLE_BASE}
+            _run_from(st, profile, prog, regs)
         if scenario.window_trigger is WindowTrigger.CACHE_MISS:
             st.mem.invalidate_line(BOUND_ADDR)
         else:
             st.mem.pages.set_mapped(BOUND_ADDR, False)
-        secret_addr = SECRET_BASE + k * LINE_SIZE
-        if scenario.secret_location is SecretLocation.L1:
-            st.mem.fill(secret_addr)
-        else:
-            st.mem.invalidate_line(secret_addr)
-
-        def victim():
-            st.pc = 0
-            st.regs[1] = BOUND_ADDR
-            st.regs[2] = 64  # way past the bound
-            st.regs[4] = secret_addr
-            st.regs[8] = ORACLE_BASE
-            run(prog, st, profile)
-
-        probe = _attack_probe(st, profile, victim)
-        recovered.append(probe.single_hit())
+        _place_secret(st, secret_addr, scenario.secret_location)
+        regs = {1: BOUND_ADDR, 2: 64, 4: secret_addr, 8: ORACLE_BASE}  # 64: way past the bound
+        probes.append(_attack_probe(st, profile, prog, regs))
         if scenario.window_trigger is WindowTrigger.PAGE_FAULT:
             st.mem.pages.set_mapped(BOUND_ADDR, True)
-    return _outcome("V1", profile, scenario, tuple(secret), recovered, probe)
+    return _outcome("V1", profile, scenario, secret, probes)
 
 
 def _run_spec_load(profile: CpuProfile, scenario: Scenario, seed: int) -> AttackOutcome:
     st = make_machine(profile, seed)
-    prog = _victim(_SPEC_LOAD_SRC)
     st.mem.cells[BOUND_ADDR] = 16
-
-    def victim():
-        st.pc = 0
-        st.regs[1] = BOUND_ADDR
-        st.regs[2] = 64
-        st.regs[7] = ORACLE_BASE + SPEC_LOAD_LINE * LINE_SIZE
-        run(prog, st, profile)
-
     st.mem.invalidate_line(BOUND_ADDR)
-    probe = _attack_probe(st, profile, victim)
-    hit = probe.single_hit()
-    return _outcome("V1", profile, scenario, (SPEC_LOAD_LINE,), [hit], probe)
+    regs = {1: BOUND_ADDR, 2: 64, 7: ORACLE_BASE + SPEC_LOAD_LINE * LINE_SIZE}
+    probe = _attack_probe(st, profile, _victim(_SPEC_LOAD_SRC), regs)
+    return _outcome("V1", profile, scenario, (SPEC_LOAD_LINE,), [probe])
 
 
 def run_spectre_rsb(
@@ -369,28 +364,12 @@ def run_spectre_rsb(
     st = make_machine(profile, seed)
     prog = _victim(_RSB_SRC.format(payload="LD r5, [r4+0]"))
     st.benign_return_pc = _RSB_DONE_PC
-    for k, byte in enumerate(secret):
-        st.mem.cells[SECRET_BASE + k * LINE_SIZE] = byte
-
-    recovered = []
-    probe = None
-    for k, byte in enumerate(secret):
-        secret_addr = SECRET_BASE + k * LINE_SIZE
-        if scenario.secret_location is SecretLocation.L1:
-            st.mem.fill(secret_addr)
-        else:
-            st.mem.invalidate_line(secret_addr)
-
-        def victim():
-            st.pc = 0
-            st.regs[4] = secret_addr
-            st.regs[8] = ORACLE_BASE
-            st.regs[15] = STACK_TOP
-            run(prog, st, profile)
-
-        probe = _attack_probe(st, profile, victim)
-        recovered.append(probe.single_hit())
-    return _outcome("RSB", profile, scenario, tuple(secret), recovered, probe)
+    probes = []
+    for secret_addr in _plant(st, SECRET_BASE, secret):
+        _place_secret(st, secret_addr, scenario.secret_location)
+        regs = {4: secret_addr, 8: ORACLE_BASE, 15: STACK_TOP}
+        probes.append(_attack_probe(st, profile, prog, regs))
+    return _outcome("RSB", profile, scenario, secret, probes)
 
 
 def run_meltdown_v3(
@@ -407,24 +386,11 @@ def run_meltdown_v3(
     st.privilege = Privilege.USER
     st.recovery_pc = _V3_RECOVERY_PC
     st.mem.pages.set_privileged(KERNEL_BASE, True)
-    for k, byte in enumerate(secret):
-        st.mem.cells[KERNEL_BASE + k * LINE_SIZE] = byte
-
-    recovered = []
-    probe = None
-    for k, byte in enumerate(secret):
-        secret_addr = KERNEL_BASE + k * LINE_SIZE
+    probes = []
+    for secret_addr in _plant(st, KERNEL_BASE, secret):
         st.mem.fill(secret_addr)  # classic setup: the kernel touched it recently
-
-        def victim():
-            st.pc = 0
-            st.regs[1] = secret_addr
-            st.regs[8] = ORACLE_BASE
-            run(prog, st, profile)
-
-        probe = _attack_probe(st, profile, victim)
-        recovered.append(probe.single_hit())
-    return _outcome("V3", profile, None, tuple(secret), recovered, probe)
+        probes.append(_attack_probe(st, profile, prog, {1: secret_addr, 8: ORACLE_BASE}))
+    return _outcome("V3", profile, None, secret, probes)
 
 
 def run_meltdown_v3a(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
@@ -437,16 +403,8 @@ def run_meltdown_v3a(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     st.benign_return_pc = _RSB_DONE_PC
     st.privilege = Privilege.USER
     st.sysregs[SYSREG_ID] = SYSREG_TEST_VALUE
-
-    def victim():
-        st.pc = 0
-        st.regs[8] = ORACLE_BASE
-        st.regs[15] = STACK_TOP
-        run(prog, st, profile)
-
-    probe = _attack_probe(st, profile, victim)
-    hit = probe.single_hit()
-    return _outcome("V3a", profile, None, (SYSREG_TEST_VALUE,), [hit], probe)
+    probe = _attack_probe(st, profile, prog, {8: ORACLE_BASE, 15: STACK_TOP})
+    return _outcome("V3a", profile, None, (SYSREG_TEST_VALUE,), [probe])
 
 
 def run_spectre_v4(
@@ -463,30 +421,16 @@ def run_spectre_v4(
     prog = _victim(_V4_SRC)
     st.mem.cells[DELAY_CELL] = POINTER_SLOT
     st.mem.cells[PUBLIC_CELL] = 256  # dereferences to a line outside the oracle
-    for k, byte in enumerate(secret):
-        st.mem.cells[SECRET_BASE + k * LINE_SIZE] = byte
-
-    recovered = []
-    probe = None
-    for k, byte in enumerate(secret):
-        secret_addr = SECRET_BASE + k * LINE_SIZE
+    regs = {1: DELAY_CELL, 2: POINTER_SLOT, 6: PUBLIC_CELL, 11: ORACLE_BASE}
+    probes = []
+    for secret_addr in _plant(st, SECRET_BASE, secret):
         st.mem.cells[POINTER_SLOT] = secret_addr  # stale pointer, victim-visible
         st.mem.fill(POINTER_SLOT)
         st.mem.fill(secret_addr)
         st.mem.fill(PUBLIC_CELL)
         st.mem.invalidate_line(DELAY_CELL)
-
-        def victim():
-            st.pc = 0
-            st.regs[1] = DELAY_CELL
-            st.regs[2] = POINTER_SLOT
-            st.regs[6] = PUBLIC_CELL
-            st.regs[11] = ORACLE_BASE
-            run(prog, st, profile)
-
-        probe = _attack_probe(st, profile, victim)
-        recovered.append(probe.single_hit())
-    return _outcome("V4", profile, None, tuple(secret), recovered, probe)
+        probes.append(_attack_probe(st, profile, prog, regs))
+    return _outcome("V4", profile, None, secret, probes)
 
 
 def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
@@ -507,11 +451,8 @@ def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     # phase 1: architecturally return into the gadget to seed the target buffer
     st.mem.cells[_UNDERFLOW_PRIME_SLOT] = _UNDERFLOW_GADGET_PC
     st.mem.fill(_UNDERFLOW_PRIME_SLOT)
-    st.pc = _UNDERFLOW_RET_PC
-    st.regs[4] = SECRET_BASE
-    st.regs[8] = TRAIN_ORACLE_BASE
-    st.regs[15] = _UNDERFLOW_PRIME_SLOT
-    run(prog, st, profile)
+    regs = {4: SECRET_BASE, 8: TRAIN_ORACLE_BASE, 15: _UNDERFLOW_PRIME_SLOT}
+    _run_from(st, profile, prog, regs, pc=_UNDERFLOW_RET_PC)
 
     # phase 2: plant the drain chain: one self-slot per stack entry a refill
     # could install, then the seeded site, then the benign final target
@@ -525,41 +466,16 @@ def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
         st.mem.fill(STACK_TOP + off)  # drains resolve fast
     st.mem.fill(SECRET_BASE)
     st.rsb = Rsb(profile.rsb_size)  # the victim context starts with an empty stack
+    st.mem.invalidate_line(attack_slot)  # the seeded site resolves slowly
 
-    def victim():
-        st.mem.invalidate_line(attack_slot)  # the seeded site resolves slowly
-        st.pc = 0  # enter through the context-switch point
-        st.regs[4] = SECRET_BASE
-        st.regs[8] = ORACLE_BASE
-        st.regs[15] = STACK_TOP
-        run(prog, st, profile)
-
-    probe = _attack_probe(st, profile, victim)
-    hit = probe.single_hit()
-    return _outcome("RSB", profile, None, (secret,), [hit], probe)
+    # the victim enters through the context-switch point
+    probe = _attack_probe(st, profile, prog, {4: SECRET_BASE, 8: ORACLE_BASE, 15: STACK_TOP})
+    return _outcome("RSB", profile, None, (secret,), [probe])
 
 
 # -- the susceptibility matrix ---------------------------------------------------
 
 MATRIX_PROFILES = ("cortex_a53", "cortex_a8", "cortex_a9", "cortex_a72", "intel_i7")
-
-_CM = WindowTrigger.CACHE_MISS
-_PF = WindowTrigger.PAGE_FAULT
-_L1 = SecretLocation.L1
-_MM = SecretLocation.MAIN_MEMORY
-
-MATRIX_CELLS = (
-    "spec-load",
-    "v1-cache-miss-l1",
-    "v1-cache-miss-mem",
-    "v1-page-fault-l1",
-    "v1-page-fault-mem",
-    "rsb-l1",
-    "rsb-mem",
-    "v3",
-    "v3a",
-    "v4",
-)
 
 # Golden susceptibility per cell and profile.
 EXPECTED_SUSCEPTIBILITY = {
@@ -575,19 +491,18 @@ EXPECTED_SUSCEPTIBILITY = {
     "v4":                {"cortex_a53": False, "cortex_a8": False, "cortex_a9": False, "cortex_a72": True,  "intel_i7": True},
 }
 
+MATRIX_CELLS = tuple(EXPECTED_SUSCEPTIBILITY)
+
 
 def _run_cell(cell: str, profile, secret: bytes, seed: int) -> AttackOutcome:
+    location = SecretLocation.L1 if cell.endswith("-l1") else SecretLocation.MAIN_MEMORY
     if cell == "spec-load":
-        return _run_spec_load(
-            _resolve_profile(profile), Scenario(WindowTrigger.SPECULATIVE_LOAD), seed
-        )
+        return run_spectre_v1(profile, Scenario(WindowTrigger.SPECULATIVE_LOAD), secret, seed)
     if cell.startswith("v1-"):
-        trigger = _CM if "cache-miss" in cell else _PF
-        location = _L1 if cell.endswith("-l1") else _MM
+        trigger = WindowTrigger.CACHE_MISS if "cache-miss" in cell else WindowTrigger.PAGE_FAULT
         return run_spectre_v1(profile, Scenario(trigger, location), secret, seed)
     if cell.startswith("rsb-"):
-        location = _L1 if cell.endswith("-l1") else _MM
-        return run_spectre_rsb(profile, Scenario(_CM, location), secret, seed)
+        return run_spectre_rsb(profile, Scenario(WindowTrigger.CACHE_MISS, location), secret, seed)
     if cell == "v3":
         return run_meltdown_v3(profile, secret, seed)
     if cell == "v3a":
