@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 NUM_REGS = 16
-SP = 15  # conventional stack pointer
 NUM_SYSREGS = 16
 
 
@@ -84,9 +83,6 @@ class SysReg:
         return f"s{self.index}"
 
 
-Operand = "Reg | Imm | Mem | LabelRef | SysReg"
-
-
 @dataclass(frozen=True)
 class Instruction:
     opcode: Opcode
@@ -102,7 +98,6 @@ class Instruction:
 class Program:
     instructions: tuple
     labels: dict
-    entry: int = 0
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -260,7 +255,7 @@ def assemble(text: str) -> Program:
         )
         instructions.append(Instruction(opcode, operands))
 
-    program = Program(tuple(instructions), labels, entry=0)
+    program = Program(tuple(instructions), labels)
     _check_termination(program)
     return program
 
@@ -290,98 +285,3 @@ def disassemble(program: Program) -> str:
         lines.append(f"    {instr}")
     return "\n".join(lines) + "\n"
 
-
-@dataclass
-class ValidationReport:
-    findings: list
-    max_call_depth: int | None  # None = recursion, depth unbounded
-    privileged_opcodes: list
-    unreachable: list
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-
-def _function_extent(program: Program, start: int) -> range:
-    """Instructions from `start` until the first RET or HALT (inclusive)."""
-    for idx in range(start, len(program)):
-        if program.instructions[idx].opcode in (Opcode.RET, Opcode.HALT):
-            return range(start, idx + 1)
-    return range(start, len(program))
-
-
-def _call_depth(program: Program, start: int, visiting: tuple) -> int | None:
-    if start in visiting:
-        return None  # recursive chain, unbounded
-    deepest = 0
-    for idx in _function_extent(program, start):
-        instr = program.instructions[idx]
-        if instr.opcode is Opcode.CALL:
-            sub = _call_depth(program, instr.operands[0].target, visiting + (start,))
-            if sub is None:
-                return None
-            deepest = max(deepest, 1 + sub)
-    return deepest
-
-
-def validate(
-    program: Program,
-    rsb_size: int | None = None,
-    flush_privileged: bool = False,
-) -> ValidationReport:
-    """Static checks: call-depth estimate, privileged opcodes, unreachable code.
-
-    Report only; nothing here blocks execution.
-    """
-    findings: list = []
-
-    depth = _call_depth(program, program.entry, ())
-    if depth is None:
-        findings.append("recursive CALL chain: static depth unbounded")
-    elif rsb_size is not None and depth > rsb_size:
-        findings.append(
-            f"static CALL depth {depth} exceeds RSB capacity {rsb_size}; "
-            "returns past that depth will mispredict"
-        )
-
-    privileged = []
-    for idx, instr in enumerate(program.instructions):
-        if instr.opcode is Opcode.MRS:
-            privileged.append((idx, Opcode.MRS.value))
-        elif instr.opcode is Opcode.FLUSH and flush_privileged:
-            privileged.append((idx, Opcode.FLUSH.value))
-    if privileged:
-        findings.append(
-            "privileged opcodes present: "
-            + ", ".join(f"{name}@{idx}" for idx, name in privileged)
-        )
-
-    reachable = set()
-    stack = [program.entry]
-    while stack:
-        idx = stack.pop()
-        if idx in reachable or idx >= len(program):
-            continue
-        reachable.add(idx)
-        instr = program.instructions[idx]
-        if instr.opcode in (Opcode.HALT, Opcode.RET):
-            continue
-        if instr.opcode is Opcode.BGE:
-            stack.append(instr.operands[0].target)
-            stack.append(idx + 1)
-        elif instr.opcode is Opcode.CALL:
-            stack.append(instr.operands[0].target)
-            stack.append(idx + 1)  # continuation after the callee returns
-        else:
-            stack.append(idx + 1)
-    unreachable = sorted(set(range(len(program))) - reachable)
-    if unreachable:
-        findings.append(f"unreachable instructions: {unreachable}")
-
-    return ValidationReport(
-        findings=findings,
-        max_call_depth=depth,
-        privileged_opcodes=privileged,
-        unreachable=unreachable,
-    )

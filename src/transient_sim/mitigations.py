@@ -31,16 +31,6 @@ class MitigationSet:
         if self.pmu_noise_amplitude < 0:
             raise ValueError("pmu_noise_amplitude must be >= 0")
 
-    @property
-    def any_active(self) -> bool:
-        return (
-            self.privileged_flush
-            or self.pmu_noise_amplitude > 0
-            or self.rsb_flush_on_cs
-            or self.rsb_refill_on_cs
-            or self.btb_fallback_disabled
-        )
-
 
 def apply_mitigations(profile: "CpuProfile", mitigations: MitigationSet) -> "CpuProfile":
     """Pure: returns a copy of the profile with the countermeasures active."""

@@ -161,11 +161,3 @@ def test_reference_interpreter_rejects_runaway_programs():
     with pytest.raises(RuntimeError, match="exceeded"):
         run_reference(prog, RefState(regs=[0] * 15 + [0x8000]), max_steps=500)
 
-
-def test_generated_programs_assemble_and_validate():
-    from transient_sim.isa import validate
-
-    for seed in (1, 2, 3):
-        gen = generate_program(random.Random(seed))
-        report = validate(gen.program)
-        assert report.max_call_depth is not None  # generator never recurses

@@ -1,4 +1,4 @@
-"""Assembler round trips, operand parsing, and static validation."""
+"""Assembler round trips and operand parsing."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from transient_sim.isa import (
     SysReg,
     assemble,
     disassemble,
-    validate,
 )
 
 KITCHEN_SINK = """
@@ -136,46 +135,3 @@ def test_trailing_yield_accepted_instead_of_halt():
     prog = assemble("    NOP\n    YIELD\n")
     assert prog.instructions[-1].opcode is Opcode.YIELD
 
-
-class TestValidate:
-    def test_clean_program(self):
-        report = validate(assemble("    NOP\n    HALT\n"))
-        assert report.clean
-        assert report.max_call_depth == 0
-
-    def test_call_depth_counted(self):
-        prog = assemble(
-            "    CALL a\n    HALT\na:\n    CALL b\n    RET\nb:\n    RET\n"
-        )
-        assert validate(prog).max_call_depth == 2
-
-    def test_recursion_flagged_as_unbounded(self):
-        prog = assemble("    CALL a\n    HALT\na:\n    CALL a\n    RET\n")
-        report = validate(prog)
-        assert report.max_call_depth is None
-        assert any("recursive" in f for f in report.findings)
-
-    def test_depth_beyond_rsb_capacity_flagged(self):
-        lines = ["    CALL f0", "    HALT"]
-        for k in range(6):
-            lines += [f"f{k}:", f"    CALL f{k + 1}", "    RET"]
-        lines += ["f6:", "    RET"]
-        prog = assemble("\n".join(lines) + "\n")
-        report = validate(prog, rsb_size=4)
-        assert report.max_call_depth == 7
-        assert any("exceeds RSB capacity" in f for f in report.findings)
-
-    def test_privileged_opcodes_reported(self):
-        prog = assemble("    MRS r1, s0\n    FLUSH [r2]\n    HALT\n")
-        assert validate(prog).privileged_opcodes == [(0, "MRS")]
-        both = validate(prog, flush_privileged=True)
-        assert (1, "FLUSH") in both.privileged_opcodes
-
-    def test_unreachable_code_reported(self):
-        prog = assemble("    HALT\n    NOP\n    NOP\n")
-        report = validate(prog)
-        assert report.unreachable == [1, 2]
-
-    def test_branch_both_edges_reachable(self):
-        prog = assemble("    BGE end\n    NOP\nend:\n    HALT\n")
-        assert validate(prog).unreachable == []

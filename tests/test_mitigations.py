@@ -52,10 +52,6 @@ class TestMitigationSet:
         with pytest.raises(ValueError):
             MitigationSet(pmu_noise_amplitude=-1)
 
-    def test_any_active_flag(self):
-        assert not MitigationSet().any_active
-        assert MitigationSet(btb_fallback_disabled=True).any_active
-
     def test_apply_is_pure(self):
         base = get_profile("intel_i7")
         armored = apply_mitigations(base, MitigationSet(privileged_flush=True))
