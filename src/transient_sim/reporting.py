@@ -7,7 +7,7 @@ same bytes, so suite runs can be diffed and CI-gated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .attacks import (
     EXPECTED_SUSCEPTIBILITY,
@@ -24,7 +24,6 @@ class SuiteReport:
 
     results: dict  # cell -> profile name -> AttackOutcome
     seed: int
-    golden: dict = field(default_factory=lambda: EXPECTED_SUSCEPTIBILITY)
 
     @property
     def susceptibility(self) -> dict:
@@ -93,7 +92,7 @@ def _matrix_rows(report: SuiteReport):
     sus = report.susceptibility
     for cell in sus:
         for prof, actual in sus[cell].items():
-            expected = report.golden.get(cell, {}).get(prof)
+            expected = EXPECTED_SUSCEPTIBILITY.get(cell, {}).get(prof)
             yield cell, prof, _yn(bool(expected)), _yn(actual)
 
 
