@@ -754,21 +754,24 @@ class _Engine:
                 self._hold(op, forward)
                 return
             op.mem_addr = addr
+            op.value = addr + 8
             if forward is not None:
                 op.actual_next = _value(forward.store_data_src)
                 latency = lat.l1_hit
             else:
                 try:
                     self.mem.check_access(addr, state.privilege)
-                except (PageFault, PrivilegeFault):
-                    self.abort = f"return address fetch faulted at {addr:#x}"
+                except (PageFault, PrivilegeFault) as exc:
+                    # raised when the return retires, so a return on a wrong
+                    # path is squashed with it; it has no target to resolve to
+                    op.resolved = True
+                    self._issue_faulting(op, "page" if isinstance(exc, PageFault) else "privilege", 1)
                     return
                 level = self.mem.fill(addr)
                 latency = self.mem.latency_for(level)
                 op.fill_addr = addr
                 op.fill_complete = self.cycle + latency
                 op.actual_next = self.mem.cells.get(addr, 0)
-            op.value = addr + 8
             self._finish_issue(op, latency + profile.return_resolve_extra)
             heapq.heappush(self.resolutions, (op.complete, op.seq, op))
         else:  # NOP, FENCE, YIELD, HALT

@@ -299,6 +299,48 @@ class TestFaultHandling:
         assert not trace.halted
         assert trace.abort is not None and "fault" in trace.abort
 
+    @pytest.mark.parametrize("recovery_pc", [None, 3])
+    def test_transient_return_with_a_faulting_stack_read_is_squashed(self, recovery_pc):
+        prof, st = _machine("intel_i7", privilege=Privilege.USER, recovery_pc=recovery_pc)
+        st.pht.counters[2] = 3  # BGE at pc 2 predicted taken, into the RET
+        st.regs[15] = 0x9000
+        st.mem.pages.set_privileged(0x9000, True)
+        prog = assemble("    MOVI r1, 1\n    CMP r1, 5\n    BGE t\n    HALT\nt:\n    RET\n")
+        trace = run(prog, st, prof)
+        assert trace.mispredicts == 1
+        assert trace.halted and trace.abort is None
+        assert st.pc == 3 and st.regs[15] == 0x9000
+
+    # the RET at pc 0 reads its target from a privileged or an unmapped page;
+    # the return stack predicts pc 1, which must never retire
+    RET_THROUGH = "    RET\n    MOVI r2, 9\n    MOVI r3, 1\n    HALT\n"
+
+    def _ret_through(self, name, page, recovery_pc):
+        prof, st = _machine(name, privilege=Privilege.USER, recovery_pc=recovery_pc)
+        st.rsb.push(1)
+        st.regs[15] = 0x9000
+        if page == "privilege":
+            st.mem.pages.set_privileged(0x9000, True)
+        else:
+            st.mem.pages.set_mapped(0x9000, False)
+        return st, run(assemble(self.RET_THROUGH), st, prof)
+
+    @pytest.mark.parametrize("page", ["privilege", "page"])
+    @pytest.mark.parametrize("name", ["cortex_a53", "intel_i7"])
+    def test_architectural_return_fault_redirects_to_recovery(self, name, page):
+        st, trace = self._ret_through(name, page, recovery_pc=2)
+        assert trace.halted and trace.abort is None
+        assert (st.regs[2], st.regs[3], st.regs[15]) == (0, 1, 0x9000)
+        assert any(kind == "fault" and "(retired)" in t for _c, kind, t, _a in trace.events)
+
+    @pytest.mark.parametrize("page", ["privilege", "page"])
+    @pytest.mark.parametrize("name", ["cortex_a53", "intel_i7"])
+    def test_architectural_return_fault_without_recovery_aborts(self, name, page):
+        st, trace = self._ret_through(name, page, recovery_pc=None)
+        assert not trace.halted
+        assert trace.abort == f"unhandled {page} fault at pc 0"
+        assert st.regs[2] == 0
+
     def test_kernel_mrs_reads_sysreg(self):
         prof, st = _machine("intel_i7")
         st.sysregs[3] = 0xAB
