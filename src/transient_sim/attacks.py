@@ -242,18 +242,19 @@ def _outcome(
     variant: str,
     profile: CpuProfile,
     scenario: Scenario | None,
-    expected,
+    expected: tuple | bytes,
     probes: list,
 ) -> AttackOutcome:
     """One recovered value per probe; the last probe's latencies are kept."""
+    expected = tuple(expected)
     recovered = tuple(probe.single_hit() for probe in probes)
     return AttackOutcome(
         variant=variant,
         profile=profile.name,
         scenario=scenario,
-        success=recovered == tuple(expected),
+        success=recovered == expected,
         recovered=recovered,
-        expected=tuple(expected),
+        expected=expected,
         probe_latencies=probes[-1].latencies if probes else (),
     )
 
