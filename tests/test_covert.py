@@ -1,5 +1,7 @@
 """Return-stack covert channel: cost law, fidelity, noise scaling, leak shape."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -261,3 +263,40 @@ class TestReporting:
         )
         assert len(report.latencies) == report.symbols_sent
         assert all(len(row) == 4 for row in report.latencies)  # 2^2 probe lines
+
+
+# Every width on the two cores that carry the channel and the two that do
+# not, counter noise, interlopers, each RSB hook, an aborting receiver, fill
+# depths below and above the RSB size, and a misplaced gadget.
+PINNED_PAYLOAD = bytes(random.Random(5).randrange(256) for _ in range(48))
+REPORTS_SHA256 = "19b3da4819beadd35a66d48d90a210c1acd2e862e0d2876e0fd16c48b3701c52"
+
+
+def _pinned_channel_runs():
+    for name in ("intel_i7", "cortex_a72", "cortex_a9", "cortex_a53"):
+        for bits in range(1, 7):
+            yield get_profile(name), ChannelConfig(bits_per_cs=bits), GADGET_BASE
+    yield I7, ChannelConfig(bits_per_cs=3, noise_probability=0.05), GADGET_BASE
+    for mit in (
+        MitigationSet(rsb_flush_on_cs=True),
+        MitigationSet(rsb_refill_on_cs=True),
+        MitigationSet(pmu_noise_amplitude=40),
+        MitigationSet(privileged_flush=True),
+    ):
+        yield I7.with_overrides(mitigations=mit), ChannelConfig(bits_per_cs=3), GADGET_BASE
+    for depth in (3, 40):
+        yield I7, ChannelConfig(bits_per_cs=3, rsb_fill_depth=depth), GADGET_BASE
+    yield I7, ChannelConfig(bits_per_cs=3), GADGET_BASE + LINE_BYTES
+
+
+def test_channel_report_bytes_are_unchanged():
+    # every report field, the decoded bytes and each probe latency
+    digest = hashlib.sha256()
+    for profile, cfg, gadget_base in _pinned_channel_runs():
+        report = run_channel(
+            profile, cfg, PINNED_PAYLOAD, seed=3, gadget_base=gadget_base,
+            record_latencies=True,
+        )
+        digest.update(report.to_json().encode() + b"\n")
+        digest.update(json.dumps(report.latencies).encode() + b"\n")
+    assert digest.hexdigest() == REPORTS_SHA256
