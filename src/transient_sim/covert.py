@@ -20,7 +20,7 @@ immediately never land the signal and read as all-erasure.
 Per-symbol cycle accounting is fixed by construction:
 
     cost(b) = 2 * context_switch_cost
-            + 2 * rsb_fill_depth          (sender pushes)
+            + 2 * rsb_fill_depth          (sender pushes; host work stays O(rsb_size))
             + probe_cost_per_line * 2**b  (receiver flush+reload)
 
 so channel bandwidth is b / cost(b) bits per cycle.
@@ -208,11 +208,9 @@ def unpack_symbols(symbols: list[int], bits_per_cs: int, byte_count: int) -> byt
 
 
 def sender_inject(state: MachineState, symbol: int, depth: int) -> None:
-    """Sender timeslice: stuff the top `depth` RSB entries with the gadget
-    address encoding `symbol`, then yield."""
-    target = gadget_address(symbol)
-    for _ in range(depth):
-        state.rsb.push(target)
+    """Sender timeslice: push the gadget address encoding `symbol` `depth`
+    times, in one bulk step however deep, then yield."""
+    state.rsb.push_many(gadget_address(symbol), depth)
 
 
 def _window_admits(profile: CpuProfile) -> bool:

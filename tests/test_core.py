@@ -1,5 +1,6 @@
 """Pipeline engine behavior: predictors, speculation, squash policies, retirement."""
 
+import copy
 import random
 
 import pytest
@@ -89,6 +90,46 @@ class TestRsb:
         assert rsb.count == 0 and rsb.snapshot() == []
         rsb.refill(7)
         assert rsb.snapshot() == [7, 7, 7]
+
+    @staticmethod
+    def _seeded(size, start, seed):
+        """An RSB after a seeded history: untouched, pushed and popped back
+        to empty (stale slots left behind), partly full, or wrapped past its
+        size with a few entries popped again."""
+        rng = random.Random(seed)
+        rsb = Rsb(size)
+        pushes, pops = {
+            "fresh": (0, 0),
+            "empty": (rng.randint(1, 2 * size), None),
+            "partly-full": (rng.randint(1, size - 1), 0),
+            "wrapped": (size + rng.randint(1, size), rng.randint(0, 2)),
+        }[start]
+        for _ in range(pushes):
+            rsb.push(rng.randrange(1, 1 << 20))
+        for _ in range(rsb.count if pops is None else pops):
+            rsb.pop(RsbUnderflow.STOP_PREDICTING)
+        return rsb
+
+    @pytest.mark.parametrize("size", [4, 8, 16])
+    @pytest.mark.parametrize("start", ["fresh", "empty", "partly-full", "wrapped"])
+    def test_push_many_matches_repeated_push(self, size, start):
+        btb = Btb()
+        btb.update(90, 0xB7B)
+        for seed in range(3):
+            for n in range(2 * size + 2):
+                bulk, loop = self._seeded(size, start, seed), self._seeded(size, start, seed)
+                bulk.push_many(0xABC, n)
+                for _ in range(n):
+                    loop.push(0xABC)
+                # ring-buffer underflow reads stale slots, so every slot counts
+                assert (bulk.entries, bulk.top, bulk.count) == (loop.entries, loop.top, loop.count)
+                assert bulk.snapshot() == loop.snapshot()
+                for mode in RsbUnderflow:
+                    a, b = copy.deepcopy(bulk), copy.deepcopy(loop)
+                    pops = [
+                        (a.pop(mode, btb, 90), b.pop(mode, btb, 90)) for _ in range(size + 3)
+                    ]
+                    assert all(x == y for x, y in pops), (size, start, seed, n, mode)
 
 
 SHADOW_LOAD = """

@@ -12,12 +12,15 @@ from transient_sim.covert import (
     LINE_BYTES,
     ChannelConfig,
     ChannelReport,
+    gadget_address,
     pack_symbols,
     required_memory_bytes,
     run_channel,
+    sender_inject,
     sweep_bits,
     unpack_symbols,
 )
+from transient_sim.core import make_machine
 from transient_sim.mitigations import MitigationSet
 from transient_sim.profiles import SquashPolicy, get_profile
 from transient_sim.reporting import emit_report
@@ -83,6 +86,19 @@ class TestCostLaw:
         assert report.bandwidth_bits_per_cycle == pytest.approx(
             3 / closed_form_cost(I7, cfg), rel=1e-12
         )
+
+    def test_huge_fill_depth_costs_cycles_not_host_time(self):
+        # the depth costs cycles in the law, but the RSB keeps rsb_size entries
+        depth = 10**9
+        cfg = ChannelConfig(bits_per_cs=3, rsb_fill_depth=depth)
+        report = run_channel(I7, cfg, b"HI")
+        assert report.decoded == b"HI"
+        assert report.total_cycles == report.symbols_sent * closed_form_cost(I7, cfg)
+        deep, shallow = make_machine(I7), make_machine(I7)
+        sender_inject(deep, 5, depth)
+        sender_inject(shallow, 5, I7.rsb_size)
+        assert deep.rsb.snapshot() == shallow.rsb.snapshot()
+        assert deep.rsb.snapshot() == [gadget_address(5)] * I7.rsb_size
 
     def test_explicit_fill_depth_overrides_profile(self):
         cfg = ChannelConfig(bits_per_cs=2, rsb_fill_depth=4)
