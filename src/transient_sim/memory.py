@@ -223,22 +223,23 @@ class MemorySystem:
         sets2, nsets2, ways2 = self.l2._sets, self.l2.geometry.sets, self.l2.geometry.ways
         from_l1, from_l2, from_dram = outcomes
         served = []
+        serve = served.append
         for line in range(first, first + count):
             entries = sets1[line % nsets1]
             if line in entries:
                 if entries[0] != line:
                     entries.remove(line)
                     entries.insert(0, line)
-                served.append(from_l1)
+                serve(from_l1)
                 continue
             lower = sets2[line % nsets2]
             if line in lower:
                 lower.remove(line)
-                served.append(from_l2)
+                serve(from_l2)
             else:
                 if len(lower) >= ways2:
                     lower.pop()
-                served.append(from_dram)
+                serve(from_dram)
             lower.insert(0, line)
             if len(entries) >= ways1:
                 entries.pop()
@@ -246,12 +247,15 @@ class MemorySystem:
         return served
 
     def _drop_lines(self, first: int, count: int) -> None:
-        for level in (self.l1, self.l2):
-            sets, nsets = level._sets, level.geometry.sets
-            for line in range(first, first + count):
-                entries = sets[line % nsets]
-                if line in entries:
-                    entries.remove(line)
+        sets1, nsets1 = self.l1._sets, self.l1.geometry.sets
+        sets2, nsets2 = self.l2._sets, self.l2.geometry.sets
+        for line in range(first, first + count):
+            entries = sets1[line % nsets1]
+            if entries and line in entries:
+                entries.remove(line)
+            entries = sets2[line % nsets2]
+            if entries and line in entries:
+                entries.remove(line)
 
     def invalidate_line(self, addr: int) -> None:
         """Drop a line from both levels, no privilege check (experiment plumbing)."""
@@ -334,8 +338,14 @@ class MemorySystem:
         timings = self._fill_lines(line_of(base), reached, (lat.l1_hit, lat.l2_hit, lat.dram))
         counter = self.counter
         res = counter.resolution
-        now = counter.current
         amp = counter.noise_amplitude if self.rng is not None else 0
+        if res == 1 and not amp:
+            # an exact counter measures each line's fill cost as it is
+            counter.current += sum(timings)
+            if fault is not None:
+                raise fault
+            return timings
+        now = counter.current
         draw = self.rng.randint if amp else None
         for i, cost in enumerate(timings):
             before = now // res * res

@@ -263,9 +263,12 @@ class TestFlushReloadPrimitive:
             (1, 4, Privilege.USER, ((2, "set_privileged"),), True),
             (1, 4, Privilege.KERNEL, ((2, "set_privileged"),), False),
             (4, 2, Privilege.KERNEL, ((1, "set_mapped"),), True),
+            (1, 0, Privilege.USER, ((2, "set_privileged"),), True),
+            (1, 0, Privilege.KERNEL, ((1, "set_mapped"),), True),
         ],
         ids=["exact", "noise", "resolution", "noise+resolution", "privileged-page-user",
-             "privileged-page-kernel", "unmapped-page"],
+             "privileged-page-kernel", "unmapped-page", "exact-privileged-page-user",
+             "exact-unmapped-page"],
     )
     def test_probe_then_flush_then_probe_matches_per_line_path(
         self, resolution, noise, privilege, pages, faults
