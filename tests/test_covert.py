@@ -265,8 +265,6 @@ class TestReporting:
         assert first[0] == "1" and first[3] == "128"
 
     def test_report_dict_is_json_ready(self):
-        import json
-
         report = run_channel(I7, ChannelConfig(bits_per_cs=3), b"HI")
         payload = report.to_dict()
         json.dumps(payload)  # no exotic keys or values
