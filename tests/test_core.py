@@ -540,14 +540,18 @@ _STATE_PROGRAMS = _DIGEST_PROGRAMS + (
 )
 
 
-def _digest_runs(programs=_DIGEST_PROGRAMS, names=None):
+def _digest_runs(programs=_DIGEST_PROGRAMS, names=None, mitigations=None):
     """(core name, final machine state, trace) of each program on each core,
-    or on the named cores only."""
+    or on the named cores only, under the given mitigations if any."""
     from transient_sim.profiles import PROFILES
 
     for name in names or sorted(PROFILES):
         for source, privilege, recovery_pc, setup in programs:
-            prof, st = _machine(name, privilege=privilege, recovery_pc=recovery_pc)
+            prof = get_profile(name)
+            if mitigations is not None:
+                prof = prof.with_overrides(mitigations=mitigations)
+            st = make_machine(prof)
+            st.privilege, st.recovery_pc = privilege, recovery_pc
             st.regs[14] = DATA
             st.regs[15] = 0x8000
             if setup is not None:
@@ -564,9 +568,9 @@ def _state_text(st):
     ))
 
 
-def _digest_traces():
+def _digest_traces(runs=None):
     logs, payloads = [], []
-    for _name, _st, trace in _digest_runs():
+    for _name, _st, trace in runs if runs is not None else _digest_runs():
         logs.extend(trace.log_lines())
         payloads.append(trace.to_json())
     return logs, payloads
@@ -577,6 +581,7 @@ class TestTraceBytes:
 
     LOG_SHA256 = "9f95a71756c98720f4396a452bd54976b196b63a6d982f6de6a5aee2f92463c2"
     JSON_SHA256 = "1eb1af96feac28e5b1861294c1d5c3a36d8e8245b0e02e25b77e6ab779b3e7c5"
+    LOOP_AND_MITIGATED_SHA256 = "eb89ca0b1083f001efbd18ca6081ecba1b6f0da49917240c4e228001b8c89230"
     STATE_SHA256 = {
         "cortex_a53": "60a2de897f2821fbae4d8ab6966746970b62872c7918704e17471d2fe193d0e0",
         "cortex_a72": "533a92abf90bc89589dffe13ec167d7f8ba4c66b0519c159176f65f077b5ea6b",
@@ -623,6 +628,31 @@ class TestTraceBytes:
             for name, texts in states.items()
         }
         assert digests == self.STATE_SHA256
+
+    def test_loop_and_mitigated_trace_bytes_are_unchanged(self):
+        # the long windows on every core, and every event kind under the
+        # return-stack refill, a disabled target-buffer fallback, a noisy
+        # cycle counter and privileged flushes
+        import hashlib
+        import itertools
+
+        from transient_sim.mitigations import MitigationSet
+
+        armored = MitigationSet(
+            privileged_flush=True, pmu_noise_amplitude=40,
+            rsb_refill_on_cs=True, btb_fallback_disabled=True,
+        )
+        user_flush = (
+            "    FLUSH [r14]\n    LD r1, [r14]\n    ADD r2, r1, 1\n    HALT\n",
+            Privilege.USER, 3, None,
+        )
+        runs = itertools.chain(
+            _digest_runs(_STATE_PROGRAMS[len(_DIGEST_PROGRAMS):]),
+            _digest_runs(_DIGEST_PROGRAMS + (user_flush,), ["intel_i7", "cortex_a72"], armored),
+        )
+        logs, payloads = _digest_traces(runs)
+        text = "\n".join(logs) + "\n" + "\n".join(payloads)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.LOOP_AND_MITIGATED_SHA256
 
 
 # A counted loop with a fence and a yield in its body, so both stall points
