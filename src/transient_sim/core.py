@@ -60,6 +60,8 @@ from .profiles import (
 
 FLAGS = 16  # pseudo-register written by CMP, read by BGE
 _INF = 1 << 62
+# read a register and then a register or an immediate, the last two operands
+_ARITH = (Opcode.ADD, Opcode.SHL, Opcode.AND, Opcode.CMP)
 
 DEFAULT_SEED = 7
 
@@ -146,14 +148,11 @@ class Pht:
     def __init__(self):
         self.counters = [0] * self.SIZE  # 0 = strong not-taken
 
-    def _index(self, pc: int) -> int:
-        return pc % self.SIZE
-
     def predict(self, pc: int) -> bool:
-        return self.counters[self._index(pc)] >= 2
+        return self.counters[pc % self.SIZE] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        i = self._index(pc)
+        i = pc % self.SIZE
         if taken:
             self.counters[i] = min(self.counters[i] + 1, 3)
         else:
@@ -246,9 +245,6 @@ class Trace:
     halted: bool = False
     abort: str | None = None
 
-    def add(self, cycle: int, kind: str, template: str, *args) -> None:
-        self.events.append((cycle, kind, template, args))
-
     def log_lines(self) -> list:
         return [f"{cycle} {kind} {template.format(*args)}"
                 for cycle, kind, template, args in self.events]
@@ -270,7 +266,7 @@ class Trace:
 
 class _Op:
     __slots__ = (
-        "seq", "pc", "instr",
+        "seq", "pc", "instr", "name",
         "reads", "dst", "value", "prev",
         "pending", "ready", "consumers", "waiters", "squashed",
         "issued", "issue_cycle", "complete",
@@ -285,6 +281,7 @@ class _Op:
         self.seq = seq
         self.pc = pc
         self.instr = instr
+        self.name = None          # the opcode's text, for trace events
         self.reads = {}           # reg index -> source operand
         self.dst = None
         self.value = None
@@ -312,9 +309,6 @@ class _Op:
         self.fault = None
         self.fault_ready = None
 
-    def src_value(self, reg: int) -> int:
-        return _value(self.reads[reg])
-
 
 def _ready_at(src) -> int:
     """Cycle from which a source operand, a plain value or the _Op that
@@ -333,14 +327,12 @@ def _decode(instr: Instruction) -> tuple:
     """What dispatch needs of an instruction: (dst, source registers, stored
     register, memory offset, is_load, is_store, is_control)."""
     opc, ops = instr.opcode, instr.operands
-    if opc in (Opcode.ADD, Opcode.SHL, Opcode.AND):
-        srcs = (ops[1].index,) + ((ops[2].index,) if isinstance(ops[2], Reg) else ())
-        return ops[0].index, tuple(dict.fromkeys(srcs)), None, 0, False, False, False
+    if opc in _ARITH:
+        srcs = (ops[-2].index,) + ((ops[-1].index,) if isinstance(ops[-1], Reg) else ())
+        dst = FLAGS if opc is Opcode.CMP else ops[0].index
+        return dst, tuple(dict.fromkeys(srcs)), None, 0, False, False, False
     if opc in (Opcode.MOVI, Opcode.RDCYC, Opcode.MRS):
         return ops[0].index, (), None, 0, False, False, False
-    if opc is Opcode.CMP:
-        srcs = (ops[0].index,) + ((ops[1].index,) if isinstance(ops[1], Reg) else ())
-        return FLAGS, tuple(dict.fromkeys(srcs)), None, 0, False, False, False
     if opc is Opcode.LD:
         return ops[0].index, (ops[1].base,), None, ops[1].offset, True, False, False
     if opc is Opcode.ST:
@@ -354,10 +346,6 @@ def _decode(instr: Instruction) -> tuple:
     if opc is Opcode.RET:  # fetches the return address from the software stack
         return 15, (15,), None, 0, True, False, True
     return None, (), None, 0, False, False, False
-
-
-def _sign(delta: int) -> int:
-    return (delta > 0) - (delta < 0)
 
 
 class _Engine:
@@ -392,15 +380,11 @@ class _Engine:
         self.halted = False
         self.abort = None
         self.trace = Trace()
-        self.decoded: list = [None] * len(program)  # pc -> _decode(instr)
+        self.record = self.trace.events.append  # takes (cycle, kind, template, args)
+        self.end = len(program)
+        self.decoded: list = [None] * self.end  # pc -> _decode(instr) + (opcode text,)
 
     # -- helpers -------------------------------------------------------------
-
-    def _read_src(self, reg: int):
-        producer = self.rename.get(reg)
-        if producer is not None:
-            return producer
-        return self.state.flags if reg == FLAGS else self.state.regs[reg]
 
     def _redirect(self, target: int, cycle: int) -> None:
         self.fetch_pc = target
@@ -449,114 +433,117 @@ class _Engine:
                     self.trace.transient_lines.add(line_of(op.fill_addr))
                 else:
                     self.mem.invalidate_line(op.fill_addr)
-        self.trace.add(
+        self.record((
             cycle, "squash", "{} @{}: dropped {} ops, persisted transient lines {}",
-            reason, pc, len(doomed), sorted(persisted),
-        )
+            (reason, pc, len(doomed), sorted(persisted)),
+        ))
 
     # -- dispatch ------------------------------------------------------------
 
     def _dispatch(self) -> None:
-        state, profile = self.state, self.profile
-        if self.fetch_pc >= len(self.program) or self.fetch_pc < 0:
+        """Fetch the op at fetch_pc and register it with the producers it
+        waits on.  It is woken once, at its ready cycle, when the last of its
+        register sources has issued; a store is also woken when its data
+        becomes ready."""
+        pc = self.fetch_pc
+        if pc >= self.end or pc < 0:
             # fetch stalls: a wrong path is redirected when its control
             # resolves, and an architectural run-off drains the window and
             # ends the run without HALT
             self.fetch_active = False
             return
-        pc = self.fetch_pc
+        state, profile = self.state, self.profile
+        cycle, seq, rename = self.cycle, self.seq, self.rename
         instr = self.program.instructions[pc]
-        op = _Op(self.seq, pc, instr, self.cycle)
-        self.seq += 1
+        op = _Op(seq, pc, instr, cycle)
+        self.seq = seq + 1
         opc = instr.opcode
         ops = instr.operands
 
         next_pc = pc + 1
         decoded = self.decoded[pc]
         if decoded is None:
-            decoded = self.decoded[pc] = _decode(instr)
-        op.dst, srcs, data, op.mem_offset_src, op.is_load, op.is_store, op.is_control = decoded
+            decoded = self.decoded[pc] = _decode(instr) + (opc.value,)
+        (op.dst, srcs, data, op.mem_offset_src, op.is_load, op.is_store, op.is_control,
+         op.name) = decoded
+        # at dispatch no issue pass is running, so a wakeup goes on the heap
         reads = op.reads
         for reg in srcs:
-            reads[reg] = self._read_src(reg)
+            src = rename.get(reg)
+            if src is None:
+                reads[reg] = state.flags if reg == FLAGS else state.regs[reg]
+                continue
+            reads[reg] = src
+            if not src.issued:
+                src.consumers.append(op)
+                op.pending += 1
+            elif src.complete > op.ready:
+                op.ready = src.complete
+        if not op.pending:
+            heapq.heappush(self.wakeups, (op.ready, seq, op))
         if data is not None:
-            op.store_data_src = self._read_src(data)
-        if opc is Opcode.CALL:
-            op.store_data_src = pc + 1
-            state.rsb.push(pc + 1)  # speculative push, survives squash
-            next_pc = ops[0].target
-            op.predicted_next = next_pc
-            op.resolved = True  # static target, cannot mispredict
-        elif opc is Opcode.RET:
-            predicted = state.rsb.pop(
-                profile.rsb_underflow,
-                btb=state.btb,
-                ret_site=pc,
-                btb_fallback_disabled=profile.mitigations.btb_fallback_disabled,
-            )
-            if self.in_order:
-                predicted = None
-            op.predicted_next = predicted
-            if predicted is not None:
-                self.trace.add(self.cycle, "predict", "ret@{} -> {}", pc, predicted)
-                next_pc = predicted
+            src = rename.get(data)
+            if src is None:
+                op.store_data_src = state.regs[data]
             else:
-                self.fetch_active = False  # until the return resolves
-        elif opc is Opcode.BGE:
-            taken_target = ops[0].target
-            if self.in_order:
+                op.store_data_src = src
+                if not src.issued:
+                    src.waiters.append(op)
+                elif src.complete > cycle:
+                    heapq.heappush(self.wakeups, (src.complete, seq, op))
+        if op.is_control:
+            if opc is Opcode.CALL:
+                op.store_data_src = pc + 1
+                state.rsb.push(pc + 1)  # speculative push, survives squash
+                next_pc = ops[0].target
+                op.predicted_next = next_pc
+                op.resolved = True  # static target, cannot mispredict
+            elif opc is Opcode.RET:
+                predicted = state.rsb.pop(
+                    profile.rsb_underflow,
+                    btb=state.btb,
+                    ret_site=pc,
+                    btb_fallback_disabled=profile.mitigations.btb_fallback_disabled,
+                )
+                if self.in_order:
+                    predicted = None
+                op.predicted_next = predicted
+                if predicted is not None:
+                    self.record((cycle, "predict", "ret@{} -> {}", (pc, predicted)))
+                    next_pc = predicted
+                else:
+                    self.fetch_active = False  # until the return resolves
+            elif self.in_order:  # BGE
                 op.predicted_next = None
                 self.fetch_active = False  # until the branch resolves
             else:
                 taken = state.pht.predict(pc)
-                op.predicted_next = taken_target if taken else pc + 1
-                next_pc = op.predicted_next
-                self.trace.add(
-                    self.cycle, "predict", "bge@{} {} -> {}",
-                    pc, "taken" if taken else "not-taken", next_pc,
-                )
+                op.predicted_next = next_pc = ops[0].target if taken else pc + 1
+                self.record((
+                    cycle, "predict", "bge@{} {} -> {}",
+                    (pc, "taken" if taken else "not-taken", next_pc),
+                ))
 
         if op.dst is not None:
-            op.prev = self.rename.get(op.dst)
-            self.rename[op.dst] = op
+            op.prev = rename.get(op.dst)
+            rename[op.dst] = op
         self.window.append(op)
         if op.is_store:
             self.stores.append(op)
         if op.is_load:
             self.loads.append(op)
-        self._await_sources(op)
-        self.trace.add(self.cycle, "fetch", "#{} @{} {}", op.seq, pc, instr)
+        self.record((cycle, "fetch", "#{} @{} {}", (seq, pc, instr)))
 
         if opc is Opcode.HALT:
             self.fetch_active = False
-        if self.in_order or opc in (Opcode.FENCE, Opcode.YIELD):
+        if self.in_order or opc is Opcode.FENCE or opc is Opcode.YIELD:
             # nothing younger dispatches until this retires; on an in-order
             # core that holds for every op, so a deferred fault can never
             # shadow-execute its dependents
             self.drain = op
         if self.fetch_active:
             self.fetch_pc = next_pc
-        self.dispatch_ready = self.cycle + 1
-
-    def _await_sources(self, op: _Op) -> None:
-        """Register op with the producers it waits on.  It is woken once, at
-        its ready cycle, when the last of its register sources has issued; a
-        store is also woken when its data becomes ready."""
-        for src in op.reads.values():
-            if isinstance(src, _Op):
-                if not src.issued:
-                    src.consumers.append(op)
-                    op.pending += 1
-                elif src.complete > op.ready:
-                    op.ready = src.complete
-        if not op.pending:
-            self._wake(op, op.ready)
-        data = op.store_data_src
-        if isinstance(data, _Op):
-            if not data.issued:
-                data.waiters.append(op)
-            elif data.complete > self.cycle:
-                self._wake(op, data.complete)
+        self.dispatch_ready = cycle + 1
 
     # -- issue ---------------------------------------------------------------
 
@@ -564,16 +551,16 @@ class _Engine:
         """Try, in program order, every op woken for this cycle.  An op woken
         behind the cursor is tried in a further pass over the same cycle, as
         a store is once its address resolves."""
-        wakeups = self.wakeups
+        wakeups, cycle = self.wakeups, self.cycle
         due = []
-        while wakeups and wakeups[0][0] <= self.cycle:
+        while wakeups and wakeups[0][0] <= cycle:
             _, seq, op = heapq.heappop(wakeups)
             due.append((seq, op))
-        while due and not self.abort:
+        while due:
             heapq.heapify(due)
             self.this_pass, self.next_pass = due, []
             last = None
-            while due and not self.abort:
+            while due:
                 seq, op = heapq.heappop(due)
                 if seq == last or op.issued or op.squashed:
                     continue  # woken twice, or done with
@@ -613,7 +600,7 @@ class _Engine:
                 data.waiters.append(op)
 
     def _issue_load(self, op: _Op) -> None:
-        addr = op.src_value(op.instr.operands[1].base) + op.mem_offset_src
+        addr = _value(op.reads[op.instr.operands[1].base]) + op.mem_offset_src
         ready, forward = self._load_hazard(op, addr)
         if not ready:
             self._hold(op, forward)
@@ -634,7 +621,7 @@ class _Engine:
             self.mem.fill(addr)
             op.fill_addr = addr
             op.value = self.mem.cells.get(addr, 0)
-            self.trace.add(self.cycle, "fault", "demand-page @{:#x}", addr)
+            self.record((self.cycle, "fault", "demand-page @{:#x}", (addr,)))
             self._finish_issue(op, lat.page_fault)
             op.fill_complete = op.complete
             return
@@ -654,13 +641,14 @@ class _Engine:
         op.value = self.mem.cells.get(addr, 0)
         self._finish_issue(op, latency)
         op.fill_complete = op.complete
-        self.trace.add(self.cycle, "fill", "@{:#x} from {}", addr, level.value)
+        self.record((self.cycle, "fill", "@{:#x} from {}", (addr, level.value)))
 
     def _finish_issue(self, op: _Op, latency: int) -> None:
+        cycle = self.cycle
         op.issued = True
-        op.issue_cycle = self.cycle
-        op.complete = complete = self.cycle + latency
-        self.trace.add(self.cycle, "execute", "#{} @{} {}", op.seq, op.pc, op.instr.opcode.value)
+        op.issue_cycle = cycle
+        op.complete = complete = cycle + latency
+        self.record((cycle, "execute", "#{} @{} {}", (op.seq, op.pc, op.name)))
         for consumer in op.consumers:
             if consumer.squashed:
                 continue
@@ -668,7 +656,10 @@ class _Engine:
                 consumer.ready = complete
             consumer.pending -= 1
             if not consumer.pending:
-                self._wake(consumer, consumer.ready)
+                if consumer.ready > cycle:  # after this cycle: straight to the heap
+                    heapq.heappush(self.wakeups, (consumer.ready, consumer.seq, consumer))
+                else:
+                    self._wake(consumer, consumer.ready)
         for waiter in op.waiters:
             if not waiter.squashed:
                 self._wake(waiter, complete)
@@ -685,16 +676,34 @@ class _Engine:
         resolves stays unissued and is tried again in the next pass."""
         if op.pending or op.ready > self.cycle:
             return  # woken early, for its data; its sources will wake it
+        opc = op.instr.opcode
+        ops = op.instr.operands
+        if opc in _ARITH:
+            reads = op.reads
+            a = reads[ops[-2].index]
+            if a.__class__ is _Op:
+                a = a.value
+            b = ops[-1]
+            b = b.value if b.__class__ is Imm else reads[b.index]
+            if b.__class__ is _Op:
+                b = b.value
+            if opc is Opcode.ADD:
+                op.value = a + b
+            elif opc is Opcode.SHL:
+                op.value = a << (b & 63)
+            elif opc is Opcode.AND:
+                op.value = a & b
+            else:  # CMP: the sign of a - b
+                op.value = (a > b) - (a < b)
+            self._finish_issue(op, 1)
+            return
         if op.is_load:
             self.blocked.pop(op.seq, None)  # _hold parks it again if need be
         state, profile = self.state, self.profile
-        opc = op.instr.opcode
-        ops = op.instr.operands
-        lat = self.mem.lat
 
         if opc is Opcode.ST:
             if op.mem_addr is None:
-                op.mem_addr = op.src_value(ops[0].base) + op.mem_offset_src
+                op.mem_addr = _value(op.reads[ops[0].base]) + op.mem_offset_src
                 self._store_address_known(op)
                 if _ready_at(op.store_data_src) <= self.cycle:
                     self._wake(op, self.cycle)
@@ -706,25 +715,10 @@ class _Engine:
         elif opc is Opcode.MOVI:
             op.value = ops[1].value
             self._finish_issue(op, 1)
-        elif opc in (Opcode.ADD, Opcode.SHL, Opcode.AND):
-            a = op.src_value(ops[1].index)
-            b = ops[2].value if isinstance(ops[2], Imm) else op.src_value(ops[2].index)
-            if opc is Opcode.ADD:
-                op.value = a + b
-            elif opc is Opcode.SHL:
-                op.value = a << (b & 63)
-            else:
-                op.value = a & b
-            self._finish_issue(op, 1)
-        elif opc is Opcode.CMP:
-            a = op.src_value(ops[0].index)
-            b = ops[1].value if isinstance(ops[1], Imm) else op.src_value(ops[1].index)
-            op.value = _sign(a - b)
-            self._finish_issue(op, 1)
         elif opc is Opcode.LD:
             self._issue_load(op)
         elif opc is Opcode.FLUSH:
-            op.mem_addr = op.src_value(ops[0].base) + op.mem_offset_src
+            op.mem_addr = _value(op.reads[ops[0].base]) + op.mem_offset_src
             if (
                 profile.mitigations.privileged_flush
                 and state.privilege is Privilege.USER
@@ -748,20 +742,20 @@ class _Engine:
                 op.value = state.sysregs.get(idx, 0)
                 self._finish_issue(op, 1)
         elif opc is Opcode.BGE:
-            taken = op.src_value(FLAGS) >= 0
+            taken = _value(op.reads[FLAGS]) >= 0
             op.actual_next = ops[0].target if taken else op.pc + 1
             op.value = 1 if taken else 0
             self._finish_issue(op, profile.branch_resolve_extra)
             heapq.heappush(self.resolutions, (op.complete, op.seq, op))
         elif opc is Opcode.CALL:
-            old = op.src_value(15)
+            old = _value(op.reads[15])
             op.value = old - 8
             op.mem_addr = old - 8
             self._store_address_known(op)
             op.store_value = op.pc + 1
             self._finish_issue(op, 1)
         elif opc is Opcode.RET:
-            addr = op.src_value(15)
+            addr = _value(op.reads[15])
             ready, forward = self._load_hazard(op, addr)
             if not ready:
                 self._hold(op, forward)
@@ -770,7 +764,7 @@ class _Engine:
             op.value = addr + 8
             if forward is not None:
                 op.actual_next = _value(forward.store_data_src)
-                latency = lat.l1_hit
+                latency = self.mem.lat.l1_hit
             else:
                 try:
                     self.mem.check_access(addr, state.privilege)
@@ -834,12 +828,14 @@ class _Engine:
     # -- retirement ----------------------------------------------------------
 
     def _retire_effects(self, op: _Op, when: int) -> None:
+        """Everything retiring op does but write its register: raise its
+        fault, write its store, train a predictor, flush, switch or halt."""
         state, profile = self.state, self.profile
         opc = op.instr.opcode
         if op.fault:
             if op.dst is not None and self.rename.get(op.dst) is op:
                 del self.rename[op.dst]  # the register keeps its old value
-            self.trace.add(when, "fault", "#{} @{} {} (retired)", op.seq, op.pc, op.fault)
+            self.record((when, "fault", "#{} @{} {} (retired)", (op.seq, op.pc, op.fault)))
             self._squash_younger(op.seq, when, "fault", op.pc)
             if state.recovery_pc is not None:
                 self._redirect(state.recovery_pc, when)
@@ -858,45 +854,53 @@ class _Engine:
             state.btb.update(op.pc, op.actual_next)
         elif opc is Opcode.YIELD:
             context_switch(state, profile)
-            if op.pc + 1 >= len(self.program):
+            if op.pc + 1 >= self.end:
                 # a trailing yield ends the context's turn
                 self.halted = True
                 state.pc = op.pc
         elif opc is Opcode.HALT:
             self.halted = True
             state.pc = op.pc
-        if op.dst is not None:
-            if op.dst == FLAGS:
-                state.flags = op.value
-            else:
-                state.regs[op.dst] = op.value
-            if self.rename.get(op.dst) is op:
-                del self.rename[op.dst]
-
-    def _retire_at(self, op: _Op) -> int:
-        """Earliest cycle the oldest op can retire (_INF: not known yet)."""
-        if not op.issued or (op.is_control and not op.resolved):
-            return _INF
-        ready = max(op.complete, op.fault_ready) if op.fault else op.complete
-        return max(ready, self.last_retire + 1)
 
     def _retire(self) -> None:
-        while self.window:
-            op = self.window[0]
-            when = self._retire_at(op)
-            if when > self.cycle:
+        """Retire the oldest ops that can go by this cycle.  Their registers
+        are written here; _retire_effects does the rest, for the ops that do
+        more."""
+        window, cycle, rename = self.window, self.cycle, self.rename
+        retired = self.trace.retired_seqs
+        while window:
+            op = window[0]
+            if not op.issued or (op.is_control and not op.resolved):
+                return
+            when = op.complete
+            if op.fault and op.fault_ready > when:
+                when = op.fault_ready
+            if when <= self.last_retire:
+                when = self.last_retire + 1
+            if when > cycle:
                 return
             self.last_retire = when
-            self.window.popleft()
+            window.popleft()
             if op.is_store:
                 self.stores.popleft()
             if op.is_load:
                 self.loads.popleft()
             op.reads = op.prev = None  # keep no chain of retired ops alive
-            self.trace.retired_seqs.add(op.seq)
-            if not op.fault:
-                self.trace.add(when, "retire", "#{} @{} {}", op.seq, op.pc, op.instr.opcode.value)
-            self._retire_effects(op, when)
+            retired.add(op.seq)
+            if op.fault:
+                self._retire_effects(op, when)
+            else:
+                self.record((when, "retire", "#{} @{} {}", (op.seq, op.pc, op.name)))
+                dst = op.dst
+                if dst is None or op.is_store or op.is_control:
+                    self._retire_effects(op, when)
+                if dst is not None:
+                    if dst == FLAGS:
+                        self.state.flags = op.value
+                    else:
+                        self.state.regs[dst] = op.value
+                    if rename.get(dst) is op:
+                        del rename[dst]
             if op is self.drain:
                 self.drain = None
                 self.dispatch_ready = max(self.dispatch_ready, when + 1)
@@ -923,31 +927,42 @@ class _Engine:
             heapq.heappop(pending)
         if pending and pending[0][0] < best:
             best = pending[0][0]
-        if self.window:
-            best = min(best, self._retire_at(self.window[0]))
+        if self.window:  # when the oldest op can retire, as _retire works it out
+            op = self.window[0]
+            if op.issued and not (op.is_control and not op.resolved):
+                when = op.complete
+                if op.fault and op.fault_ready > when:
+                    when = op.fault_ready
+                if when <= self.last_retire:
+                    when = self.last_retire + 1
+                if when < best:
+                    best = when
         return best
 
     def run(self) -> Trace:
+        window, wakeups, resolutions = self.window, self.wakeups, self.resolutions
         while True:
-            if self.cycle > self.max_cycles:
+            cycle = self.cycle
+            if cycle > self.max_cycles:
                 self.abort = f"cycle limit {self.max_cycles} exceeded"
                 break
-            self._resolve_controls()
-            self._retire()
-            if self.halted or self.abort:
-                break
-            if self.fetch_active and self.drain is None and self.dispatch_ready <= self.cycle:
+            if resolutions and resolutions[0][0] <= cycle:
+                self._resolve_controls()
+            if window and window[0].issued:
+                self._retire()
+                if self.halted or self.abort:
+                    break
+            if self.fetch_active and self.drain is None and self.dispatch_ready <= cycle:
                 self._dispatch()
-            self._issue_ready()
-            if self.abort:
-                break
+            if wakeups and wakeups[0][0] <= cycle:
+                self._issue_ready()
             nxt = self._next_event()
             if nxt >= _INF:
-                if not self.window and not self.fetch_active:
+                if not window and not self.fetch_active:
                     self.abort = "program ended without HALT"
                     break
-                nxt = self.cycle + 1
-            self.cycle = max(nxt, self.cycle + 1)
+                nxt = cycle + 1
+            self.cycle = max(nxt, cycle + 1)
         self.trace.cycles = self.cycle
         self.trace.halted = self.halted
         self.trace.abort = self.abort
