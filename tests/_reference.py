@@ -306,12 +306,17 @@ def run_engine(gen: GeneratedProgram, profile: CpuProfile):
 
 
 def final_state_matches(gen: GeneratedProgram, profile: CpuProfile) -> tuple:
-    """(ok, detail) comparing engine and reference final architectural state."""
+    """(ok, detail) comparing engine and reference final architectural state.
+    The engine's run must also log no execute or fill of an op after its
+    squash."""
     st, trace = run_engine(gen, profile)
     if trace.abort is not None:
         return False, f"engine abort: {trace.abort}"
     if not trace.halted:
         return False, "engine did not halt"
+    late = events_after_squash(trace)
+    if late:
+        return False, f"events after their op's squash: {late}"
     ref = run_reference(gen.program, RefState(regs=list(gen.regs), mem=dict(gen.mem), sysregs=dict(gen.sysregs)))
     if st.regs != ref.regs:
         return False, f"regs differ: {st.regs} vs {ref.regs}"
