@@ -170,11 +170,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    if args.profile is not None:
+        raise ConfigError("matrix always covers every bundled core; --profile does not apply")
     cfg = experiment_config("matrix", args.config, vars(args))
     fmt = cfg.output if (args.output is not None or args.config) else "table"
-    profile_set = MATRIX_PROFILES
     secret = cfg.secret_bytes() or DEFAULT_SECRET
-    results = run_matrix(profiles=profile_set, secret=secret, seed=cfg.seed)
+    results = run_matrix(profiles=MATRIX_PROFILES, secret=secret, seed=cfg.seed)
     report = SuiteReport(results=results, seed=cfg.seed)
     sys.stdout.write(emit_report(report, fmt))
     return 0 if report.passed else 1

@@ -65,6 +65,7 @@ class TestExitCodes:
             ("mitigate", "--flags", "pmu_noise_amplitude=lots"),
             ("mitigate", "--flags", "rsb_flush_on_cs,rsb_refill_on_cs"),
             ("covert", "--emit-latency-trace", "no-such-dir/latency.csv"),
+            ("matrix", "--profile", "cortex_a9"),
         ],
     )
     def test_bad_input_is_rejected_before_any_experiment_runs(
@@ -184,6 +185,12 @@ class TestMatrixCommand:
         assert code == 0
         assert "diff against golden tables: empty" in out
         assert "Y" in out and "N" in out
+
+    def test_profile_flag_is_rejected(self, capsys):
+        # the grid always covers every bundled core, so a profile would be ignored
+        code, out, err = run_cli(capsys, "matrix", "--profile", "cortex_a9")
+        assert (code, out) == (2, "")
+        assert err == "error: matrix always covers every bundled core; --profile does not apply\n"
 
     def test_byte_identical_across_runs(self, capsys):
         code1, out1, _ = run_cli(capsys, "matrix", "--seed", "7", "--format", "json")
