@@ -186,12 +186,6 @@ class TestMatrixCommand:
         assert "diff against golden tables: empty" in out
         assert "Y" in out and "N" in out
 
-    def test_profile_flag_is_rejected(self, capsys):
-        # the grid always covers every bundled core, so a profile would be ignored
-        code, out, err = run_cli(capsys, "matrix", "--profile", "cortex_a9")
-        assert (code, out) == (2, "")
-        assert err == "error: matrix always covers every bundled core; --profile does not apply\n"
-
     def test_byte_identical_across_runs(self, capsys):
         code1, out1, _ = run_cli(capsys, "matrix", "--seed", "7", "--format", "json")
         code2, out2, _ = run_cli(capsys, "matrix", "--seed", "7", "--format", "json")
