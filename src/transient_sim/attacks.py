@@ -75,7 +75,6 @@ class Scenario:
 class ProbeResult:
     latencies: tuple
     hits: tuple
-    threshold: int
 
     def single_hit(self) -> int | None:
         return self.hits[0] if len(self.hits) == 1 else None
@@ -108,28 +107,18 @@ class AttackOutcome:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def flush_reload(
-    mem: MemorySystem,
-    oracle_base: int = ORACLE_BASE,
-    line_count: int = ORACLE_LINES,
-    victim=None,
-    threshold: int | None = None,
-    privilege: Privilege = Privilege.USER,
-    flush_is_privileged: bool = False,
-) -> ProbeResult:
-    """Three-phase probe: flush every oracle line, run the victim step, then
-    time a reload of each line.  Hit means the measured latency is below the
-    threshold (defaults to the midpoint of the L1-hit and DRAM latencies).
-    When flushes are privileged and the caller is user-mode, the flush
-    raises PrivilegedFlushError and the victim never runs."""
-    if threshold is None:
-        threshold = (mem.lat.l1_hit + mem.lat.dram) // 2
-    mem.flush_lines(oracle_base, line_count, privilege, flush_is_privileged)
-    if victim is not None:
-        victim()
-    latencies = mem.probe_lines(oracle_base, line_count, privilege)
+def flush_reload(mem: MemorySystem, victim, flush_is_privileged: bool) -> ProbeResult:
+    """Three-phase user-mode probe of the oracle: flush every oracle line, run
+    the victim step, then time a reload of each line.  Hit means the measured
+    latency is below the latencies' hit threshold.  When flushes are
+    privileged the flush raises PrivilegedFlushError and the victim never
+    runs."""
+    mem.flush_lines(ORACLE_BASE, ORACLE_LINES, Privilege.USER, flush_is_privileged)
+    victim()
+    latencies = mem.probe_lines(ORACLE_BASE, ORACLE_LINES, Privilege.USER)
+    threshold = mem.lat.hit_threshold
     hits = tuple(i for i, elapsed in enumerate(latencies) if elapsed < threshold)
-    return ProbeResult(tuple(latencies), hits, threshold)
+    return ProbeResult(tuple(latencies), hits)
 
 
 # -- victim programs -----------------------------------------------------------
@@ -278,17 +267,10 @@ def _attack_probe(st: MachineState, profile: CpuProfile, prog: Program, regs: di
     flushes restricted to privileged code the probe cannot set up, so the
     attack comes back empty-handed."""
     try:
-        return flush_reload(
-            st.mem,
-            ORACLE_BASE,
-            ORACLE_LINES,
-            victim=lambda: _run_from(st, profile, prog, regs),
-            privilege=Privilege.USER,
-            flush_is_privileged=profile.mitigations.privileged_flush,
-        )
+        return flush_reload(st.mem, lambda: _run_from(st, profile, prog, regs),
+                            profile.mitigations.privileged_flush)
     except PrivilegedFlushError:
-        threshold = (st.mem.lat.l1_hit + st.mem.lat.dram) // 2
-        return ProbeResult((), (), threshold)
+        return ProbeResult((), ())
 
 
 def _plant(st: MachineState, base: int, secret: bytes) -> list:

@@ -161,11 +161,9 @@ def _cmd_covert(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = experiment_config("sweep", args.config, vars(args))
-    # bare `sweep-bits` prints the classic CSV; an explicit choice wins
-    fmt = cfg.output if (args.output is not None or args.config) else "csv"
     profile = cfg.resolved_profile()
     reports = sweep_bits(profile, cfg.message_bytes(), seed=cfg.seed, config=cfg.channel_config())
-    sys.stdout.write(emit_report(reports, fmt))
+    sys.stdout.write(emit_report(reports, cfg.output))
     return 0
 
 
@@ -173,17 +171,17 @@ def _cmd_matrix(args) -> int:
     if args.profile is not None:
         raise ConfigError("matrix always covers every bundled core; --profile does not apply")
     cfg = experiment_config("matrix", args.config, vars(args))
-    fmt = cfg.output if (args.output is not None or args.config) else "table"
     secret = cfg.secret_bytes() or DEFAULT_SECRET
     results = run_matrix(profiles=MATRIX_PROFILES, secret=secret, seed=cfg.seed)
     report = SuiteReport(results=results, seed=cfg.seed)
-    sys.stdout.write(emit_report(report, fmt))
+    sys.stdout.write(emit_report(report, cfg.output))
     return 0 if report.passed else 1
 
 
 def _cmd_mitigate(args) -> int:
     cfg = experiment_config("mitigation-demo", args.config, vars(args))
-    flags = mitigation_set(_split_flags(args.flags))
+    # --flags adds to the config's own mitigations
+    flags = mitigation_set({**cfg.mitigations, **_split_flags(args.flags)})
     base_profile = cfg.resolved_profile()
     profile = base_profile.with_overrides(mitigations=flags)
 

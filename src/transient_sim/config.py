@@ -30,8 +30,6 @@ SEED_ENV_VAR = "TRANSIENT_SIM_SEED"
 
 EXPERIMENT_KINDS = ("attack", "covert", "sweep", "matrix", "mitigation-demo")
 VARIANTS = ("v1", "v3", "v3a", "v4", "rsb")
-SCENARIOS = ("specload", "cachemiss", "pagefault")
-SECRET_LOCS = ("l1", "dram")
 OUTPUT_FORMATS = ("json", "csv", "table")
 
 _WINDOW_TRIGGERS = {
@@ -40,6 +38,10 @@ _WINDOW_TRIGGERS = {
     "pagefault": WindowTrigger.PAGE_FAULT,
 }
 _SECRET_LOCATIONS = {"l1": SecretLocation.L1, "dram": SecretLocation.MAIN_MEMORY}
+SCENARIOS = tuple(_WINDOW_TRIGGERS)
+SECRET_LOCS = tuple(_SECRET_LOCATIONS)
+# the output a command defaults to where it is not json's
+_COMMAND_OUTPUTS = {"sweep": "csv", "matrix": "table"}
 # ExperimentConfig field -> ChannelConfig field; an unset (None) value keeps
 # ChannelConfig's own default
 _CHANNEL_FIELDS = {
@@ -185,16 +187,16 @@ def _coerce_enum(kind, value):
 
 
 def _apply_profile_overrides(prof: CpuProfile, overrides: dict) -> CpuProfile:
-    """Flat override keys: any latency field, mitigation flag, or profile
-    scalar; enum-valued fields accept their string names."""
+    """Flat override keys: any latency field or profile scalar; enum-valued
+    fields accept their string names.  Mitigation flags belong in
+    `mitigations`, which mitigation_set builds."""
     lat_changes = {}
-    mit_changes = {}
     prof_changes = {}
     for key, value in overrides.items():
         if key in _LATENCY_FIELDS:
             lat_changes[key] = value
         elif key in _MITIGATION_FIELDS:
-            mit_changes[key] = value
+            raise ConfigError(f"mitigation flag {key!r} goes in mitigations, not profile_overrides")
         elif key in _ENUM_FIELDS:
             prof_changes[key] = _coerce_enum(_ENUM_FIELDS[key], value)
         elif key in _SCALAR_FIELDS:
@@ -203,8 +205,6 @@ def _apply_profile_overrides(prof: CpuProfile, overrides: dict) -> CpuProfile:
             raise ConfigError(f"unknown profile override {key!r}")
     if lat_changes:
         prof_changes["latencies"] = dataclasses.replace(prof.latencies, **lat_changes)
-    if mit_changes:
-        prof_changes["mitigations"] = dataclasses.replace(prof.mitigations, **mit_changes)
     try:
         return prof.with_overrides(**prof_changes)
     except ValueError as exc:
@@ -268,8 +268,13 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
 
 def experiment_config(experiment: str, path: str | None, overrides: dict) -> ExperimentConfig:
     """The config file at `path` (or the defaults) run as `experiment`, with
-    every non-None override named after an ExperimentConfig field on top."""
-    cfg = load_config(path) if path else ExperimentConfig(experiment=experiment)
+    every non-None override named after an ExperimentConfig field on top.
+    Where neither the file nor an override names the output format, the
+    command prints in its own (_COMMAND_OUTPUTS)."""
+    data = _read_json(path) if path else {}
+    if experiment in _COMMAND_OUTPUTS and isinstance(data, dict):
+        data.setdefault("output", _COMMAND_OUTPUTS[experiment])
+    cfg = config_from_dict(data, source=path or "<defaults>")
     updates = {key: overrides.get(key) for key in _CONFIG_KEYS}
     updates["experiment"] = experiment
     return cfg.with_updates(**updates)
@@ -277,13 +282,16 @@ def experiment_config(experiment: str, path: str | None, overrides: dict) -> Exp
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse a JSON experiment file; errors carry the file and position."""
+    return config_from_dict(_read_json(path), source=path)
+
+
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return config_from_dict(data, source=path)

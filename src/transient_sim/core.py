@@ -271,10 +271,10 @@ class _Op:
         "pending", "ready", "consumers", "waiters", "squashed",
         "issued", "issue_cycle", "complete",
         "is_load", "is_store", "is_control",
-        "mem_addr", "mem_offset_src", "store_data_src", "store_value",
+        "mem_addr", "mem_offset_src", "store_data_src",
         "fill_addr", "fill_complete",
         "predicted_next", "actual_next", "resolved",
-        "fault", "fault_ready",
+        "fault",
     )
 
     def __init__(self, seq: int, pc: int, instr: Instruction, dispatch: int):
@@ -300,14 +300,12 @@ class _Op:
         self.mem_addr = None
         self.mem_offset_src = 0
         self.store_data_src = None  # source operand of the stored value
-        self.store_value = None
         self.fill_addr = None
         self.fill_complete = None
         self.predicted_next = None
         self.actual_next = None
         self.resolved = False
         self.fault = None
-        self.fault_ready = None
 
 
 def _ready_at(src) -> int:
@@ -668,7 +666,6 @@ class _Engine:
     def _issue_faulting(self, op: _Op, fault: str, latency: int) -> None:
         """Issue op with an exception that is raised when it retires."""
         op.fault = fault
-        op.fault_ready = self.cycle + self.mem.lat.page_fault
         self._finish_issue(op, latency)
 
     def _issue(self, op: _Op) -> None:
@@ -710,7 +707,6 @@ class _Engine:
                 return
             if _ready_at(op.store_data_src) > self.cycle:
                 return  # its data's producer wakes it
-            op.store_value = _value(op.store_data_src)
             self._finish_issue(op, 1)
         elif opc is Opcode.MOVI:
             op.value = ops[1].value
@@ -752,7 +748,6 @@ class _Engine:
             op.value = old - 8
             op.mem_addr = old - 8
             self._store_address_known(op)
-            op.store_value = op.pc + 1
             self._finish_issue(op, 1)
         elif opc is Opcode.RET:
             addr = _value(op.reads[15])
@@ -844,7 +839,7 @@ class _Engine:
                 self.fetch_active = False
             return
         if op.is_store:
-            self.mem.cells[op.mem_addr] = op.store_value
+            self.mem.cells[op.mem_addr] = _value(op.store_data_src)
             self.mem.fill(op.mem_addr)
         if opc is Opcode.FLUSH:
             self.mem.invalidate_line(op.mem_addr)
@@ -873,8 +868,8 @@ class _Engine:
             if not op.issued or (op.is_control and not op.resolved):
                 return
             when = op.complete
-            if op.fault and op.fault_ready > when:
-                when = op.fault_ready
+            if op.fault:  # raised a page fault's latency after issue
+                when = max(when, op.issue_cycle + self.mem.lat.page_fault)
             if when <= self.last_retire:
                 when = self.last_retire + 1
             if when > cycle:
@@ -931,8 +926,8 @@ class _Engine:
             op = self.window[0]
             if op.issued and not (op.is_control and not op.resolved):
                 when = op.complete
-                if op.fault and op.fault_ready > when:
-                    when = op.fault_ready
+                if op.fault:  # raised a page fault's latency after issue
+                    when = max(when, op.issue_cycle + self.mem.lat.page_fault)
                 if when <= self.last_retire:
                     when = self.last_retire + 1
                 if when < best:

@@ -11,11 +11,12 @@ anything else is an erasure.
 The channel is modelled at the predictor/cache-structure level rather than
 through the full pipeline so that million-symbol runs stay cheap.  The one
 microarchitectural gate kept from the pipeline model is window admission:
-the speculative probe fill (issued a couple of cycles into the window,
-DRAM-latency deep) survives only on cores that keep in-flight fills on
-squash, or whose return resolution is delayed enough for the fill to
+the speculative probe fill survives only on cores that keep in-flight fills
+on squash, or whose return resolution is delayed enough for the fill to
 complete first.  Cores that cancel in-flight fills and resolve returns
-immediately never land the signal and read as all-erasure.
+immediately never land the signal and read as all-erasure.  The rule is
+checked against the pipeline in tests/test_covert.py, which runs the
+receiver's return into the gadget `MOVI r14, <probe line>; LD r9, [r14+0]`.
 
 Per-symbol cycle accounting is fixed by construction:
 
@@ -214,12 +215,14 @@ def sender_inject(state: MachineState, symbol: int, depth: int) -> None:
 
 
 def _window_admits(profile: CpuProfile) -> bool:
-    # The probe fill issues ~2 cycles into the window and needs dram_latency
-    # to complete; the mispredicted return resolves once its own stack load
-    # (also DRAM-deep here, the sender keeps the stack line evicted) finishes
-    # plus the core's extra return-resolution delay.  Keep-in-flight cores
-    # admit the fill regardless.  An in-order core never predicts a return
-    # (it stalls fetch until the return resolves), so no window opens.
+    # The gadget is two ops, one dispatched per cycle, so its probe load
+    # issues 2 cycles into the window and needs dram_latency to complete; the
+    # mispredicted return resolves once its own stack load (also DRAM-deep
+    # here, the sender keeps the stack line evicted) finishes plus the core's
+    # extra return-resolution delay.  Hence the >= 2: a one-op gadget (a bare
+    # load) would land its fill with an extra delay of 1.  Keep-in-flight
+    # cores admit the fill regardless.  An in-order core never predicts a
+    # return (it stalls fetch until the return resolves), so no window opens.
     if profile.pipeline is PipelineKind.IN_ORDER:
         return False
     if profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS:
@@ -249,7 +252,7 @@ def receiver_decode(
     """
     mem = state.mem
     lines = 1 << config.bits_per_cs
-    threshold = (mem.lat.l1_hit + mem.lat.dram) // 2
+    threshold = mem.lat.hit_threshold
 
     predicted = state.rsb.pop(
         profile.rsb_underflow,

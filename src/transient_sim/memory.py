@@ -128,6 +128,11 @@ class Latencies:
                 f"{self.l1_hit}/{self.l2_hit}/{self.dram}/{self.page_fault}"
             )
 
+    @property
+    def hit_threshold(self) -> int:
+        """Flush+Reload's hit/miss line: a timed reload below it is a hit."""
+        return (self.l1_hit + self.dram) // 2
+
 
 @dataclass
 class CycleCounter:
@@ -263,32 +268,19 @@ class MemorySystem:
 
     # -- architectural operations --------------------------------------------
 
-    def access(
-        self,
-        addr: int,
-        privilege: Privilege = Privilege.KERNEL,
-        advance_counter: bool = True,
-    ) -> AccessResult:
+    def access(self, addr: int, privilege: Privilege = Privilege.KERNEL) -> AccessResult:
         """Read one cell through the hierarchy, updating LRU and the counter."""
         self.check_access(addr, privilege)
         level = self.fill(addr)
         latency = self.latency_for(level)
-        if advance_counter:
-            self.counter.advance(latency)
+        self.counter.advance(latency)
         return AccessResult(self.cells.get(addr, 0), latency, level)
 
-    def write(
-        self,
-        addr: int,
-        value: int,
-        privilege: Privilege = Privilege.KERNEL,
-        advance_counter: bool = True,
-    ) -> AccessResult:
+    def write(self, addr: int, value: int, privilege: Privilege = Privilege.KERNEL) -> AccessResult:
         self.check_access(addr, privilege)
         level = self.fill(addr)
         latency = self.latency_for(level)
-        if advance_counter:
-            self.counter.advance(latency)
+        self.counter.advance(latency)
         self.cells[addr] = value
         return AccessResult(value, latency, level)
 

@@ -47,7 +47,7 @@ def pmu_noise_effect(
 
     Runs `trials` balanced timing measurements (half L1 hits, half DRAM
     misses) through the usual read-access-read sequence with the counter
-    noise set to `amplitude`, classifying against the midpoint threshold.
+    noise set to `amplitude`, classifying against the latencies' hit threshold.
     """
     from .core import make_machine
 
@@ -56,8 +56,7 @@ def pmu_noise_effect(
     )
     machine = make_machine(noisy, seed=seed)
     mem = machine.mem
-    lat = mem.lat
-    threshold = (lat.l1_hit + lat.dram) // 2
+    threshold = mem.lat.hit_threshold
     base = 0x6_0000
     correct = 0
     for trial in range(trials):

@@ -63,3 +63,19 @@ def test_install_and_uninstall_restore_every_target():
     finally:
         t.uninstall()
     assert all(_resolve(path) is fn for path, fn in before.items())
+
+
+def test_tracer_counts_every_probe():
+    # the per-layer attacks.flush_reload metrics need every probe of an
+    # attack to go through the module attribute the tracer replaces
+    t = tracer.Tracer(transient_sim)
+    t.install()
+    try:
+        results = transient_sim.attacks.run_matrix(
+            profiles=("intel_i7",), cells=("v3", "v1-cache-miss-l1")
+        )
+    finally:
+        t.uninstall()
+    probes = sum(len(row["intel_i7"].recovered) for row in results.values())
+    assert probes == 6
+    assert t.calls["attacks.flush_reload"] == probes

@@ -218,6 +218,29 @@ class TestMitigateCommand:
         accuracy = json.loads(out)["classifier_accuracy"]
         assert 0.5 < accuracy < 1.0
 
+    def test_flags_add_to_the_config_mitigations(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"profile": "intel_i7", "mitigations": {"privileged_flush": True}})
+        )
+        code, out, _ = run_cli(
+            capsys, "mitigate", "--config", str(path), "--flags", "btb_fallback_disabled"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["flags"] == {"privileged_flush": True, "btb_fallback_disabled": True}
+        assert not any(c["after"] and not c["before"] for c in payload["flipped_cells"])
+
+    def test_flags_clashing_with_the_config_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mitigations": {"rsb_flush_on_cs": True}}))
+        code, out, err = run_cli(
+            capsys, "mitigate", "--config", str(path), "--flags", "rsb_refill_on_cs"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exclusive" in err
+
     def test_unknown_flag_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "mitigate", "--flags", "magic_shield")
         assert code == 2
@@ -286,6 +309,7 @@ class TestConfigFiles:
             ({"rsb_fill_depth": 0}, "at least 1"),
             ({"variant": "rsb", "scenario": "pagefault"}, "page-fault window is undefined"),
             ({"mitigations": {"rsb_flush_on_cs": True, "rsb_refill_on_cs": True}}, "exclusive"),
+            ({"profile_overrides": {"privileged_flush": True}}, "mitigations"),
             ({"seed": "abc"}, "seed must be int, got 'abc'"),
             ({"message_hex": 12}, "message_hex must be str, got 12"),
         ],
@@ -293,6 +317,23 @@ class TestConfigFiles:
     def test_unusable_values_are_config_errors(self, data, message):
         with pytest.raises(ConfigError, match=message):
             config_from_dict({"experiment": "covert", **data})
+
+    @pytest.mark.parametrize(
+        "command, data, first_line",
+        [
+            ("sweep-bits", {}, "b,bandwidth,errors,memory"),
+            ("sweep-bits", {"output": "json"}, "["),
+            ("matrix", {}, "profile "),
+        ],
+    )
+    def test_only_the_file_output_key_chooses_a_format(
+        self, capsys, tmp_path, command, data, first_line
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "sweep", "context_switch_cost": 10, **data}))
+        code, out, _ = run_cli(capsys, command, "--config", str(path))
+        assert code == 0
+        assert out.startswith(first_line)
 
     def test_with_updates_ignores_none(self):
         cfg = ExperimentConfig(experiment="covert", bits=4)

@@ -10,6 +10,7 @@ import pytest
 from transient_sim.covert import (
     GADGET_BASE,
     LINE_BYTES,
+    PROBE_BASE,
     ChannelConfig,
     ChannelReport,
     gadget_address,
@@ -20,9 +21,11 @@ from transient_sim.covert import (
     sweep_bits,
     unpack_symbols,
 )
-from transient_sim.core import make_machine
+from transient_sim.core import make_machine, run
+from transient_sim.isa import assemble
+from transient_sim.memory import Level
 from transient_sim.mitigations import MitigationSet
-from transient_sim.profiles import SquashPolicy, get_profile
+from transient_sim.profiles import PROFILES, SquashPolicy, get_profile
 from transient_sim.reporting import emit_report
 
 I7 = get_profile("intel_i7")
@@ -181,7 +184,40 @@ class TestNoiseScaling:
         assert report.symbol_error_rate == 1.0
 
 
+# The receiver's return run through the pipeline: the return stack predicts
+# pc 1, the two-op gadget there touches the probe line, and the stack slot,
+# cold in both cache levels, sends the return to the HALT.
+RECEIVER_SRC = f"""
+    RET
+    MOVI r14, {PROBE_BASE}
+    LD r9, [r14+0]
+    HALT
+"""
+RECEIVER_SLOT = 0x8000
+
+
+def pipeline_keeps_the_probe_fill(profile) -> bool:
+    st = make_machine(profile)
+    st.rsb.push(1)
+    st.regs[15] = RECEIVER_SLOT
+    st.mem.cells[RECEIVER_SLOT] = 3
+    trace = run(assemble(RECEIVER_SRC), st, profile)
+    assert trace.halted, trace.abort
+    return st.mem.probe_level(PROBE_BASE) is not Level.DRAM
+
+
 class TestChannelRequirements:
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    @pytest.mark.parametrize("policy", list(SquashPolicy), ids=lambda p: p.value)
+    @pytest.mark.parametrize("extra", [0, 1, 2, 3, 5, 20])
+    def test_window_rule_matches_the_pipeline(self, name, policy, extra):
+        prof = get_profile(name).with_overrides(squash_policy=policy, return_resolve_extra=extra)
+        report = run_channel(prof, ChannelConfig(bits_per_cs=3), b"HI")
+        if pipeline_keeps_the_probe_fill(prof):
+            assert report.decoded == b"HI" and report.erasures == 0
+        else:
+            assert report.erasures == report.symbols_sent == 6
+
     def test_short_speculation_cores_cannot_carry_it(self):
         for prof in (get_profile("cortex_a9"), get_profile("cortex_a53")):
             report = run_channel(prof, ChannelConfig(bits_per_cs=3), b"HI")
