@@ -40,7 +40,8 @@ _WINDOW_TRIGGERS = {
 _SECRET_LOCATIONS = {"l1": SecretLocation.L1, "dram": SecretLocation.MAIN_MEMORY}
 SCENARIOS = tuple(_WINDOW_TRIGGERS)
 SECRET_LOCS = tuple(_SECRET_LOCATIONS)
-# the output a command defaults to where it is not json's
+# a command's output format where neither --format nor its config file names
+# one, for the commands whose default is not json
 _COMMAND_OUTPUTS = {"sweep": "csv", "matrix": "table"}
 # ExperimentConfig field -> ChannelConfig field; an unset (None) value keeps
 # ChannelConfig's own default
