@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DEFAULT_SEED, MachineState, Rsb, Trace, make_machine, run
+from .core import DEFAULT_SEED, MachineState, Trace, make_machine, run
 from .isa import Program, assemble
 from .memory import LINE_SIZE, MemorySystem, Privilege, PrivilegedFlushError
 from .profiles import CpuProfile, get_profile
@@ -448,7 +448,7 @@ def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     for off in range(0, 8 * depth + 1, LINE_SIZE):
         st.mem.fill(STACK_TOP + off)  # drains resolve fast
     st.mem.fill(SECRET_BASE)
-    st.rsb = Rsb(profile.rsb_size)  # the victim context starts with an empty stack
+    st.rsb.flush()  # the victim context starts with an empty stack
     st.mem.invalidate_line(attack_slot)  # the seeded site resolves slowly
 
     # the victim enters through the context-switch point

@@ -98,39 +98,21 @@ class Rsb:
         self.top = (self.top + n) % size
         self.count = min(self.count + n, size)
 
-    def pop(
-        self,
-        underflow: RsbUnderflow,
-        btb: "Btb | None" = None,
-        ret_site: int | None = None,
-        btb_fallback_disabled: bool = False,
-    ) -> int | None:
-        if self.count > 0:
-            value = self.entries[self.top]
-            self.top = (self.top - 1) % self.size
+    def pop(self, underflow: RsbUnderflow) -> int | None:
+        """Pop the youngest entry.  An empty stack yields nothing, except
+        under RING_BUFFER, which reads the stale slot of a long-gone push."""
+        if self.count:
             self.count -= 1
-            return value
-        if underflow is RsbUnderflow.STOP_PREDICTING:
+        elif underflow is not RsbUnderflow.RING_BUFFER:
             return None
-        if underflow is RsbUnderflow.RING_BUFFER:
-            value = self.entries[self.top]  # stale slot from a long-gone push
-            self.top = (self.top - 1) % self.size
-            return value
-        if underflow is RsbUnderflow.SWITCH_TO_BTB:
-            if btb_fallback_disabled or btb is None or ret_site is None:
-                return None
-            return btb.lookup(ret_site)
-        raise AssertionError(underflow)
+        value = self.entries[self.top]
+        self.top = (self.top - 1) % self.size
+        return value
 
     def flush(self) -> None:
         self.entries = [None] * self.size
         self.top = self.size - 1
         self.count = 0
-
-    def refill(self, addr: int) -> None:
-        self.entries = [addr] * self.size
-        self.top = self.size - 1
-        self.count = self.size
 
     def snapshot(self) -> list:
         """Entries youngest-first, for inspection in tests."""
@@ -159,23 +141,6 @@ class Pht:
             self.counters[i] = max(self.counters[i] - 1, 0)
 
 
-class Btb:
-    """Branch target buffer: return-site PC -> last retired target.
-
-    Lives in core state, so it is shared by every context that runs on the
-    same simulated core.
-    """
-
-    def __init__(self):
-        self.entries: dict = {}
-
-    def lookup(self, pc: int) -> int | None:
-        return self.entries.get(pc)
-
-    def update(self, pc: int, target: int) -> None:
-        self.entries[pc] = target
-
-
 @dataclass
 class MachineState:
     regs: list
@@ -186,7 +151,7 @@ class MachineState:
     mem: MemorySystem
     rsb: Rsb
     pht: Pht
-    btb: Btb
+    btb: dict  # return-site pc -> last retired target, shared by every context on the core
     recovery_pc: int | None = None
     benign_return_pc: int | None = None
     rng: random.Random = field(default_factory=lambda: random.Random(DEFAULT_SEED))
@@ -198,16 +163,31 @@ def context_switch(state: MachineState, profile: CpuProfile) -> None:
     with no benign address set flushes instead)."""
     mit = profile.mitigations
     if mit.rsb_refill_on_cs and state.benign_return_pc is not None:
-        state.rsb.refill(state.benign_return_pc)
+        state.rsb.push_many(state.benign_return_pc, state.rsb.size)
     elif mit.rsb_flush_on_cs or mit.rsb_refill_on_cs:
         state.rsb.flush()
 
 
+def predict_return(state: MachineState, profile: CpuProfile, ret_site: int) -> int | None:
+    """The core's prediction for the return at `ret_site`, popped from the
+    RSB under the profile's underflow policy.  A SWITCH_TO_BTB core with an
+    empty RSB reads the BTB instead, unless btb_fallback_disabled.  An
+    in-order core still pops but predicts nothing: it stalls fetch until the
+    return resolves."""
+    if state.rsb.count or profile.rsb_underflow is not RsbUnderflow.SWITCH_TO_BTB:
+        predicted = state.rsb.pop(profile.rsb_underflow)
+    elif profile.mitigations.btb_fallback_disabled:
+        predicted = None
+    else:
+        predicted = state.btb.get(ret_site)
+    if profile.pipeline is PipelineKind.IN_ORDER:
+        return None
+    return predicted
+
+
 def make_machine(profile: CpuProfile, seed: int = DEFAULT_SEED) -> MachineState:
     rng = random.Random(seed)
-    counter = CycleCounter(
-        resolution=1, noise_amplitude=profile.mitigations.pmu_noise_amplitude
-    )
+    counter = CycleCounter(noise_amplitude=profile.mitigations.pmu_noise_amplitude)
     mem = MemorySystem(
         l1=profile.l1,
         l2=profile.l2,
@@ -224,7 +204,7 @@ def make_machine(profile: CpuProfile, seed: int = DEFAULT_SEED) -> MachineState:
         mem=mem,
         rsb=Rsb(profile.rsb_size),
         pht=Pht(),
-        btb=Btb(),
+        btb={},
         rng=rng,
     )
 
@@ -497,14 +477,7 @@ class _Engine:
                 op.predicted_next = next_pc
                 op.resolved = True  # static target, cannot mispredict
             elif opc is Opcode.RET:
-                predicted = state.rsb.pop(
-                    profile.rsb_underflow,
-                    btb=state.btb,
-                    ret_site=pc,
-                    btb_fallback_disabled=profile.mitigations.btb_fallback_disabled,
-                )
-                if self.in_order:
-                    predicted = None
+                predicted = predict_return(state, profile, pc)
                 op.predicted_next = predicted
                 if predicted is not None:
                     self.record((cycle, "predict", "ret@{} -> {}", (pc, predicted)))
@@ -846,7 +819,7 @@ class _Engine:
         elif opc is Opcode.BGE:
             state.pht.update(op.pc, op.value == 1)
         elif opc is Opcode.RET:
-            state.btb.update(op.pc, op.actual_next)
+            state.btb[op.pc] = op.actual_next
         elif opc is Opcode.YIELD:
             context_switch(state, profile)
             if op.pc + 1 >= self.end:

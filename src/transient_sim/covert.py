@@ -34,9 +34,9 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .core import MachineState, context_switch, make_machine
+from .core import MachineState, context_switch, make_machine, predict_return
 from .memory import Privilege, PrivilegedFlushError
-from .profiles import CpuProfile, PipelineKind, SquashPolicy
+from .profiles import CpuProfile, SquashPolicy
 
 LINE_BYTES = 64
 MIN_BITS = 1
@@ -221,10 +221,7 @@ def _window_admits(profile: CpuProfile) -> bool:
     # here, the sender keeps the stack line evicted) finishes plus the core's
     # extra return-resolution delay.  Hence the >= 2: a one-op gadget (a bare
     # load) would land its fill with an extra delay of 1.  Keep-in-flight
-    # cores admit the fill regardless.  An in-order core never predicts a
-    # return (it stalls fetch until the return resolves), so no window opens.
-    if profile.pipeline is PipelineKind.IN_ORDER:
-        return False
+    # cores admit the fill regardless.
     if profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS:
         return True
     return profile.return_resolve_extra >= 2
@@ -237,8 +234,8 @@ def receiver_decode(
     gadget_base: int = GADGET_BASE,
     record: list[int] | None = None,
 ) -> int | None:
-    """Receiver timeslice: return through the predictor, then Flush+Reload
-    the probe lines.
+    """Receiver timeslice: return through the engine's own predictor,
+    core.predict_return, then Flush+Reload the probe lines.
 
     `gadget_base` is where the receiver's copy of the gadget code lives.
     The channel only works when it matches the sender's layout; shifting it
@@ -254,12 +251,7 @@ def receiver_decode(
     lines = 1 << config.bits_per_cs
     threshold = mem.lat.hit_threshold
 
-    predicted = state.rsb.pop(
-        profile.rsb_underflow,
-        btb=state.btb,
-        ret_site=RECEIVER_RET_PC,
-        btb_fallback_disabled=profile.mitigations.btb_fallback_disabled,
-    )
+    predicted = predict_return(state, profile, RECEIVER_RET_PC)
     if (
         predicted is not None
         and gadget_base <= predicted < gadget_base + lines
@@ -268,7 +260,7 @@ def receiver_decode(
         mem.fill(probe_line(predicted - gadget_base))
     # The return retires architecturally to the receiver's continuation,
     # which keeps the shared BTB trained on the benign target.
-    state.btb.update(RECEIVER_RET_PC, RECEIVER_CONT_PC)
+    state.btb[RECEIVER_RET_PC] = RECEIVER_CONT_PC
 
     latencies = mem.probe_lines(PROBE_BASE, lines, Privilege.USER)
     if record is not None:
@@ -306,7 +298,7 @@ def run_channel(
     """
     state = make_machine(profile, seed=seed)
     state.benign_return_pc = BENIGN_RETURN_PC
-    state.btb.update(RECEIVER_RET_PC, RECEIVER_CONT_PC)
+    state.btb[RECEIVER_RET_PC] = RECEIVER_CONT_PC
     noise_rng = random.Random(seed ^ 0x5EED)
 
     symbols = pack_symbols(message, config.bits_per_cs)

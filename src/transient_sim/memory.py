@@ -136,17 +136,16 @@ class Latencies:
 
 @dataclass
 class CycleCounter:
-    """Monotone cycle counter with optional quantization and uniform read noise."""
+    """Monotone cycle counter with optional uniform read noise."""
 
     current: int = 0
-    resolution: int = 1
     noise_amplitude: int = 0
 
     def advance(self, cycles: int) -> None:
         self.current += cycles
 
     def read(self, rng: random.Random | None = None) -> int:
-        value = (self.current // self.resolution) * self.resolution
+        value = self.current
         if self.noise_amplitude and rng is not None:
             value += rng.randint(-self.noise_amplitude, self.noise_amplitude)
         return value
@@ -320,38 +319,24 @@ class MemorySystem:
 
         Returns each line's measured latency, bracketed by two counter reads
         exactly as read_cycles, access, read_cycles would give it line by
-        line: the same quantization, the same noise draws in the same order,
-        the same cache and counter state.  A faulting line raises its
-        PageFault or PrivilegeFault after the lines before it were reloaded
-        and counted and its own first counter read was taken.
+        line: the same noise draws in the same order, the same cache and
+        counter state.  A faulting line raises its PageFault or
+        PrivilegeFault after the lines before it were reloaded and counted
+        and its own first counter read was taken.
         """
         reached, fault = self._first_fault(base, count, privilege)
         lat = self.lat
         timings = self._fill_lines(line_of(base), reached, (lat.l1_hit, lat.l2_hit, lat.dram))
-        counter = self.counter
-        res = counter.resolution
-        amp = counter.noise_amplitude if self.rng is not None else 0
-        if res == 1 and not amp:
-            # an exact counter measures each line's fill cost as it is
-            counter.current += sum(timings)
+        self.counter.current += sum(timings)
+        amp = self.counter.noise_amplitude
+        if amp:
+            draw = self.rng.randint
+            for i, cost in enumerate(timings):
+                # the read after the fill minus the read before it
+                timings[i] = cost - draw(-amp, amp) + draw(-amp, amp)
             if fault is not None:
-                raise fault
-            return timings
-        now = counter.current
-        draw = self.rng.randint if amp else None
-        for i, cost in enumerate(timings):
-            before = now // res * res
-            if amp:
-                before += draw(-amp, amp)
-            now += cost
-            after = now // res * res
-            if amp:
-                after += draw(-amp, amp)
-            timings[i] = after - before
-        counter.current = now
-        if fault is not None:
-            if amp:
                 draw(-amp, amp)  # the faulting line's first counter read
+        if fault is not None:
             raise fault
         return timings
 

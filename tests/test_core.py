@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from transient_sim.core import Btb, Pht, Rsb, make_machine, run
+from transient_sim.core import Pht, Rsb, make_machine, predict_return, run
 from transient_sim.isa import assemble
 from transient_sim.memory import Level, Privilege, line_of
-from transient_sim.profiles import RsbUnderflow, get_profile
+from transient_sim.mitigations import MitigationSet
+from transient_sim.profiles import PROFILES, RsbUnderflow, get_profile
 
 DATA = 0x2000
 
@@ -73,22 +74,19 @@ class TestRsb:
         assert rsb.pop(RsbUnderflow.RING_BUFFER) in (11, 22)
 
     def test_underflow_btb_fallback(self):
-        rsb = Rsb(2)
-        btb = Btb()
-        btb.update(90, 1234)
-        assert rsb.pop(RsbUnderflow.SWITCH_TO_BTB, btb, 90) == 1234
-        assert rsb.pop(RsbUnderflow.SWITCH_TO_BTB, btb, 91) is None
-        assert (
-            rsb.pop(RsbUnderflow.SWITCH_TO_BTB, btb, 90, btb_fallback_disabled=True)
-            is None
-        )
+        prof, st = _machine("intel_i7")
+        st.btb[90] = 1234
+        assert predict_return(st, prof, 90) == 1234
+        assert predict_return(st, prof, 91) is None
+        sealed = prof.with_overrides(mitigations=MitigationSet(btb_fallback_disabled=True))
+        assert predict_return(st, sealed, 90) is None
 
     def test_flush_and_refill(self):
         rsb = Rsb(3)
         rsb.push(5)
         rsb.flush()
         assert rsb.count == 0 and rsb.snapshot() == []
-        rsb.refill(7)
+        rsb.push_many(7, 3)
         assert rsb.snapshot() == [7, 7, 7]
 
     @staticmethod
@@ -113,8 +111,6 @@ class TestRsb:
     @pytest.mark.parametrize("size", [4, 8, 16])
     @pytest.mark.parametrize("start", ["fresh", "empty", "partly-full", "wrapped"])
     def test_push_many_matches_repeated_push(self, size, start):
-        btb = Btb()
-        btb.update(90, 0xB7B)
         for seed in range(3):
             for n in range(2 * size + 2):
                 bulk, loop = self._seeded(size, start, seed), self._seeded(size, start, seed)
@@ -126,9 +122,54 @@ class TestRsb:
                 assert bulk.snapshot() == loop.snapshot()
                 for mode in RsbUnderflow:
                     a, b = copy.deepcopy(bulk), copy.deepcopy(loop)
-                    got = [a.pop(mode, btb, 90) for _ in range(size + 3)]
-                    want = [b.pop(mode, btb, 90) for _ in range(size + 3)]
+                    got = [a.pop(mode) for _ in range(size + 3)]
+                    want = [b.pop(mode) for _ in range(size + 3)]
                     assert got == want, (size, start, seed, n, mode)
+
+
+LIVE, STALE, TRAINED = 0xA1, 0x5A, 0xB7
+RET_SITE = 90
+# core -> (prediction with the RSB holding LIVE, with it empty), each for
+# (BTB trained at RET_SITE, fallback on), (trained, off), (untrained, on),
+# (untrained, off).  An empty RSB's stale slots all hold STALE.
+_PREDICTIONS = {
+    "cortex_a53": ((None, None, None, None), (None, None, None, None)),
+    "cortex_a8": ((None, None, None, None), (None, None, None, None)),
+    "cortex_a9": ((LIVE, LIVE, LIVE, LIVE), (None, None, None, None)),
+    "cortex_a72": ((LIVE, LIVE, LIVE, LIVE), (None, None, None, None)),
+    "cortex_a72+ring-buffer": ((LIVE, LIVE, LIVE, LIVE), (STALE, STALE, STALE, STALE)),
+    "intel_i7": ((LIVE, LIVE, LIVE, LIVE), (TRAINED, None, None, None)),
+}
+
+
+def test_predict_return_table():
+    """Every bundled core, plus a ring-buffer core no bundled profile has,
+    over a full or empty RSB, a trained or untrained BTB, and the BTB
+    fallback on or off.  In-order cores pop but predict nothing."""
+    assert set(_PREDICTIONS) == set(PROFILES) | {"cortex_a72+ring-buffer"}
+    for core, (full, empty) in _PREDICTIONS.items():
+        name, _, underflow = core.partition("+")
+        base = get_profile(name)
+        if underflow:
+            base = base.with_overrides(rsb_underflow=RsbUnderflow(underflow))
+        combos = [(trained, sealed) for trained in (True, False) for sealed in (False, True)]
+        for holding, expected in ((True, full), (False, empty)):
+            for (trained, sealed), want in zip(combos, expected):
+                prof = base.with_overrides(
+                    mitigations=MitigationSet(btb_fallback_disabled=sealed)
+                )
+                st = make_machine(prof)
+                st.rsb.push_many(STALE, prof.rsb_size)
+                for _ in range(prof.rsb_size):
+                    st.rsb.pop(RsbUnderflow.STOP_PREDICTING)
+                if holding:
+                    st.rsb.push(STALE)
+                    st.rsb.push(LIVE)
+                if trained:
+                    st.btb[RET_SITE] = TRAINED
+                case = (core, holding, trained, sealed)
+                assert predict_return(st, prof, RET_SITE) == want, case
+                assert st.rsb.count == (1 if holding else 0), case
 
 
 SHADOW_LOAD = """
@@ -564,7 +605,7 @@ def _state_text(st):
     return repr((
         st.regs, st.flags, st.pc, sorted(st.mem.cells.items()),
         st.mem.l1._sets, st.mem.l2._sets, st.rsb.snapshot(), st.pht.counters,
-        sorted(st.btb.entries.items()), st.mem.counter.current, st.rng.getstate(),
+        sorted(st.btb.items()), st.mem.counter.current, st.rng.getstate(),
     ))
 
 

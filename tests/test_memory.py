@@ -235,13 +235,12 @@ class TestFlushReloadPrimitive:
     from seeded random cache states over seeded random line ranges."""
 
     @staticmethod
-    def _twins(seed, resolution, noise, pages):
+    def _twins(seed, noise, pages):
         def build():
             mem = MemorySystem(
                 l1=CacheGeometry(4, 2),
                 l2=CacheGeometry(16, 4),
-                counter=CycleCounter(current=seed * 13, resolution=resolution,
-                                     noise_amplitude=noise),
+                counter=CycleCounter(current=seed * 13, noise_amplitude=noise),
                 rng=random.Random(seed),
             )
             warm = random.Random(seed)
@@ -254,28 +253,25 @@ class TestFlushReloadPrimitive:
         return build(), build()
 
     @pytest.mark.parametrize(
-        "resolution, noise, privilege, pages, faults",
+        "noise, privilege, pages, faults",
         [
-            (1, 0, Privilege.USER, (), False),
-            (1, 5, Privilege.USER, (), False),
-            (8, 0, Privilege.USER, (), False),
-            (8, 3, Privilege.USER, (), False),
-            (1, 4, Privilege.USER, ((2, "set_privileged"),), True),
-            (1, 4, Privilege.KERNEL, ((2, "set_privileged"),), False),
-            (4, 2, Privilege.KERNEL, ((1, "set_mapped"),), True),
-            (1, 0, Privilege.USER, ((2, "set_privileged"),), True),
-            (1, 0, Privilege.KERNEL, ((1, "set_mapped"),), True),
+            (0, Privilege.USER, (), False),
+            (5, Privilege.USER, (), False),
+            (4, Privilege.USER, ((2, "set_privileged"),), True),
+            (4, Privilege.KERNEL, ((2, "set_privileged"),), False),
+            (2, Privilege.KERNEL, ((1, "set_mapped"),), True),
+            (0, Privilege.USER, ((2, "set_privileged"),), True),
+            (0, Privilege.KERNEL, ((1, "set_mapped"),), True),
         ],
-        ids=["exact", "noise", "resolution", "noise+resolution", "privileged-page-user",
-             "privileged-page-kernel", "unmapped-page", "exact-privileged-page-user",
-             "exact-unmapped-page"],
+        ids=["exact", "noise", "privileged-page-user", "privileged-page-kernel",
+             "unmapped-page", "exact-privileged-page-user", "exact-unmapped-page"],
     )
     def test_probe_then_flush_then_probe_matches_per_line_path(
-        self, resolution, noise, privilege, pages, faults
+        self, noise, privilege, pages, faults
     ):
         faulted = 0
         for seed in range(40):
-            fast, slow = self._twins(seed, resolution, noise, pages)
+            fast, slow = self._twins(seed, noise, pages)
             pick = random.Random(1000 + seed)
             base = REGION + pick.randrange(REGION_LINES) * LINE_SIZE + pick.randrange(LINE_SIZE)
             count = pick.randint(1, 130)
@@ -294,7 +290,7 @@ class TestFlushReloadPrimitive:
     @pytest.mark.parametrize("privilege", [Privilege.USER, Privilege.KERNEL])
     def test_privileged_flush_matches_per_line_path(self, privilege):
         for seed in range(10):
-            fast, slow = self._twins(seed, 1, 3, ())
+            fast, slow = self._twins(seed, 3, ())
             base, count = REGION + seed * 5 * LINE_SIZE, 20 + seed
             start = fast.counter.current
             got = _outcome(lambda: fast.flush_lines(base, count, privilege, True))
@@ -308,10 +304,6 @@ class TestFlushReloadPrimitive:
 
 
 class TestCycleCounter:
-    def test_quantization_floors_to_resolution(self):
-        counter = CycleCounter(current=103, resolution=10)
-        assert counter.read() == 100
-
     def test_noise_bounded_and_seeded(self):
         counter = CycleCounter(current=500, noise_amplitude=7)
         values = [counter.read(random.Random(k)) for k in range(50)]
