@@ -122,12 +122,22 @@ class ExperimentConfig:
             raise ConfigError(f"message is not valid hex: {self.message_hex!r}") from None
 
     def secret_bytes(self) -> bytes | None:
+        """The secret to plant, or None for the default.  A zero byte cannot
+        be told from a leak: a core that forwards zero lights oracle line 0."""
         if self.secret_hex is None:
             return None
         try:
-            return bytes.fromhex(self.secret_hex)
+            secret = bytes.fromhex(self.secret_hex)
         except ValueError:
             raise ConfigError(f"secret is not valid hex: {self.secret_hex!r}") from None
+        if not secret:
+            raise ConfigError("secret is empty; give at least one byte")
+        if 0 in secret:
+            raise ConfigError(
+                f"secret {self.secret_hex!r} has a 0x00 byte, which cores that forward"
+                " zero on a fault would read as leaked"
+            )
+        return secret
 
     def resolved_profile(self) -> CpuProfile:
         try:
@@ -155,9 +165,6 @@ class ExperimentConfig:
             return ChannelConfig(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 _LATENCY_FIELDS = {f.name for f in dataclasses.fields(Latencies)}
@@ -279,11 +286,6 @@ def experiment_config(experiment: str, path: str | None, overrides: dict) -> Exp
     updates = {key: overrides.get(key) for key in _CONFIG_KEYS}
     updates["experiment"] = experiment
     return cfg.with_updates(**updates)
-
-
-def load_config(path: str) -> ExperimentConfig:
-    """Parse a JSON experiment file; errors carry the file and position."""
-    return config_from_dict(_read_json(path), source=path)
 
 
 def _read_json(path: str):

@@ -122,9 +122,9 @@ class Latencies:
     page_fault: int = 1000
 
     def __post_init__(self):
-        if not (self.l1_hit < self.l2_hit < self.dram < self.page_fault):
+        if not (1 <= self.l1_hit < self.l2_hit < self.dram < self.page_fault):
             raise ValueError(
-                "latencies must satisfy l1 < l2 < dram < page_fault, got "
+                "latencies must satisfy 1 <= l1 < l2 < dram < page_fault, got "
                 f"{self.l1_hit}/{self.l2_hit}/{self.dram}/{self.page_fault}"
             )
 

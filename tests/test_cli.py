@@ -10,7 +10,7 @@ from transient_sim.config import (
     ExperimentConfig,
     config_from_dict,
     default_seed,
-    load_config,
+    experiment_config,
 )
 
 
@@ -66,6 +66,9 @@ class TestExitCodes:
             ("mitigate", "--flags", "rsb_flush_on_cs,rsb_refill_on_cs"),
             ("covert", "--emit-latency-trace", "no-such-dir/latency.csv"),
             ("matrix", "--profile", "cortex_a9"),
+            ("attack", "--variant", "v3", "--profile", "cortex_a72", "--secret", "00"),
+            ("matrix", "--secret", "00"),
+            ("attack", "--secret", ""),
         ],
     )
     def test_bad_input_is_rejected_before_any_experiment_runs(
@@ -77,7 +80,8 @@ class TestExitCodes:
         def must_not_run(*args, **kwargs):
             raise AssertionError("an experiment ran on bad input")
 
-        for name in ("run_channel", "sweep_bits", "run_matrix", "run_spectre_rsb"):
+        for name in ("run_channel", "sweep_bits", "run_matrix", "run_spectre_rsb",
+                     "run_spectre_v1", "run_meltdown_v3"):
             monkeypatch.setattr(cli, name, must_not_run)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -283,17 +287,17 @@ class TestConfigFiles:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "attack", "warp_drive": 1}))
         with pytest.raises(ConfigError, match="warp_drive"):
-            load_config(str(path))
+            experiment_config("attack", str(path), {})
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"experiment": }')
         with pytest.raises(ConfigError, match=r"broken\.json:1:16"):
-            load_config(str(path))
+            experiment_config("attack", str(path), {})
 
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
-            load_config(str(tmp_path / "absent.json"))
+            experiment_config("attack", str(tmp_path / "absent.json"), {})
 
     def test_bad_hex_rejected_on_use(self):
         cfg = config_from_dict({"experiment": "covert", "message_hex": "zz"})
@@ -312,6 +316,7 @@ class TestConfigFiles:
             ({"profile_overrides": {"privileged_flush": True}}, "mitigations"),
             ({"seed": "abc"}, "seed must be int, got 'abc'"),
             ({"message_hex": 12}, "message_hex must be str, got 12"),
+            ({"profile_overrides": {"l1_hit": 0}}, "1 <= l1"),
         ],
     )
     def test_unusable_values_are_config_errors(self, data, message):
