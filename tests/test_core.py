@@ -131,7 +131,8 @@ LIVE, STALE, TRAINED = 0xA1, 0x5A, 0xB7
 RET_SITE = 90
 # core -> (prediction with the RSB holding LIVE, with it empty), each for
 # (BTB trained at RET_SITE, fallback on), (trained, off), (untrained, on),
-# (untrained, off).  An empty RSB's stale slots all hold STALE.
+# (untrained, off).  An empty RSB's stale slots all hold STALE; a full one
+# holds STALE under LIVE, so its count shows whether the call popped.
 _PREDICTIONS = {
     "cortex_a53": ((None, None, None, None), (None, None, None, None)),
     "cortex_a8": ((None, None, None, None), (None, None, None, None)),
