@@ -212,9 +212,14 @@ def make_machine(profile: CpuProfile, seed: int = DEFAULT_SEED) -> MachineState:
 @dataclass
 class Trace:
     """What one run did.  Each event is kept as plain values, the tuple
-    (cycle, kind, template, args) with kind one of fetch | execute | retire |
-    squash | fill | fault | predict; log_lines() and to_json() make its text,
-    template.format(*args), only when they are called."""
+    (cycle, kind, template, args); log_lines() and to_json() make its text,
+    template.format(*args), only when they are called.
+
+    A run records at one of two levels.  The window level, the default,
+    keeps predict | squash | fill | fault: what each speculation window
+    predicted, dropped and left in the cache.  The full level, run(...,
+    full_trace=True), also keeps each op's fetch | execute | retire,
+    interleaved with them.  Every other field is the same at both levels."""
 
     events: list = field(default_factory=list)
     transient_lines: set = field(default_factory=set)
@@ -328,7 +333,7 @@ def _decode(instr: Instruction) -> tuple:
 
 class _Engine:
     def __init__(self, program: Program, state: MachineState, profile: CpuProfile,
-                 max_cycles: int):
+                 max_cycles: int, full_trace: bool):
         self.program = program
         self.state = state
         self.profile = profile
@@ -359,6 +364,7 @@ class _Engine:
         self.abort = None
         self.trace = Trace()
         self.record = self.trace.events.append  # takes (cycle, kind, template, args)
+        self.full_trace = full_trace  # also record each op's fetch, execute and retire
         self.end = len(program)
         self.decoded: list = [None] * self.end  # pc -> _decode(instr) + (opcode text,)
 
@@ -503,7 +509,8 @@ class _Engine:
             self.stores.append(op)
         if op.is_load:
             self.loads.append(op)
-        self.record((cycle, "fetch", "#{} @{} {}", (seq, pc, instr)))
+        if self.full_trace:
+            self.record((cycle, "fetch", "#{} @{} {}", (seq, pc, instr)))
 
         if opc is Opcode.HALT:
             self.fetch_active = False
@@ -619,7 +626,8 @@ class _Engine:
         op.issued = True
         op.issue_cycle = cycle
         op.complete = complete = cycle + latency
-        self.record((cycle, "execute", "#{} @{} {}", (op.seq, op.pc, op.name)))
+        if self.full_trace:
+            self.record((cycle, "execute", "#{} @{} {}", (op.seq, op.pc, op.name)))
         for consumer in op.consumers:
             if consumer.squashed:
                 continue
@@ -835,7 +843,7 @@ class _Engine:
         are written here; _retire_effects does the rest, for the ops that do
         more."""
         window, cycle, rename = self.window, self.cycle, self.rename
-        retired = self.trace.retired_seqs
+        retired, full_trace = self.trace.retired_seqs, self.full_trace
         while window:
             op = window[0]
             if not op.issued or (op.is_control and not op.resolved):
@@ -858,7 +866,8 @@ class _Engine:
             if op.fault:
                 self._retire_effects(op, when)
             else:
-                self.record((when, "retire", "#{} @{} {}", (op.seq, op.pc, op.name)))
+                if full_trace:
+                    self.record((when, "retire", "#{} @{} {}", (op.seq, op.pc, op.name)))
                 dst = op.dst
                 if dst is None or op.is_store or op.is_control:
                     self._retire_effects(op, when)
@@ -943,12 +952,15 @@ def run(
     state: MachineState,
     profile: CpuProfile,
     max_cycles: int = 200_000,
+    *,
+    full_trace: bool = False,
 ) -> Trace:
     """Execute a program on the given machine. Deterministic for fixed inputs.
 
     The machine state is updated in place: registers, flags, memory, and the
     predictor structures all persist, which is what lets one experiment train
-    structures for the next run.
+    structures for the next run.  full_trace records each op's fetch, execute
+    and retire events as well (see Trace); it changes nothing else.
     """
-    engine = _Engine(program, state, profile, max_cycles)
+    engine = _Engine(program, state, profile, max_cycles, full_trace)
     return engine.run()

@@ -273,7 +273,11 @@ def events_after_squash(trace) -> list:
 
     Replays the trace's fetch, retire and squash events to learn which ops
     each squash dropped (the youngest in flight), then returns every later
-    execute event of a dropped op and the fill event that follows it."""
+    execute event of a dropped op and the fill event that follows it.  Only a
+    full-level trace holds those events, so a trace of retired ops with no
+    fetch in it is rejected: it would pass with nothing checked."""
+    if trace.retired_seqs and not any(kind == "fetch" for _c, kind, _t, _a in trace.events):
+        raise ValueError("trace has no fetch events; run it with full_trace=True")
     live, dropped, late = [], set(), []
     executing = None
     for event in trace.events:
@@ -295,13 +299,15 @@ def events_after_squash(trace) -> list:
     return late
 
 
-def run_engine(gen: GeneratedProgram, profile: CpuProfile):
-    """Run a generated program on the pipelined engine from its initial state."""
+def run_engine(gen: GeneratedProgram, profile: CpuProfile, full_trace: bool = True):
+    """Run a generated program on the pipelined engine from its initial
+    state, by default recording the full trace that events_after_squash
+    reads."""
     st = make_machine(profile)
     st.regs = list(gen.regs)
     st.mem.cells = dict(gen.mem)
     st.sysregs = dict(gen.sysregs)
-    trace = run(gen.program, st, profile)
+    trace = run(gen.program, st, profile, full_trace=full_trace)
     return st, trace
 
 

@@ -1,10 +1,12 @@
 """Pipeline engine behavior: predictors, speculation, squash policies, retirement."""
 
 import copy
+import dataclasses
 import random
 
 import pytest
 
+from _reference import generate_loop_program, generate_pointer_program, generate_program, run_engine
 from transient_sim.core import Pht, Rsb, make_machine, predict_return, run
 from transient_sim.isa import assemble
 from transient_sim.memory import Level, Privilege, line_of
@@ -482,7 +484,7 @@ class TestDeterminism:
         def one():
             prof, st = _machine("intel_i7")
             st.regs[14] = DATA
-            trace = run(prog, st, prof)
+            trace = run(prog, st, prof, full_trace=True)
             return trace.log_lines(), trace.to_json(), st.regs, st.mem.cells
 
         assert one() == one()
@@ -582,9 +584,10 @@ _STATE_PROGRAMS = _DIGEST_PROGRAMS + (
 )
 
 
-def _digest_runs(programs=_DIGEST_PROGRAMS, names=None, mitigations=None):
+def _digest_runs(programs=_DIGEST_PROGRAMS, names=None, mitigations=None, full_trace=True):
     """(core name, final machine state, trace) of each program on each core,
-    or on the named cores only, under the given mitigations if any."""
+    or on the named cores only, under the given mitigations if any.  The
+    traces are full-level unless full_trace is False."""
     from transient_sim.profiles import PROFILES
 
     for name in names or sorted(PROFILES):
@@ -598,7 +601,7 @@ def _digest_runs(programs=_DIGEST_PROGRAMS, names=None, mitigations=None):
             st.regs[15] = 0x8000
             if setup is not None:
                 setup(st)
-            yield name, st, run(assemble(source), st, prof)
+            yield name, st, run(assemble(source), st, prof, full_trace=full_trace)
 
 
 def _state_text(st):
@@ -697,6 +700,63 @@ class TestTraceBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == self.LOOP_AND_MITIGATED_SHA256
 
 
+_PER_OP_KINDS = ("fetch", "execute", "retire")
+
+
+def _assert_levels_agree(full, window):
+    """Two runs of one program, each a (final state, trace) pair, at the full
+    and the window level: the window trace is the full one without its
+    per-op events, and nothing else differs."""
+    (full_st, full_trace), (window_st, window_trace) = full, window
+    assert any(kind == "fetch" for _c, kind, _t, _a in full_trace.events)
+    assert not any(kind in _PER_OP_KINDS for _c, kind, _t, _a in window_trace.events)
+    assert window_trace.events == [e for e in full_trace.events if e[1] not in _PER_OP_KINDS]
+    for f in dataclasses.fields(full_trace):
+        if f.name != "events":
+            assert getattr(window_trace, f.name) == getattr(full_trace, f.name), f.name
+    assert _state_text(window_st) == _state_text(full_st)
+
+
+class TestTraceLevels:
+    """The default window level drops each op's fetch, execute and retire
+    events and changes nothing else a run leaves behind."""
+
+    def test_levels_agree_on_the_pinned_programs(self):
+        # the armored set and user-mode flush of the loop-and-mitigated pin
+        armored = MitigationSet(
+            privileged_flush=True, pmu_noise_amplitude=40,
+            rsb_refill_on_cs=True, btb_fallback_disabled=True,
+        )
+        user_flush = (
+            "    FLUSH [r14]\n    LD r1, [r14]\n    ADD r2, r1, 1\n    HALT\n",
+            Privilege.USER, 3, None,
+        )
+        checked = 0
+        for programs, names, mitigations in (
+            (_STATE_PROGRAMS, None, None),
+            (_DIGEST_PROGRAMS + (user_flush,), ["intel_i7", "cortex_a72"], armored),
+        ):
+            full = _digest_runs(programs, names, mitigations)
+            window = _digest_runs(programs, names, mitigations, full_trace=False)
+            for (_name, *full_run), (_same, *window_run) in zip(full, window, strict=True):
+                _assert_levels_agree(full_run, window_run)
+                checked += 1
+        assert checked == 5 * len(_STATE_PROGRAMS) + 2 * (len(_DIGEST_PROGRAMS) + 1)
+
+    @pytest.mark.parametrize(
+        "generate", [generate_program, generate_pointer_program, generate_loop_program],
+        ids=lambda g: g.__name__,
+    )
+    def test_levels_agree_on_generated_programs(self, generate):
+        for seed in range(6):
+            gen = generate(random.Random(60_000 + seed))
+            for name in sorted(PROFILES):
+                prof = get_profile(name)
+                _assert_levels_agree(
+                    run_engine(gen, prof), run_engine(gen, prof, full_trace=False)
+                )
+
+
 # A counted loop with a fence and a yield in its body, so both stall points
 # recur with younger ops already on the predicted path.
 _FENCED_LOOP = (
@@ -756,7 +816,7 @@ class TestStallRule:
         st.regs[15] = 0x8000
         st.mem.cells[0x8000] = 2
         prog = assemble("    RET\n    MOVI r2, 9\nt:\n    MOVI r2, 1\n    HALT\n")
-        trace = run(prog, st, prof)
+        trace = run(prog, st, prof, full_trace=True)
         assert trace.halted and trace.mispredicts == 0 and st.regs[2] == 1
         fetched, retired = _fetches_and_retires(trace)
         assert [fetched[seq][1] for seq in sorted(fetched)] == ["RET", "MOVI", "HALT"]
