@@ -116,10 +116,15 @@ class ExperimentConfig:
         return merged
 
     def message_bytes(self) -> bytes:
+        """The payload to send.  An empty one would send nothing and still
+        report a clean channel."""
         try:
-            return bytes.fromhex(self.message_hex)
+            message = bytes.fromhex(self.message_hex)
         except ValueError:
             raise ConfigError(f"message is not valid hex: {self.message_hex!r}") from None
+        if not message:
+            raise ConfigError("message is empty; give at least one byte")
+        return message
 
     def secret_bytes(self) -> bytes | None:
         """The secret to plant, or None for the default.  A zero byte cannot

@@ -69,6 +69,8 @@ class TestExitCodes:
             ("attack", "--variant", "v3", "--profile", "cortex_a72", "--secret", "00"),
             ("matrix", "--secret", "00"),
             ("attack", "--secret", ""),
+            ("covert", "--message", ""),
+            ("sweep-bits", "--message", ""),
         ],
     )
     def test_bad_input_is_rejected_before_any_experiment_runs(
