@@ -1,4 +1,4 @@
-"""README's table of modeled cores against the bundled profiles."""
+"""README's table of modeled cores and its library example against the code."""
 
 from pathlib import Path
 
@@ -50,3 +50,14 @@ def test_core_table_matches_profiles():
             _FAULTING_LOADS[prof.exception_policy],
         ]
         assert table[name] == want, name
+
+
+def test_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("## Library surface", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["trace"].halted and scope["full"].halted
+    assert scope["state"].regs[1] == 5
+    assert scope["trace"].events == []  # nothing predicted, squashed, filled or faulted
+    assert {kind for _c, kind, _t, _a in scope["full"].events} == {"fetch", "execute", "retire"}
