@@ -164,7 +164,7 @@ def _cmd_sweep(args) -> int:
     profile = cfg.resolved_profile()
     reports = sweep_bits(profile, cfg.message_bytes(), seed=cfg.seed, config=cfg.channel_config())
     sys.stdout.write(emit_report(reports, cfg.output))
-    return 0
+    return 1 if any(report.aborted for report in reports) else 0
 
 
 def _cmd_matrix(args) -> int:

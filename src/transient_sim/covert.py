@@ -176,36 +176,31 @@ class ChannelReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+# Per width w (the symbol widths, and 8 for bytes): each w-bit value's
+# MSB-first bit string, and the value of each such string.
+_BITS = {
+    w: [format(v, f"0{w}b") for v in range(1 << w)] for w in (*range(MIN_BITS, MAX_BITS + 1), 8)
+}
+_VALUE = {w: {bits: v for v, bits in enumerate(table)} for w, table in _BITS.items()}
+
+
+def _regroup(values, width: int, new_width: int, count: int) -> list[int]:
+    """Cut the MSB-first bit string of `width`-bit `values`, zero-padded at
+    the end, into its first `count` values of `new_width` bits."""
+    text = _BITS[width]
+    bits = "".join([text[v] for v in values]).ljust(count * new_width, "0")
+    value = _VALUE[new_width]
+    return [value[bits[i : i + new_width]] for i in range(0, count * new_width, new_width)]
+
+
 def pack_symbols(message: bytes, bits_per_cs: int) -> list[int]:
     """Split a byte string into b-bit symbols, MSB first, zero-padded."""
-    bits: list[int] = []
-    for byte in message:
-        for shift in range(7, -1, -1):
-            bits.append((byte >> shift) & 1)
-    while len(bits) % bits_per_cs:
-        bits.append(0)
-    symbols = []
-    for i in range(0, len(bits), bits_per_cs):
-        value = 0
-        for bit in bits[i : i + bits_per_cs]:
-            value = (value << 1) | bit
-        symbols.append(value)
-    return symbols
+    return _regroup(message, 8, bits_per_cs, -(-8 * len(message) // bits_per_cs))
 
 
 def unpack_symbols(symbols: list[int], bits_per_cs: int, byte_count: int) -> bytes:
     """Inverse of pack_symbols, truncated to the original byte count."""
-    bits: list[int] = []
-    for value in symbols:
-        for shift in range(bits_per_cs - 1, -1, -1):
-            bits.append((value >> shift) & 1)
-    out = bytearray()
-    for i in range(0, byte_count * 8, 8):
-        byte = 0
-        for bit in bits[i : i + 8]:
-            byte = (byte << 1) | bit
-        out.append(byte)
-    return bytes(out)
+    return bytes(_regroup(symbols, bits_per_cs, 8, byte_count))
 
 
 def sender_inject(state: MachineState, symbol: int, depth: int) -> None:
@@ -262,15 +257,14 @@ def receiver_decode(
     # which keeps the shared BTB trained on the benign target.
     state.btb[RECEIVER_RET_PC] = RECEIVER_CONT_PC
 
-    latencies = mem.probe_lines(PROBE_BASE, lines, Privilege.USER)
-    if record is not None:
-        record.extend(latencies)
-    mem.flush_lines(
+    latencies = mem.probe_and_flush_lines(
         PROBE_BASE,
         lines,
         Privilege.USER,
         flush_is_privileged=profile.mitigations.privileged_flush,
     )
+    if record is not None:
+        record.extend(latencies)
     hits = [i for i, latency in enumerate(latencies) if latency < threshold]
     if len(hits) == 1:
         return hits[0]

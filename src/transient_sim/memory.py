@@ -45,6 +45,17 @@ class PrivilegedFlushError(PermissionError):
     """Raised when a user-mode flush is attempted while flushes are privileged."""
 
 
+def _flush_refusal(
+    base: int, privilege: Privilege, flush_is_privileged: bool
+) -> PrivilegedFlushError | None:
+    """The error a flush from `base` raises, or None when it is allowed."""
+    if flush_is_privileged and privilege is Privilege.USER:
+        return PrivilegedFlushError(
+            f"flush of {base:#x} requires kernel privilege under this configuration"
+        )
+    return None
+
+
 def line_of(addr: int) -> int:
     return addr // LINE_SIZE
 
@@ -250,6 +261,43 @@ class MemorySystem:
             entries.insert(0, line)
         return served
 
+    def _reload_drop_lines(self, first: int, count: int, outcomes: tuple) -> list:
+        """What _fill_lines(first, count, outcomes) and then _drop_lines(first,
+        count) do, in one pass.  The last min(count, L1 sets, L2 sets) lines
+        of the run meet no other line of it in their set in either level, so
+        each one's net effect is applied in place and it is never inserted:
+        an L1 hit leaves both levels, an L2 hit leaves L2 and evicts the
+        oldest line of a full L1 set, and a miss evicts the oldest line of
+        each full set.  Only leading lines beyond that are filled and then
+        dropped."""
+        sets1, nsets1, ways1 = self.l1._sets, self.l1.geometry.sets, self.l1.geometry.ways
+        sets2, nsets2, ways2 = self.l2._sets, self.l2.geometry.sets, self.l2.geometry.ways
+        lead = count - min(count, nsets1, nsets2)
+        served = self._fill_lines(first, lead, outcomes) if lead else []
+        from_l1, from_l2, from_dram = outcomes
+        serve = served.append
+        for line in range(first + lead, first + count):
+            entries = sets1[line % nsets1]
+            lower = sets2[line % nsets2]
+            if line in entries:
+                entries.remove(line)
+                if line in lower:
+                    lower.remove(line)
+                serve(from_l1)
+                continue
+            if line in lower:
+                lower.remove(line)
+                serve(from_l2)
+            else:
+                if len(lower) >= ways2:
+                    lower.pop()
+                serve(from_dram)
+            if len(entries) >= ways1:
+                entries.pop()
+        if lead:
+            self._drop_lines(first, lead)
+        return served
+
     def _drop_lines(self, first: int, count: int) -> None:
         sets1, nsets1 = self.l1._sets, self.l1.geometry.sets
         sets2, nsets2 = self.l2._sets, self.l2.geometry.sets
@@ -305,10 +353,9 @@ class MemorySystem:
         """Flush `count` consecutive lines from `base`, one cycle each.  A
         privileged flush refused to a user-mode caller raises
         PrivilegedFlushError before any line is dropped."""
-        if flush_is_privileged and privilege is Privilege.USER:
-            raise PrivilegedFlushError(
-                f"flush of {base:#x} requires kernel privilege under this configuration"
-            )
+        refusal = _flush_refusal(base, privilege, flush_is_privileged)
+        if refusal is not None:
+            raise refusal
         self._drop_lines(line_of(base), count)
         self.counter.current += count
 
@@ -324,9 +371,38 @@ class MemorySystem:
         PrivilegeFault after the lines before it were reloaded and counted
         and its own first counter read was taken.
         """
+        return self._probe(base, count, privilege, drop=False)
+
+    def probe_and_flush_lines(
+        self,
+        base: int,
+        count: int,
+        privilege: Privilege = Privilege.KERNEL,
+        flush_is_privileged: bool = False,
+    ) -> list[int]:
+        """probe_lines(base, count, privilege) followed by
+        flush_lines(base, count, privilege, flush_is_privileged), in one
+        pass over the lines: the same latencies, noise draws, cache and
+        counter state and exceptions.  A faulting line raises as in
+        probe_lines and nothing is flushed; a refused flush raises
+        PrivilegedFlushError after the whole reload."""
+        refusal = _flush_refusal(base, privilege, flush_is_privileged)
+        timings = self._probe(base, count, privilege, drop=refusal is None)
+        if refusal is not None:
+            raise refusal
+        self.counter.current += count
+        return timings
+
+    def _probe(self, base: int, count: int, privilege: Privilege, drop: bool) -> list[int]:
+        """probe_lines; with `drop`, a reload that faults on no line also
+        drops every line it reloaded (the flush, less its cycles)."""
         reached, fault = self._first_fault(base, count, privilege)
         lat = self.lat
-        timings = self._fill_lines(line_of(base), reached, (lat.l1_hit, lat.l2_hit, lat.dram))
+        outcomes = (lat.l1_hit, lat.l2_hit, lat.dram)
+        if drop and fault is None:
+            timings = self._reload_drop_lines(line_of(base), count, outcomes)
+        else:
+            timings = self._fill_lines(line_of(base), reached, outcomes)
         self.counter.current += sum(timings)
         amp = self.counter.noise_amplitude
         if amp:

@@ -184,6 +184,14 @@ class TestSweepCommand:
         rows = json.loads(out)
         assert [r["bits_per_cs"] for r in rows] == [1, 2, 3, 4, 5, 6]
 
+    def test_aborted_channel_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "armored.json"
+        path.write_text(json.dumps({"mitigations": {"privileged_flush": True}}))
+        code, out, _ = run_cli(capsys, "sweep-bits", "--config", str(path))
+        assert code == 1
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [(row[1], row[2]) for row in rows] == [("0.000000", "0")] * 6
+
 
 class TestMatrixCommand:
     def test_table_reports_empty_diff(self, capsys):

@@ -42,7 +42,49 @@ def closed_form_cost(profile, cfg: ChannelConfig) -> int:
     )
 
 
+def _reference_pack(message: bytes, bits_per_cs: int) -> list[int]:
+    """pack_symbols spelled out bit by bit."""
+    bits: list[int] = []
+    for byte in message:
+        for shift in range(7, -1, -1):
+            bits.append((byte >> shift) & 1)
+    while len(bits) % bits_per_cs:
+        bits.append(0)
+    symbols = []
+    for i in range(0, len(bits), bits_per_cs):
+        value = 0
+        for bit in bits[i : i + bits_per_cs]:
+            value = (value << 1) | bit
+        symbols.append(value)
+    return symbols
+
+
+def _reference_unpack(symbols: list[int], bits_per_cs: int, byte_count: int) -> bytes:
+    """unpack_symbols spelled out bit by bit."""
+    bits: list[int] = []
+    for value in symbols:
+        for shift in range(bits_per_cs - 1, -1, -1):
+            bits.append((value >> shift) & 1)
+    out = bytearray()
+    for i in range(0, byte_count * 8, 8):
+        byte = 0
+        for bit in bits[i : i + 8]:
+            byte = (byte << 1) | bit
+        out.append(byte)
+    return bytes(out)
+
+
 class TestPacking:
+    @pytest.mark.parametrize("bits", range(1, 7))
+    def test_tables_match_the_bit_loop_reference(self, bits):
+        rng = random.Random(500 + bits)
+        for size in (*range(1, 41), 257):
+            payload = bytes(rng.randrange(256) for _ in range(size))
+            symbols = pack_symbols(payload, bits)
+            assert symbols == _reference_pack(payload, bits), size
+            assert unpack_symbols(symbols, bits, size) == _reference_unpack(symbols, bits, size)
+            assert unpack_symbols(symbols, bits, size) == payload
+
     @pytest.mark.parametrize("bits", range(1, 7))
     def test_round_trip_random_payload(self, bits):
         rng = random.Random(bits)

@@ -212,6 +212,12 @@ def _per_line_flush(mem, base, count, privilege, flush_is_privileged):
         mem.flush_line(base + i * LINE_SIZE, privilege, flush_is_privileged)
 
 
+def _per_line_probe_and_flush(mem, base, count, privilege, flush_is_privileged):
+    latencies = _per_line_probe(mem, base, count, privilege)
+    _per_line_flush(mem, base, count, privilege, flush_is_privileged)
+    return latencies
+
+
 def _outcome(call):
     try:
         return call(), None
@@ -230,16 +236,34 @@ def _state(mem):
     return levels, counter, rng_state, replay
 
 
+# Noise, privilege and page attributes of the seeded twins, and whether
+# some reload among their 40 seeds faults.
+_TWIN_CASES = pytest.mark.parametrize(
+    "noise, privilege, pages, faults",
+    [
+        (0, Privilege.USER, (), False),
+        (5, Privilege.USER, (), False),
+        (4, Privilege.USER, ((2, "set_privileged"),), True),
+        (4, Privilege.KERNEL, ((2, "set_privileged"),), False),
+        (2, Privilege.KERNEL, ((1, "set_mapped"),), True),
+        (0, Privilege.USER, ((2, "set_privileged"),), True),
+        (0, Privilege.KERNEL, ((1, "set_mapped"),), True),
+    ],
+    ids=["exact", "noise", "privileged-page-user", "privileged-page-kernel",
+         "unmapped-page", "exact-privileged-page-user", "exact-unmapped-page"],
+)
+
+
 class TestFlushReloadPrimitive:
     """probe_lines/flush_lines against the per-line public path they replace,
     from seeded random cache states over seeded random line ranges."""
 
     @staticmethod
-    def _twins(seed, noise, pages):
+    def _twins(seed, noise, pages, l1=CacheGeometry(4, 2), l2=CacheGeometry(16, 4)):
         def build():
             mem = MemorySystem(
-                l1=CacheGeometry(4, 2),
-                l2=CacheGeometry(16, 4),
+                l1=l1,
+                l2=l2,
                 counter=CycleCounter(current=seed * 13, noise_amplitude=noise),
                 rng=random.Random(seed),
             )
@@ -252,20 +276,7 @@ class TestFlushReloadPrimitive:
 
         return build(), build()
 
-    @pytest.mark.parametrize(
-        "noise, privilege, pages, faults",
-        [
-            (0, Privilege.USER, (), False),
-            (5, Privilege.USER, (), False),
-            (4, Privilege.USER, ((2, "set_privileged"),), True),
-            (4, Privilege.KERNEL, ((2, "set_privileged"),), False),
-            (2, Privilege.KERNEL, ((1, "set_mapped"),), True),
-            (0, Privilege.USER, ((2, "set_privileged"),), True),
-            (0, Privilege.KERNEL, ((1, "set_mapped"),), True),
-        ],
-        ids=["exact", "noise", "privileged-page-user", "privileged-page-kernel",
-             "unmapped-page", "exact-privileged-page-user", "exact-unmapped-page"],
-    )
+    @_TWIN_CASES
     def test_probe_then_flush_then_probe_matches_per_line_path(
         self, noise, privilege, pages, faults
     ):
@@ -301,6 +312,75 @@ class TestFlushReloadPrimitive:
             # one cycle per flushed line; a refused flush drops nothing
             assert fast.counter.current == start + (0 if refused else count)
             assert _state(fast) == _state(slow)
+
+
+    @_TWIN_CASES
+    def test_probe_and_flush_matches_per_line_probe_then_flush(
+        self, noise, privilege, pages, faults
+    ):
+        faulted = 0
+        for seed in range(40):
+            fast, slow = self._twins(seed, noise, pages)
+            pick = random.Random(2000 + seed)
+            base = REGION + pick.randrange(REGION_LINES) * LINE_SIZE + pick.randrange(LINE_SIZE)
+            # up to L1's 4 sets every line is reloaded in place; beyond, the
+            # leading lines are filled and dropped
+            count = pick.randint(1, pick.choice((4, 130)))
+            for step in ("probe_and_flush", "probe", "probe_and_flush"):
+                if step == "probe":
+                    got = _outcome(lambda: fast.probe_lines(base, count, privilege))
+                    want = _outcome(lambda: _per_line_probe(slow, base, count, privilege))
+                else:
+                    got = _outcome(lambda: fast.probe_and_flush_lines(base, count, privilege))
+                    want = _outcome(
+                        lambda: _per_line_probe_and_flush(slow, base, count, privilege, False)
+                    )
+                assert got == want, f"seed {seed} {step} {base:#x}+{count}"
+                assert _state(fast) == _state(slow), f"seed {seed} {step} {base:#x}+{count}"
+                faulted += got[1] is not None
+        assert bool(faulted) == faults
+
+    @pytest.mark.parametrize("privilege", [Privilege.USER, Privilege.KERNEL])
+    def test_probe_and_privileged_flush_matches_per_line_path(self, privilege):
+        for seed in range(10):
+            fast, slow = self._twins(seed, 3, ())
+            base, count = REGION + seed * 5 * LINE_SIZE, 20 + seed
+            for _ in range(2):  # the second pass finds the first one's lines cached or gone
+                got = _outcome(lambda: fast.probe_and_flush_lines(base, count, privilege, True))
+                want = _outcome(
+                    lambda: _per_line_probe_and_flush(slow, base, count, privilege, True)
+                )
+                assert got == want
+                # a refused flush raises after the whole reload
+                assert (got[1] is not None) == (privilege is Privilege.USER)
+                assert _state(fast) == _state(slow)
+
+    @pytest.mark.parametrize(
+        "l1, l2",
+        [
+            (CacheGeometry(8, 2), CacheGeometry(4, 4)),
+            (CacheGeometry(1, 2), CacheGeometry(16, 4)),
+            (CacheGeometry(64, 8), CacheGeometry(512, 8)),
+        ],
+        ids=["l2-fewer-sets", "one-set-l1", "intel-i7"],
+    )
+    def test_probe_and_flush_matches_per_line_path_on_other_geometries(self, l1, l2):
+        for seed in range(30):
+            fast, slow = self._twins(seed, 2, (), l1, l2)
+            pick = random.Random(3000 + seed)
+            base = REGION + pick.randrange(REGION_LINES) * LINE_SIZE
+            count = pick.randint(0, 140)
+            for step in ("probe_and_flush", "probe", "probe_and_flush"):
+                if step == "probe":
+                    got = _outcome(lambda: fast.probe_lines(base, count, Privilege.USER))
+                    want = _outcome(lambda: _per_line_probe(slow, base, count, Privilege.USER))
+                else:
+                    got = _outcome(lambda: fast.probe_and_flush_lines(base, count, Privilege.USER))
+                    want = _outcome(
+                        lambda: _per_line_probe_and_flush(slow, base, count, Privilege.USER, False)
+                    )
+                assert got == want, f"seed {seed} {step} {base:#x}+{count}"
+                assert _state(fast) == _state(slow), f"seed {seed} {step} {base:#x}+{count}"
 
 
 class TestCycleCounter:

@@ -1,7 +1,11 @@
-"""README's table of modeled cores and its library example against the code."""
+"""README's table of modeled cores, its library example and the code names it
+cites against the code."""
 
+import re
 from pathlib import Path
+from types import ModuleType
 
+import transient_sim
 from transient_sim.profiles import (
     PROFILES,
     ExceptionPolicy,
@@ -61,3 +65,37 @@ def test_library_example_runs():
     assert scope["state"].regs[1] == 5
     assert scope["trace"].events == []  # nothing predicted, squashed, filled or faulted
     assert {kind for _c, kind, _t, _a in scope["full"].events} == {"fetch", "execute", "retire"}
+
+
+# A backticked dotted name such as `MemorySystem.probe_lines` or
+# `Trace.to_json()`; file names such as `config.py` are not code names.
+_CODE_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+_FILE_SUFFIXES = {"py", "md", "json", "csv"}
+
+
+def _resolve(dotted: str):
+    """The attribute `dotted` names, its head looked up on the package and
+    then on each of its modules."""
+    head, *rest = dotted.split(".")
+    modules = [v for v in vars(transient_sim).values() if isinstance(v, ModuleType)]
+    owners = [transient_sim, *modules]
+    obj = next(getattr(owner, head) for owner in owners if hasattr(owner, head))
+    for part in rest:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_cited_code_names_exist():
+    text = README.read_text(encoding="utf-8")
+    names = {
+        name for name in _CODE_NAME.findall(text) if name.rsplit(".", 1)[1] not in _FILE_SUFFIXES
+    }
+    assert {"MemorySystem.probe_and_flush_lines", "covert.receiver_decode",
+            "Latencies.hit_threshold"} <= names
+    missing = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (AttributeError, StopIteration):
+            missing.append(name)
+    assert missing == []
