@@ -314,6 +314,25 @@ class TestFlushReloadPrimitive:
             assert _state(fast) == _state(slow)
 
 
+    @staticmethod
+    def _reload_steps(fast, slow, base, count, privilege, label):
+        """Probe-and-flush, probe, probe-and-flush on both twins, checking the
+        outcome and the state after every step; returns the outcomes."""
+        outcomes = []
+        for step in ("probe_and_flush", "probe", "probe_and_flush"):
+            if step == "probe":
+                got = _outcome(lambda: fast.probe_lines(base, count, privilege))
+                want = _outcome(lambda: _per_line_probe(slow, base, count, privilege))
+            else:
+                got = _outcome(lambda: fast.probe_and_flush_lines(base, count, privilege))
+                want = _outcome(
+                    lambda: _per_line_probe_and_flush(slow, base, count, privilege, False)
+                )
+            assert got == want, f"{label} {step} {base:#x}+{count}"
+            assert _state(fast) == _state(slow), f"{label} {step} {base:#x}+{count}"
+            outcomes.append(got)
+        return outcomes
+
     @_TWIN_CASES
     def test_probe_and_flush_matches_per_line_probe_then_flush(
         self, noise, privilege, pages, faults
@@ -326,18 +345,8 @@ class TestFlushReloadPrimitive:
             # up to L1's 4 sets every line is reloaded in place; beyond, the
             # leading lines are filled and dropped
             count = pick.randint(1, pick.choice((4, 130)))
-            for step in ("probe_and_flush", "probe", "probe_and_flush"):
-                if step == "probe":
-                    got = _outcome(lambda: fast.probe_lines(base, count, privilege))
-                    want = _outcome(lambda: _per_line_probe(slow, base, count, privilege))
-                else:
-                    got = _outcome(lambda: fast.probe_and_flush_lines(base, count, privilege))
-                    want = _outcome(
-                        lambda: _per_line_probe_and_flush(slow, base, count, privilege, False)
-                    )
-                assert got == want, f"seed {seed} {step} {base:#x}+{count}"
-                assert _state(fast) == _state(slow), f"seed {seed} {step} {base:#x}+{count}"
-                faulted += got[1] is not None
+            outcomes = self._reload_steps(fast, slow, base, count, privilege, f"seed {seed}")
+            faulted += sum(got[1] is not None for got in outcomes)
         assert bool(faulted) == faults
 
     @pytest.mark.parametrize("privilege", [Privilege.USER, Privilege.KERNEL])
@@ -370,17 +379,7 @@ class TestFlushReloadPrimitive:
             pick = random.Random(3000 + seed)
             base = REGION + pick.randrange(REGION_LINES) * LINE_SIZE
             count = pick.randint(0, 140)
-            for step in ("probe_and_flush", "probe", "probe_and_flush"):
-                if step == "probe":
-                    got = _outcome(lambda: fast.probe_lines(base, count, Privilege.USER))
-                    want = _outcome(lambda: _per_line_probe(slow, base, count, Privilege.USER))
-                else:
-                    got = _outcome(lambda: fast.probe_and_flush_lines(base, count, Privilege.USER))
-                    want = _outcome(
-                        lambda: _per_line_probe_and_flush(slow, base, count, Privilege.USER, False)
-                    )
-                assert got == want, f"seed {seed} {step} {base:#x}+{count}"
-                assert _state(fast) == _state(slow), f"seed {seed} {step} {base:#x}+{count}"
+            self._reload_steps(fast, slow, base, count, Privilege.USER, f"seed {seed}")
 
 
 class TestCycleCounter:
