@@ -30,6 +30,13 @@ would give.  A load held back by an older store is woken when a store
 address resolves or when the forwarded data is ready.  Control resolutions
 wait on their own heap, and a squash drops only the ops it squashes; heap
 entries of squashed ops are skipped when they come up.
+
+A program is decoded once, on its first run (isa.Program.decoded): each
+instruction becomes a flat tuple of an int kind, its register sources and
+destination, and the operand issue reads.  Every later run of it, on any
+core, reuses that table.  The engine branches on the int kinds, and the
+profile's policies are resolved once per run; Opcode and the profile's
+Enums are compared only when text is made or a run is set up.
 """
 
 from __future__ import annotations
@@ -40,7 +47,10 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .isa import Imm, Instruction, Opcode, Program, Reg
+from .isa import (
+    FLAGS, K_ADD, K_AND, K_BGE, K_CALL, K_CMP, K_FENCE, K_FLUSH, K_HALT, K_LD, K_MOVI,
+    K_MRS, K_RDCYC, K_RET, K_SHL, K_ST, K_YIELD, Program,
+)
 from .memory import (
     CycleCounter,
     Latencies,
@@ -58,10 +68,11 @@ from .profiles import (
     SquashPolicy,
 )
 
-FLAGS = 16  # pseudo-register written by CMP, read by BGE
 _INF = 1 << 62
-# read a register and then a register or an immediate, the last two operands
-_ARITH = (Opcode.ADD, Opcode.SHL, Opcode.AND, Opcode.CMP)
+# Enum members compared on every return; a module-level name is read faster
+_RING_BUFFER = RsbUnderflow.RING_BUFFER
+_SWITCH_TO_BTB = RsbUnderflow.SWITCH_TO_BTB
+_IN_ORDER = PipelineKind.IN_ORDER
 
 DEFAULT_SEED = 7
 
@@ -103,7 +114,7 @@ class Rsb:
         under RING_BUFFER, which reads the stale slot of a long-gone push."""
         if self.count:
             self.count -= 1
-        elif underflow is not RsbUnderflow.RING_BUFFER:
+        elif underflow is not _RING_BUFFER:
             return None
         value = self.entries[self.top]
         self.top = (self.top - 1) % self.size
@@ -174,13 +185,13 @@ def predict_return(state: MachineState, profile: CpuProfile, ret_site: int) -> i
     empty RSB reads the BTB instead, unless btb_fallback_disabled.  An
     in-order core still pops but predicts nothing: it stalls fetch until the
     return resolves."""
-    if state.rsb.count or profile.rsb_underflow is not RsbUnderflow.SWITCH_TO_BTB:
+    if state.rsb.count or profile.rsb_underflow is not _SWITCH_TO_BTB:
         predicted = state.rsb.pop(profile.rsb_underflow)
     elif profile.mitigations.btb_fallback_disabled:
         predicted = None
     else:
         predicted = state.btb.get(ret_site)
-    if profile.pipeline is PipelineKind.IN_ORDER:
+    if profile.pipeline is _IN_ORDER:
         return None
     return predicted
 
@@ -251,7 +262,7 @@ class Trace:
 
 class _Op:
     __slots__ = (
-        "seq", "pc", "instr", "name",
+        "seq", "pc", "kind", "arg", "name",
         "reads", "dst", "value", "prev",
         "pending", "ready", "consumers", "waiters", "squashed",
         "issued", "issue_cycle", "complete",
@@ -262,13 +273,14 @@ class _Op:
         "fault",
     )
 
-    def __init__(self, seq: int, pc: int, instr: Instruction, dispatch: int):
+    def __init__(self, seq: int, pc: int, decoded: tuple, dispatch: int):
         self.seq = seq
         self.pc = pc
-        self.instr = instr
-        self.name = None          # the opcode's text, for trace events
-        self.reads = {}           # reg index -> source operand
-        self.dst = None
+        # kind, dst, offset and flags as isa._decode gives them; arg is what
+        # issue reads beside the sources, and name the opcode's text
+        (self.kind, self.dst, _, _, self.mem_offset_src, self.is_load, self.is_store,
+         self.is_control, self.arg, self.name) = decoded
+        self.reads = []           # source operands, in the order of the decoded sources
         self.value = None
         self.prev = None          # the dst's producer this op renamed over
         self.pending = 0          # register sources whose producer has not issued
@@ -279,11 +291,7 @@ class _Op:
         self.issued = False
         self.issue_cycle = None
         self.complete = None
-        self.is_load = False
-        self.is_store = False
-        self.is_control = False
         self.mem_addr = None
-        self.mem_offset_src = 0
         self.store_data_src = None  # source operand of the stored value
         self.fill_addr = None
         self.fill_complete = None
@@ -306,31 +314,6 @@ def _value(src) -> int:
     return src.value if isinstance(src, _Op) else src
 
 
-def _decode(instr: Instruction) -> tuple:
-    """What dispatch needs of an instruction: (dst, source registers, stored
-    register, memory offset, is_load, is_store, is_control)."""
-    opc, ops = instr.opcode, instr.operands
-    if opc in _ARITH:
-        srcs = (ops[-2].index,) + ((ops[-1].index,) if isinstance(ops[-1], Reg) else ())
-        dst = FLAGS if opc is Opcode.CMP else ops[0].index
-        return dst, tuple(dict.fromkeys(srcs)), None, 0, False, False, False
-    if opc in (Opcode.MOVI, Opcode.RDCYC, Opcode.MRS):
-        return ops[0].index, (), None, 0, False, False, False
-    if opc is Opcode.LD:
-        return ops[0].index, (ops[1].base,), None, ops[1].offset, True, False, False
-    if opc is Opcode.ST:
-        return None, (ops[0].base,), ops[1].index, ops[0].offset, False, True, False
-    if opc is Opcode.FLUSH:
-        return None, (ops[0].base,), None, ops[0].offset, False, False, False
-    if opc is Opcode.BGE:
-        return None, (FLAGS,), None, 0, False, False, True
-    if opc is Opcode.CALL:  # pushes the return address onto the software stack
-        return 15, (15,), None, 0, False, True, True
-    if opc is Opcode.RET:  # fetches the return address from the software stack
-        return 15, (15,), None, 0, True, False, True
-    return None, (), None, 0, False, False, False
-
-
 class _Engine:
     def __init__(self, program: Program, state: MachineState, profile: CpuProfile,
                  max_cycles: int, full_trace: bool):
@@ -339,7 +322,12 @@ class _Engine:
         self.profile = profile
         self.max_cycles = max_cycles
         self.mem = state.mem
+        # the profile's and the context's facts, resolved once for the whole run
         self.in_order = profile.pipeline is PipelineKind.IN_ORDER
+        self.keep_inflight = profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS
+        self.forward_value = profile.exception_policy is ExceptionPolicy.DEFERRED_FORWARD_VALUE
+        self.user = state.privilege is Privilege.USER
+        self.flush_faults = self.user and profile.mitigations.privileged_flush
         self.cycle = 0
         self.cycle_base = state.mem.counter.current
         self.seq = 0
@@ -366,7 +354,7 @@ class _Engine:
         self.record = self.trace.events.append  # takes (cycle, kind, template, args)
         self.full_trace = full_trace  # also record each op's fetch, execute and retire
         self.end = len(program)
-        self.decoded: list = [None] * self.end  # pc -> _decode(instr) + (opcode text,)
+        self.decoded = program.decoded  # pc -> isa._decode(instruction)
 
     # -- helpers -------------------------------------------------------------
 
@@ -399,7 +387,7 @@ class _Engine:
         while self.loads and self.loads[-1].seq > resolver_seq:
             self.loads.pop()
         oldest_live = window[0].seq if window else self.seq
-        keep_inflight = self.profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS
+        keep_inflight = self.keep_inflight
         persisted = []
         for op in doomed:  # youngest first: each restores the name it renamed
             op.squashed = True
@@ -438,26 +426,20 @@ class _Engine:
             return
         state, profile = self.state, self.profile
         cycle, seq, rename = self.cycle, self.seq, self.rename
-        instr = self.program.instructions[pc]
-        op = _Op(seq, pc, instr, cycle)
+        decoded = self.decoded[pc]
+        op = _Op(seq, pc, decoded, cycle)
         self.seq = seq + 1
-        opc = instr.opcode
-        ops = instr.operands
+        kind, srcs, data = op.kind, decoded[2], decoded[3]
 
         next_pc = pc + 1
-        decoded = self.decoded[pc]
-        if decoded is None:
-            decoded = self.decoded[pc] = _decode(instr) + (opc.value,)
-        (op.dst, srcs, data, op.mem_offset_src, op.is_load, op.is_store, op.is_control,
-         op.name) = decoded
         # at dispatch no issue pass is running, so a wakeup goes on the heap
         reads = op.reads
         for reg in srcs:
             src = rename.get(reg)
             if src is None:
-                reads[reg] = state.flags if reg == FLAGS else state.regs[reg]
+                reads.append(state.flags if reg == FLAGS else state.regs[reg])
                 continue
-            reads[reg] = src
+            reads.append(src)
             if not src.issued:
                 src.consumers.append(op)
                 op.pending += 1
@@ -476,13 +458,13 @@ class _Engine:
                 elif src.complete > cycle:
                     heapq.heappush(self.wakeups, (src.complete, seq, op))
         if op.is_control:
-            if opc is Opcode.CALL:
+            if kind == K_CALL:
                 op.store_data_src = pc + 1
                 state.rsb.push(pc + 1)  # speculative push, survives squash
-                next_pc = ops[0].target
+                next_pc = op.arg
                 op.predicted_next = next_pc
                 op.resolved = True  # static target, cannot mispredict
-            elif opc is Opcode.RET:
+            elif kind == K_RET:
                 predicted = predict_return(state, profile, pc)
                 op.predicted_next = predicted
                 if predicted is not None:
@@ -495,7 +477,7 @@ class _Engine:
                 self.fetch_active = False  # until the branch resolves
             else:
                 taken = state.pht.predict(pc)
-                op.predicted_next = next_pc = ops[0].target if taken else pc + 1
+                op.predicted_next = next_pc = op.arg if taken else pc + 1
                 self.record((
                     cycle, "predict", "bge@{} {} -> {}",
                     (pc, "taken" if taken else "not-taken", next_pc),
@@ -510,11 +492,11 @@ class _Engine:
         if op.is_load:
             self.loads.append(op)
         if self.full_trace:
-            self.record((cycle, "fetch", "#{} @{} {}", (seq, pc, instr)))
+            self.record((cycle, "fetch", "#{} @{} {}", (seq, pc, self.program.instructions[pc])))
 
-        if opc is Opcode.HALT:
+        if kind == K_HALT:
             self.fetch_active = False
-        if self.in_order or opc is Opcode.FENCE or opc is Opcode.YIELD:
+        if self.in_order or kind == K_FENCE or kind == K_YIELD:
             # nothing younger dispatches until this retires; on an in-order
             # core that holds for every op, so a deferred fault can never
             # shadow-execute its dependents
@@ -578,7 +560,7 @@ class _Engine:
                 data.waiters.append(op)
 
     def _issue_load(self, op: _Op) -> None:
-        addr = _value(op.reads[op.instr.operands[1].base]) + op.mem_offset_src
+        addr = _value(op.reads[0]) + op.mem_offset_src
         ready, forward = self._load_hazard(op, addr)
         if not ready:
             self._hold(op, forward)
@@ -591,9 +573,7 @@ class _Engine:
             return
 
         entry = self.mem.pages.entry(addr)
-        if not entry.mapped and not (
-            entry.privileged and self.state.privilege is Privilege.USER
-        ):
+        if not entry.mapped and not (entry.privileged and self.user):
             # demand paging: the fault resolves by mapping the page
             self.mem.pages.set_mapped(addr, True)
             self.mem.fill(addr)
@@ -603,10 +583,10 @@ class _Engine:
             self._finish_issue(op, lat.page_fault)
             op.fill_complete = op.complete
             return
-        if entry.privileged and self.state.privilege is Privilege.USER:
+        if entry.privileged and self.user:
             # exception deferred to retirement; dependents see a forwarded value
             level = self.mem.probe_level(addr)
-            if self.profile.exception_policy is ExceptionPolicy.DEFERRED_FORWARD_VALUE:
+            if self.forward_value:
                 op.value = self.mem.cells.get(addr, 0)
             else:
                 op.value = 0
@@ -654,22 +634,20 @@ class _Engine:
         resolves stays unissued and is tried again in the next pass."""
         if op.pending or op.ready > self.cycle:
             return  # woken early, for its data; its sources will wake it
-        opc = op.instr.opcode
-        ops = op.instr.operands
-        if opc in _ARITH:
+        kind = op.kind
+        if kind <= K_CMP:  # ADD, SHL, AND, CMP
             reads = op.reads
-            a = reads[ops[-2].index]
+            a = reads[0]
             if a.__class__ is _Op:
                 a = a.value
-            b = ops[-1]
-            b = b.value if b.__class__ is Imm else reads[b.index]
+            b = reads[-1] if op.arg is None else op.arg
             if b.__class__ is _Op:
                 b = b.value
-            if opc is Opcode.ADD:
+            if kind == K_ADD:
                 op.value = a + b
-            elif opc is Opcode.SHL:
+            elif kind == K_SHL:
                 op.value = a << (b & 63)
-            elif opc is Opcode.AND:
+            elif kind == K_AND:
                 op.value = a & b
             else:  # CMP: the sign of a - b
                 op.value = (a > b) - (a < b)
@@ -677,11 +655,10 @@ class _Engine:
             return
         if op.is_load:
             self.blocked.pop(op.seq, None)  # _hold parks it again if need be
-        state, profile = self.state, self.profile
 
-        if opc is Opcode.ST:
+        if kind == K_ST:
             if op.mem_addr is None:
-                op.mem_addr = _value(op.reads[ops[0].base]) + op.mem_offset_src
+                op.mem_addr = _value(op.reads[0]) + op.mem_offset_src
                 self._store_address_known(op)
                 if _ready_at(op.store_data_src) <= self.cycle:
                     self._wake(op, self.cycle)
@@ -689,49 +666,46 @@ class _Engine:
             if _ready_at(op.store_data_src) > self.cycle:
                 return  # its data's producer wakes it
             self._finish_issue(op, 1)
-        elif opc is Opcode.MOVI:
-            op.value = ops[1].value
+        elif kind == K_MOVI:
+            op.value = op.arg
             self._finish_issue(op, 1)
-        elif opc is Opcode.LD:
+        elif kind == K_LD:
             self._issue_load(op)
-        elif opc is Opcode.FLUSH:
-            op.mem_addr = _value(op.reads[ops[0].base]) + op.mem_offset_src
-            if (
-                profile.mitigations.privileged_flush
-                and state.privilege is Privilege.USER
-            ):
+        elif kind == K_FLUSH:
+            op.mem_addr = _value(op.reads[0]) + op.mem_offset_src
+            if self.flush_faults:
                 self._issue_faulting(op, "privileged-flush", 1)
             else:
                 self._finish_issue(op, 1)
-        elif opc is Opcode.RDCYC:
+        elif kind == K_RDCYC:
             counter = self.mem.counter
             saved = counter.current
             counter.current = self.cycle_base + self.cycle
             op.value = counter.read(self.state.rng)
             counter.current = saved
             self._finish_issue(op, 1)
-        elif opc is Opcode.MRS:
-            idx = ops[1].index
-            if state.privilege is Privilege.USER:
-                op.value = state.sysregs.get(idx, 0) if profile.sysreg_transient_forward else 0
+        elif kind == K_MRS:
+            sysregs = self.state.sysregs
+            if self.user:
+                op.value = sysregs.get(op.arg, 0) if self.profile.sysreg_transient_forward else 0
                 self._issue_faulting(op, "sysreg", 1)
             else:
-                op.value = state.sysregs.get(idx, 0)
+                op.value = sysregs.get(op.arg, 0)
                 self._finish_issue(op, 1)
-        elif opc is Opcode.BGE:
-            taken = _value(op.reads[FLAGS]) >= 0
-            op.actual_next = ops[0].target if taken else op.pc + 1
+        elif kind == K_BGE:
+            taken = _value(op.reads[0]) >= 0
+            op.actual_next = op.arg if taken else op.pc + 1
             op.value = 1 if taken else 0
-            self._finish_issue(op, profile.branch_resolve_extra)
+            self._finish_issue(op, self.profile.branch_resolve_extra)
             heapq.heappush(self.resolutions, (op.complete, op.seq, op))
-        elif opc is Opcode.CALL:
-            old = _value(op.reads[15])
+        elif kind == K_CALL:
+            old = _value(op.reads[0])
             op.value = old - 8
             op.mem_addr = old - 8
             self._store_address_known(op)
             self._finish_issue(op, 1)
-        elif opc is Opcode.RET:
-            addr = _value(op.reads[15])
+        elif kind == K_RET:
+            addr = _value(op.reads[0])
             ready, forward = self._load_hazard(op, addr)
             if not ready:
                 self._hold(op, forward)
@@ -743,7 +717,7 @@ class _Engine:
                 latency = self.mem.lat.l1_hit
             else:
                 try:
-                    self.mem.check_access(addr, state.privilege)
+                    self.mem.check_access(addr, self.state.privilege)
                 except (PageFault, PrivilegeFault) as exc:
                     # raised when the return retires, so a return on a wrong
                     # path is squashed with it; it has no target to resolve to
@@ -755,7 +729,7 @@ class _Engine:
                 op.fill_addr = addr
                 op.fill_complete = self.cycle + latency
                 op.actual_next = self.mem.cells.get(addr, 0)
-            self._finish_issue(op, latency + profile.return_resolve_extra)
+            self._finish_issue(op, latency + self.profile.return_resolve_extra)
             heapq.heappush(self.resolutions, (op.complete, op.seq, op))
         else:  # NOP, FENCE, YIELD, HALT
             self._finish_issue(op, 1)
@@ -806,8 +780,7 @@ class _Engine:
     def _retire_effects(self, op: _Op, when: int) -> None:
         """Everything retiring op does but write its register: raise its
         fault, write its store, train a predictor, flush, switch or halt."""
-        state, profile = self.state, self.profile
-        opc = op.instr.opcode
+        state = self.state
         if op.fault:
             if op.dst is not None and self.rename.get(op.dst) is op:
                 del self.rename[op.dst]  # the register keeps its old value
@@ -822,19 +795,20 @@ class _Engine:
         if op.is_store:
             self.mem.cells[op.mem_addr] = _value(op.store_data_src)
             self.mem.fill(op.mem_addr)
-        if opc is Opcode.FLUSH:
+        kind = op.kind
+        if kind == K_FLUSH:
             self.mem.invalidate_line(op.mem_addr)
-        elif opc is Opcode.BGE:
+        elif kind == K_BGE:
             state.pht.update(op.pc, op.value == 1)
-        elif opc is Opcode.RET:
+        elif kind == K_RET:
             state.btb[op.pc] = op.actual_next
-        elif opc is Opcode.YIELD:
-            context_switch(state, profile)
+        elif kind == K_YIELD:
+            context_switch(state, self.profile)
             if op.pc + 1 >= self.end:
                 # a trailing yield ends the context's turn
                 self.halted = True
                 state.pc = op.pc
-        elif opc is Opcode.HALT:
+        elif kind == K_HALT:
             self.halted = True
             state.pc = op.pc
 

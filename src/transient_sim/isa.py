@@ -10,9 +10,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 NUM_REGS = 16
 NUM_SYSREGS = 16
+FLAGS = NUM_REGS  # pseudo-register written by CMP, read by BGE
 
 
 class Opcode(Enum):
@@ -33,6 +35,14 @@ class Opcode(Enum):
     FENCE = "FENCE"
     HALT = "HALT"
     NOP = "NOP"
+
+
+# The int kind of each opcode, which the engine branches on instead of Opcode
+# (an Enum member lookup is slow).  The ALU kinds come first, so kind <= K_CMP
+# picks them out; an opcode without a K_ name fails here, at import.
+(K_ADD, K_SHL, K_AND, K_CMP, K_MOVI, K_LD, K_ST, K_BGE, K_CALL, K_RET, K_FLUSH,
+ K_RDCYC, K_MRS, K_YIELD, K_FENCE, K_HALT, K_NOP) = range(17)
+KINDS = {opcode: globals()["K_" + opcode.name] for opcode in Opcode}
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,50 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    @cached_property
+    def decoded(self) -> tuple:
+        """pc -> _decode(instruction): built on the program's first run and
+        kept with it, for every later run on any core."""
+        return tuple(map(_decode, self.instructions))
+
+
+# one tuple per list of source registers, shared by every entry that reads it;
+# with 17 registers there are at most 17 * 16 lists
+_SOURCES: dict = {}
+
+
+def _decode(instr: Instruction) -> tuple:
+    """What the engine needs of an instruction, as one flat tuple: (kind, dst,
+    source registers, stored register, memory offset, is_load, is_store,
+    is_control, arg, opcode text).  arg is what issue reads beside the source
+    registers: an immediate, a branch target or a sysreg index.  An opcode
+    without a kind raises KeyError."""
+    opc, ops = instr.opcode, instr.operands
+    kind = KINDS[opc]
+    dst, srcs, data, offset, arg = None, (), None, 0, None
+    if kind <= K_CMP:  # reads a register, then a register or an immediate
+        a, b = ops[-2].index, ops[-1]
+        dst = FLAGS if kind == K_CMP else ops[0].index
+        if isinstance(b, Imm):
+            srcs, arg = (a,), b.value
+        else:
+            srcs = (a,) if b.index == a else (a, b.index)
+    elif kind in (K_MOVI, K_RDCYC, K_MRS):
+        dst = ops[0].index
+        arg = ops[1].value if kind == K_MOVI else ops[1].index if kind == K_MRS else None
+    elif kind in (K_LD, K_ST, K_FLUSH):
+        mem = ops[1] if kind == K_LD else ops[0]
+        srcs, offset = (mem.base,), mem.offset
+        dst = ops[0].index if kind == K_LD else None
+        data = ops[1].index if kind == K_ST else None
+    elif kind in (K_BGE, K_CALL, K_RET):  # CALL and RET use the stack at r15
+        srcs = (FLAGS,) if kind == K_BGE else (15,)
+        dst = None if kind == K_BGE else 15
+        arg = None if kind == K_RET else ops[0].target
+    srcs = _SOURCES.setdefault(srcs, srcs)
+    return (kind, dst, srcs, data, offset, kind in (K_LD, K_RET), kind in (K_ST, K_CALL),
+            kind in (K_BGE, K_CALL, K_RET), arg, opc.value)
 
 
 class AssemblyError(ValueError):

@@ -584,10 +584,25 @@ _STATE_PROGRAMS = _DIGEST_PROGRAMS + (
 )
 
 
-def _digest_runs(programs=_DIGEST_PROGRAMS, names=None, mitigations=None, full_trace=True):
+# The mitigated pins' set: return-stack refill, a disabled target-buffer
+# fallback, a noisy cycle counter and privileged flushes, with a user-mode
+# flush for the last to refuse.
+_ARMORED = MitigationSet(
+    privileged_flush=True, pmu_noise_amplitude=40,
+    rsb_refill_on_cs=True, btb_fallback_disabled=True,
+)
+_USER_FLUSH = (
+    "    FLUSH [r14]\n    LD r1, [r14]\n    ADD r2, r1, 1\n    HALT\n",
+    Privilege.USER, 3, None,
+)
+
+
+def _digest_runs(programs=_DIGEST_PROGRAMS, names=None, mitigations=None, full_trace=True,
+                 assemble_with=assemble):
     """(core name, final machine state, trace) of each program on each core,
     or on the named cores only, under the given mitigations if any.  The
-    traces are full-level unless full_trace is False."""
+    traces are full-level unless full_trace is False.  assemble_with makes
+    the Program each run runs from the program's source."""
     from transient_sim.profiles import PROFILES
 
     for name in names or sorted(PROFILES):
@@ -601,7 +616,7 @@ def _digest_runs(programs=_DIGEST_PROGRAMS, names=None, mitigations=None, full_t
             st.regs[15] = 0x8000
             if setup is not None:
                 setup(st)
-            yield name, st, run(assemble(source), st, prof, full_trace=full_trace)
+            yield name, st, run(assemble_with(source), st, prof, full_trace=full_trace)
 
 
 def _state_text(st):
@@ -681,19 +696,9 @@ class TestTraceBytes:
         import hashlib
         import itertools
 
-        from transient_sim.mitigations import MitigationSet
-
-        armored = MitigationSet(
-            privileged_flush=True, pmu_noise_amplitude=40,
-            rsb_refill_on_cs=True, btb_fallback_disabled=True,
-        )
-        user_flush = (
-            "    FLUSH [r14]\n    LD r1, [r14]\n    ADD r2, r1, 1\n    HALT\n",
-            Privilege.USER, 3, None,
-        )
         runs = itertools.chain(
             _digest_runs(_STATE_PROGRAMS[len(_DIGEST_PROGRAMS):]),
-            _digest_runs(_DIGEST_PROGRAMS + (user_flush,), ["intel_i7", "cortex_a72"], armored),
+            _digest_runs(_DIGEST_PROGRAMS + (_USER_FLUSH,), ["intel_i7", "cortex_a72"], _ARMORED),
         )
         logs, payloads = _digest_traces(runs)
         text = "\n".join(logs) + "\n" + "\n".join(payloads)
@@ -723,18 +728,10 @@ class TestTraceLevels:
 
     def test_levels_agree_on_the_pinned_programs(self):
         # the armored set and user-mode flush of the loop-and-mitigated pin
-        armored = MitigationSet(
-            privileged_flush=True, pmu_noise_amplitude=40,
-            rsb_refill_on_cs=True, btb_fallback_disabled=True,
-        )
-        user_flush = (
-            "    FLUSH [r14]\n    LD r1, [r14]\n    ADD r2, r1, 1\n    HALT\n",
-            Privilege.USER, 3, None,
-        )
         checked = 0
         for programs, names, mitigations in (
             (_STATE_PROGRAMS, None, None),
-            (_DIGEST_PROGRAMS + (user_flush,), ["intel_i7", "cortex_a72"], armored),
+            (_DIGEST_PROGRAMS + (_USER_FLUSH,), ["intel_i7", "cortex_a72"], _ARMORED),
         ):
             full = _digest_runs(programs, names, mitigations)
             window = _digest_runs(programs, names, mitigations, full_trace=False)
@@ -755,6 +752,86 @@ class TestTraceLevels:
                 _assert_levels_agree(
                     run_engine(gen, prof), run_engine(gen, prof, full_trace=False)
                 )
+
+
+class TestDecodeTable:
+    """Each Program is decoded once, on its first run, and that one table
+    serves every later run of it on any core."""
+
+    def test_one_table_serves_every_core_and_mitigation_set(self):
+        programs = _STATE_PROGRAMS + (_USER_FLUSH,)
+        shared = {source: assemble(source) for source, *_ in programs}
+        checked = 0
+        for mitigations in (None, _ARMORED):
+            fresh = _digest_runs(programs, mitigations=mitigations)
+            reused = _digest_runs(programs, mitigations=mitigations,
+                                  assemble_with=shared.__getitem__)
+            for (name, st, trace), (_same, reused_st, reused_trace) in zip(fresh, reused, strict=True):
+                assert _state_text(reused_st) == _state_text(st), name
+                assert reused_trace.log_lines() == trace.log_lines(), name
+                assert reused_trace.to_json() == trace.to_json(), name
+                checked += 1
+        assert checked == 2 * len(PROFILES) * len(programs)
+
+    def test_each_pc_is_decoded_at_most_once(self, monkeypatch):
+        from collections import Counter
+
+        from transient_sim import isa
+
+        decodes, decode = Counter(), isa._decode
+
+        def counting(instr):
+            decodes[id(instr)] += 1
+            return decode(instr)
+
+        monkeypatch.setattr(isa, "_decode", counting)
+        shared = {source: assemble(source) for source, *_ in _STATE_PROGRAMS}
+        runs = 0
+        for mitigations in (None, _ARMORED):
+            for _name, _st, trace in _digest_runs(_STATE_PROGRAMS, mitigations=mitigations,
+                                                  assemble_with=shared.__getitem__):
+                assert trace.retired_seqs
+                runs += 1
+        assert runs == 2 * len(PROFILES) * len(_STATE_PROGRAMS)
+        assert decodes and max(decodes.values()) == 1
+        assert set(decodes) <= {id(i) for p in shared.values() for i in p.instructions}
+        for source, program in shared.items():  # the table is not part of the value
+            assert program == assemble(source) and repr(program) == repr(assemble(source))
+
+    def test_unknown_opcode_raises_before_the_run_starts(self):
+        from transient_sim.isa import Instruction, Opcode, Program
+
+        prof, st = _machine("intel_i7")
+        bogus = Program((Instruction("BOGUS", ()), Instruction(Opcode.HALT, ())), {})
+        with pytest.raises(KeyError):
+            run(bogus, st, prof)
+        assert st.mem.counter.current == 0 and not st.mem.cells
+
+    def test_no_enum_member_lookup_on_the_per_op_path(self):
+        # the engine's methods, predict_return and Rsb.pop compare ints or
+        # values resolved once per run or at import, never an Enum member
+        import ast
+        import inspect
+
+        from transient_sim import core
+
+        enums = {"Opcode", "RsbUnderflow", "PipelineKind", "SquashPolicy", "ExceptionPolicy",
+                 "Privilege"}
+        tree = ast.parse(inspect.getsource(core))
+        top = {node.name: node for node in tree.body if hasattr(node, "name")}
+        methods = {(cls, fn.name): fn for cls in ("_Engine", "Rsb") for fn in top[cls].body
+                   if isinstance(fn, ast.FunctionDef)}
+        checked = [top["predict_return"], methods["Rsb", "pop"]] + [
+            fn for (cls, name), fn in methods.items() if cls == "_Engine" and name != "__init__"
+        ]
+        assert len(checked) > 15
+        lookups = [
+            f"{fn.name}: {node.value.id}.{node.attr}"
+            for fn in checked for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in enums
+        ]
+        assert lookups == []
 
 
 # A counted loop with a fence and a yield in its body, so both stall points

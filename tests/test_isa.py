@@ -2,12 +2,16 @@
 
 import pytest
 
+from transient_sim import isa
 from transient_sim.isa import (
+    KINDS,
     AssemblyError,
     Imm,
+    Instruction,
     LabelRef,
     Mem,
     Opcode,
+    Program,
     Reg,
     SysReg,
     assemble,
@@ -135,3 +139,19 @@ def test_trailing_yield_accepted_instead_of_halt():
     prog = assemble("    NOP\n    YIELD\n")
     assert prog.instructions[-1].opcode is Opcode.YIELD
 
+
+
+class TestDecode:
+    def test_every_opcode_decodes_to_its_own_kind(self):
+        program = assemble(KITCHEN_SINK.replace("    FENCE\n", "    FENCE\n    YIELD\n"))
+        assert {instr.opcode for instr in program.instructions} == set(Opcode)
+        for instr, entry in zip(program.instructions, program.decoded, strict=True):
+            kind, name = entry[0], entry[-1]
+            assert kind == KINDS[instr.opcode] == getattr(isa, "K_" + instr.opcode.name)
+            assert name == instr.opcode.value
+        assert sorted(KINDS.values()) == list(range(len(Opcode)))
+
+    def test_unknown_opcode_raises_at_decode_time(self):
+        bogus = Program((Instruction("BOGUS", ()), Instruction(Opcode.HALT, ())), {})
+        with pytest.raises(KeyError):
+            bogus.decoded
