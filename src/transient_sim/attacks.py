@@ -10,7 +10,6 @@ recovering forwarded zeros instead of data, counts as failure.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -102,9 +101,6 @@ class AttackOutcome:
             "expected_hex": "".join(f"{b:02x}" for b in self.expected),
             "probe_latencies": list(self.probe_latencies),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def flush_reload(mem: MemorySystem, victim, flush_is_privileged: bool) -> ProbeResult:

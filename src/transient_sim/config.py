@@ -172,8 +172,29 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
 
-_LATENCY_FIELDS = {f.name for f in dataclasses.fields(Latencies)}
-_MITIGATION_FIELDS = {f.name for f in dataclasses.fields(MitigationSet)}
+def _field_types(cls) -> dict:
+    """field -> the types its annotation admits"""
+    return {name: typing.get_args(hint) or (hint,)
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
+def _has_type(value, types: tuple) -> bool:
+    if isinstance(value, bool):
+        return bool in types  # a JSON true is not the integer 1
+    if isinstance(value, int) and float in types:
+        return True
+    return isinstance(value, types)
+
+
+def _check_type(what: str, key: str, value, types: tuple) -> None:
+    if not _has_type(value, types):
+        expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ConfigError(f"{what}{key} must be {expected}, got {value!r}")
+
+
+_LATENCY_TYPES = _field_types(Latencies)
+_MITIGATION_TYPES = _field_types(MitigationSet)
+_PROFILE_TYPES = _field_types(CpuProfile)
 _ENUM_FIELDS = {
     "pipeline": PipelineKind,
     "rsb_underflow": RsbUnderflow,
@@ -200,19 +221,21 @@ def _coerce_enum(kind, value):
 
 
 def _apply_profile_overrides(prof: CpuProfile, overrides: dict) -> CpuProfile:
-    """Flat override keys: any latency field or profile scalar; enum-valued
-    fields accept their string names.  Mitigation flags belong in
-    `mitigations`, which mitigation_set builds."""
+    """Flat override keys: any latency field or profile scalar, of its
+    field's type; enum-valued fields accept their string names.  Mitigation
+    flags belong in `mitigations`, which mitigation_set builds."""
     lat_changes = {}
     prof_changes = {}
     for key, value in overrides.items():
-        if key in _LATENCY_FIELDS:
+        if key in _LATENCY_TYPES:
+            _check_type("profile override ", key, value, _LATENCY_TYPES[key])
             lat_changes[key] = value
-        elif key in _MITIGATION_FIELDS:
+        elif key in _MITIGATION_TYPES:
             raise ConfigError(f"mitigation flag {key!r} goes in mitigations, not profile_overrides")
         elif key in _ENUM_FIELDS:
             prof_changes[key] = _coerce_enum(_ENUM_FIELDS[key], value)
         elif key in _SCALAR_FIELDS:
+            _check_type("profile override ", key, value, _PROFILE_TYPES[key])
             prof_changes[key] = value
         else:
             raise ConfigError(f"unknown profile override {key!r}")
@@ -226,7 +249,12 @@ def _apply_profile_overrides(prof: CpuProfile, overrides: dict) -> CpuProfile:
 
 def mitigation_set(flags: dict) -> MitigationSet:
     """The one mitigation builder, for config files and --flags alike.  A
-    string value (from `name=value` on the command line) must be an integer."""
+    string value (from `name=value` on the command line) must be an integer;
+    then each value must have its flag's type, so a boolean flag takes only
+    true or false (a bare `name` on the command line)."""
+    unknown = set(flags) - set(_MITIGATION_TYPES)
+    if unknown:
+        raise ConfigError(f"unknown mitigation flags: {sorted(unknown)}")
     values = {}
     for key, value in flags.items():
         if isinstance(value, str):
@@ -234,10 +262,8 @@ def mitigation_set(flags: dict) -> MitigationSet:
                 value = int(value)
             except ValueError:
                 raise ConfigError(f"flag {key!r} needs an integer value, got {value!r}") from None
+        _check_type("mitigation flag ", key, value, _MITIGATION_TYPES[key])
         values[key] = value
-    unknown = set(values) - _MITIGATION_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown mitigation flags: {sorted(unknown)}")
     try:
         return MitigationSet(**values)
     except ValueError as exc:
@@ -245,19 +271,7 @@ def mitigation_set(flags: dict) -> MitigationSet:
 
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-# field -> the types its annotation admits; None only where the default is None
-_FIELD_TYPES = {
-    name: typing.get_args(hint) or (hint,)
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
-}
-
-
-def _has_type(value, types: tuple) -> bool:
-    if isinstance(value, bool):
-        return bool in types  # a JSON true is not the integer 1
-    if isinstance(value, int) and float in types:
-        return True
-    return isinstance(value, types)
+_FIELD_TYPES = _field_types(ExperimentConfig)
 
 
 def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
@@ -267,10 +281,7 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"{source}: unknown keys: {sorted(unknown)}")
     for key, value in data.items():
-        types = _FIELD_TYPES[key]
-        if not _has_type(value, types):
-            expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-            raise ConfigError(f"{source}: {key} must be {expected}, got {value!r}")
+        _check_type(f"{source}: ", key, value, _FIELD_TYPES[key])
     try:
         return ExperimentConfig(**data)
     except ConfigError:

@@ -22,14 +22,17 @@ the work of a cycle without scanning the window (Tomasulo-style wakeup).
 Each op counts its register sources whose producer has not issued yet, and
 each producer keeps a list of the ops waiting on it; when the last one
 issues, the op's ready cycle is known and it goes on a heap of
-(cycle, seq) wakeups.  A cycle's issue pass tries the ops woken for it in
-program order.  An op woken behind the cursor, such as a store once its
-address has resolved, is tried in a further pass over the same cycle, so
-ops ready in the same cycle issue in the order a walk of the whole window
-would give.  A load held back by an older store is woken when a store
-address resolves or when the forwarded data is ready.  Control resolutions
-wait on their own heap, and a squash drops only the ops it squashes; heap
-entries of squashed ops are skipped when they come up.
+(cycle, seq) wakeups.  Every op with consumers or waiters completes at least
+a cycle after it issues, so a wakeup always lands on a later cycle.  A
+cycle's issue pass tries the ops woken for it once, in program order.  A
+load held back by an older store is woken into the running pass when a
+store address resolves, or onto the heap for when the forwarded data is
+ready.  A store whose address resolves issues after the pass, oldest first,
+so ops ready in the same cycle issue in the order a walk of the whole window
+would give.  Control resolutions wait on their own heap, and a squash drops
+only the ops it squashes; heap entries of squashed ops are skipped when they
+come up.  Each op's retire_at is the one gate on its retirement: unissued
+ops and unresolved controls hold it at infinity.
 
 A program is decoded once, on its first run (isa.Program.decoded): each
 instruction becomes a flat tuple of an int kind, its register sources and
@@ -51,15 +54,7 @@ from .isa import (
     FLAGS, K_ADD, K_AND, K_BGE, K_CALL, K_CMP, K_FENCE, K_FLUSH, K_HALT, K_LD, K_MOVI,
     K_MRS, K_RDCYC, K_RET, K_SHL, K_ST, K_YIELD, Program,
 )
-from .memory import (
-    CycleCounter,
-    Latencies,
-    MemorySystem,
-    PageFault,
-    Privilege,
-    PrivilegeFault,
-    line_of,
-)
+from .memory import CycleCounter, Latencies, MemorySystem, Privilege, line_of
 from .profiles import (
     CpuProfile,
     ExceptionPolicy,
@@ -265,11 +260,11 @@ class _Op:
         "seq", "pc", "kind", "arg", "name",
         "reads", "dst", "value", "prev",
         "pending", "ready", "consumers", "waiters", "squashed",
-        "issued", "issue_cycle", "complete",
+        "issued", "complete", "retire_at",
         "is_load", "is_store", "is_control",
         "mem_addr", "mem_offset_src", "store_data_src",
         "fill_addr", "fill_complete",
-        "predicted_next", "actual_next", "resolved",
+        "predicted_next", "actual_next",
         "fault",
     )
 
@@ -289,15 +284,14 @@ class _Op:
         self.waiters = []         # ops to wake at this op's completion
         self.squashed = False
         self.issued = False
-        self.issue_cycle = None
         self.complete = None
+        self.retire_at = _INF     # cycle from which it may retire, once issued and resolved
         self.mem_addr = None
         self.store_data_src = None  # source operand of the stored value
         self.fill_addr = None
         self.fill_complete = None
         self.predicted_next = None
         self.actual_next = None
-        self.resolved = False
         self.fault = None
 
 
@@ -340,9 +334,8 @@ class _Engine:
         self.wakeups: list = []
         self.resolutions: list = []  # (resolve cycle, seq, control op)
         self.blocked: dict = {}  # seq -> load held back by an older store
-        self.cursor = None  # seq of the op the issue pass is trying
-        self.this_pass: list = []  # (seq, op) still to try in this pass
-        self.next_pass: list = []  # (seq, op) woken behind the cursor
+        self.this_pass: list = []  # (seq, op) still to try in this cycle's pass
+        self.late_stores: list = []  # stores whose address resolved in this pass
         self.fetch_pc = state.pc
         self.fetch_active = True
         self.dispatch_ready = 0
@@ -363,17 +356,6 @@ class _Engine:
         self.fetch_active = True
         self.dispatch_ready = cycle + 1
         self.drain = None
-
-    def _wake(self, op: _Op, cycle: int) -> None:
-        """Try op again from cycle on.  Inside an issue pass, an op woken for
-        this cycle joins the pass if it lies ahead of the cursor and the next
-        pass if not, as when every pass walked the whole window."""
-        if self.cursor is None or cycle > self.cycle:
-            heapq.heappush(self.wakeups, (cycle, op.seq, op))
-        elif op.seq > self.cursor:
-            heapq.heappush(self.this_pass, (op.seq, op))
-        else:
-            self.next_pass.append((op.seq, op))
 
     def _squash_younger(self, resolver_seq: int, cycle: int, reason: str, pc: int) -> None:
         window = self.window
@@ -462,8 +444,7 @@ class _Engine:
                 op.store_data_src = pc + 1
                 state.rsb.push(pc + 1)  # speculative push, survives squash
                 next_pc = op.arg
-                op.predicted_next = next_pc
-                op.resolved = True  # static target, cannot mispredict
+                op.predicted_next = next_pc  # static target, cannot mispredict
             elif kind == K_RET:
                 predicted = predict_return(state, profile, pc)
                 op.predicted_next = predicted
@@ -508,26 +489,28 @@ class _Engine:
     # -- issue ---------------------------------------------------------------
 
     def _issue_ready(self) -> None:
-        """Try, in program order, every op woken for this cycle.  An op woken
-        behind the cursor is tried in a further pass over the same cycle, as
-        a store is once its address resolves."""
+        """Try, in program order, every op woken for this cycle, then issue
+        the stores whose address resolved in that pass, oldest first."""
         wakeups, cycle = self.wakeups, self.cycle
         due = []
         while wakeups and wakeups[0][0] <= cycle:
             _, seq, op = heapq.heappop(wakeups)
             due.append((seq, op))
+        heapq.heapify(due)
+        self.this_pass = due  # _store_address_known adds blocked loads to it
+        last = None
         while due:
-            heapq.heapify(due)
-            self.this_pass, self.next_pass = due, []
-            last = None
-            while due:
-                seq, op = heapq.heappop(due)
-                if seq == last or op.issued or op.squashed:
-                    continue  # woken twice, or done with
-                last = self.cursor = seq
-                self._issue(op)
-            due = self.next_pass
-        self.cursor = None
+            seq, op = heapq.heappop(due)
+            if seq == last or op.issued or op.squashed:
+                continue  # woken twice, or done with
+            last = seq
+            self._issue(op)
+        if self.late_stores:
+            # a squash in the pass drops only ops younger than the one
+            # issuing, so none of these is squashed
+            for op in self.late_stores:
+                self._finish_issue(op, 1)
+            self.late_stores = []
 
     def _load_hazard(self, op: _Op, addr: int) -> tuple:
         """(ready, forward) for a load of addr: not ready while an older
@@ -554,8 +537,8 @@ class _Engine:
         self.blocked[op.seq] = op
         if forward is not None:
             data = forward.store_data_src
-            if data.issued:
-                self._wake(op, data.complete)
+            if data.issued:  # it completes after this cycle
+                heapq.heappush(self.wakeups, (data.complete, op.seq, op))
             else:
                 data.waiters.append(op)
 
@@ -602,12 +585,15 @@ class _Engine:
         self.record((self.cycle, "fill", "@{:#x} from {}", (addr, level.value)))
 
     def _finish_issue(self, op: _Op, latency: int) -> None:
+        """Issue op and wake the ops waiting on it.  An op with consumers or
+        waiters has a destination, so its latency is at least 1 and every
+        wakeup goes on the heap."""
         cycle = self.cycle
         op.issued = True
-        op.issue_cycle = cycle
-        op.complete = complete = cycle + latency
+        op.complete = op.retire_at = complete = cycle + latency
         if self.full_trace:
             self.record((cycle, "execute", "#{} @{} {}", (op.seq, op.pc, op.name)))
+        wakeups = self.wakeups
         for consumer in op.consumers:
             if consumer.squashed:
                 continue
@@ -615,23 +601,22 @@ class _Engine:
                 consumer.ready = complete
             consumer.pending -= 1
             if not consumer.pending:
-                if consumer.ready > cycle:  # after this cycle: straight to the heap
-                    heapq.heappush(self.wakeups, (consumer.ready, consumer.seq, consumer))
-                else:
-                    self._wake(consumer, consumer.ready)
+                heapq.heappush(wakeups, (consumer.ready, consumer.seq, consumer))
         for waiter in op.waiters:
             if not waiter.squashed:
-                self._wake(waiter, complete)
+                heapq.heappush(wakeups, (complete, waiter.seq, waiter))
         op.consumers = op.waiters = None
 
     def _issue_faulting(self, op: _Op, fault: str, latency: int) -> None:
-        """Issue op with an exception that is raised when it retires."""
+        """Issue op with an exception that is raised when it retires, a page
+        fault's latency after issue."""
         op.fault = fault
         self._finish_issue(op, latency)
+        op.retire_at = self.cycle + self.mem.lat.page_fault
 
     def _issue(self, op: _Op) -> None:
         """Issue op at the current cycle if it can go.  A store whose address
-        resolves stays unissued and is tried again in the next pass."""
+        resolves stays unissued until the pass is over."""
         if op.pending or op.ready > self.cycle:
             return  # woken early, for its data; its sources will wake it
         kind = op.kind
@@ -661,7 +646,7 @@ class _Engine:
                 op.mem_addr = _value(op.reads[0]) + op.mem_offset_src
                 self._store_address_known(op)
                 if _ready_at(op.store_data_src) <= self.cycle:
-                    self._wake(op, self.cycle)
+                    self.late_stores.append(op)
                 return
             if _ready_at(op.store_data_src) > self.cycle:
                 return  # its data's producer wakes it
@@ -697,6 +682,7 @@ class _Engine:
             op.actual_next = op.arg if taken else op.pc + 1
             op.value = 1 if taken else 0
             self._finish_issue(op, self.profile.branch_resolve_extra)
+            op.retire_at = _INF  # until it resolves
             heapq.heappush(self.resolutions, (op.complete, op.seq, op))
         elif kind == K_CALL:
             old = _value(op.reads[0])
@@ -716,13 +702,11 @@ class _Engine:
                 op.actual_next = _value(forward.store_data_src)
                 latency = self.mem.lat.l1_hit
             else:
-                try:
-                    self.mem.check_access(addr, self.state.privilege)
-                except (PageFault, PrivilegeFault) as exc:
+                entry = self.mem.pages.entry(addr)
+                if not entry.mapped or (entry.privileged and self.user):
                     # raised when the return retires, so a return on a wrong
                     # path is squashed with it; it has no target to resolve to
-                    op.resolved = True
-                    self._issue_faulting(op, "page" if isinstance(exc, PageFault) else "privilege", 1)
+                    self._issue_faulting(op, "privilege" if entry.mapped else "page", 1)
                     return
                 level = self.mem.fill(addr)
                 latency = self.mem.latency_for(level)
@@ -730,6 +714,7 @@ class _Engine:
                 op.fill_complete = self.cycle + latency
                 op.actual_next = self.mem.cells.get(addr, 0)
             self._finish_issue(op, latency + self.profile.return_resolve_extra)
+            op.retire_at = _INF  # until it resolves
             heapq.heappush(self.resolutions, (op.complete, op.seq, op))
         else:  # NOP, FENCE, YIELD, HALT
             self._finish_issue(op, 1)
@@ -743,7 +728,7 @@ class _Engine:
         for load in reversed(self.loads):
             if load.seq <= store.seq:
                 break
-            if load.issued and load.mem_addr == addr and load.issue_cycle < self.cycle:
+            if load.issued and load.mem_addr == addr:
                 oldest = load
         if oldest is not None:
             self.trace.mispredicts += 1
@@ -751,9 +736,9 @@ class _Engine:
             # store read nothing the store wrote and stay in the window
             self._squash_younger(oldest.seq - 1, self.cycle, "store-order violation", store.pc)
             self._redirect(oldest.pc, self.cycle)
-        if self.blocked:
+        if self.blocked:  # younger than the store: ahead in this pass
             for seq in [seq for seq in self.blocked if seq > store.seq]:
-                self._wake(self.blocked.pop(seq), self.cycle)
+                heapq.heappush(self.this_pass, (seq, self.blocked.pop(seq)))
 
     # -- resolution ----------------------------------------------------------
 
@@ -766,7 +751,7 @@ class _Engine:
         for op in due:
             if op.squashed:
                 continue
-            op.resolved = True
+            op.retire_at = op.complete
             if op.predicted_next is None:
                 # fetch was stalled on this control: late redirect, no squash
                 self._redirect(op.actual_next, op.complete)
@@ -820,11 +805,7 @@ class _Engine:
         retired, full_trace = self.trace.retired_seqs, self.full_trace
         while window:
             op = window[0]
-            if not op.issued or (op.is_control and not op.resolved):
-                return
-            when = op.complete
-            if op.fault:  # raised a page fault's latency after issue
-                when = max(when, op.issue_cycle + self.mem.lat.page_fault)
+            when = op.retire_at
             if when <= self.last_retire:
                 when = self.last_retire + 1
             if when > cycle:
@@ -878,16 +859,10 @@ class _Engine:
             heapq.heappop(pending)
         if pending and pending[0][0] < best:
             best = pending[0][0]
-        if self.window:  # when the oldest op can retire, as _retire works it out
-            op = self.window[0]
-            if op.issued and not (op.is_control and not op.resolved):
-                when = op.complete
-                if op.fault:  # raised a page fault's latency after issue
-                    when = max(when, op.issue_cycle + self.mem.lat.page_fault)
-                if when <= self.last_retire:
-                    when = self.last_retire + 1
-                if when < best:
-                    best = when
+        # the oldest op retires at its retire_at, or at last_retire + 1 when
+        # that is later: the next cycle at most, which the run visits anyway
+        if self.window and self.window[0].retire_at < best:
+            best = self.window[0].retire_at
         return best
 
     def run(self) -> Trace:
@@ -899,7 +874,7 @@ class _Engine:
                 break
             if resolutions and resolutions[0][0] <= cycle:
                 self._resolve_controls()
-            if window and window[0].issued:
+            if window and window[0].retire_at <= cycle:
                 self._retire()
                 if self.halted or self.abort:
                     break

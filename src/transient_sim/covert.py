@@ -30,7 +30,6 @@ so channel bandwidth is b / cost(b) bits per cycle.
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -171,9 +170,6 @@ class ChannelReport:
             "confusion": confusion,
         }
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 # Per width w (the symbol widths, and 8 for bytes): each w-bit value's

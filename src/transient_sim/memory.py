@@ -263,20 +263,22 @@ class MemorySystem:
 
     def _reload_drop_lines(self, first: int, count: int, outcomes: tuple) -> list:
         """What _fill_lines(first, count, outcomes) and then _drop_lines(first,
-        count) do, in one pass.  The last min(count, L1 sets, L2 sets) lines
-        of the run meet no other line of it in their set in either level, so
-        each one's net effect is applied in place and it is never inserted:
-        an L1 hit leaves both levels, an L2 hit leaves L2 and evicts the
-        oldest line of a full L1 set, and a miss evicts the oldest line of
-        each full set.  Only leading lines beyond that are filled and then
-        dropped."""
+        count) do.  A run of at most min(L1 sets, L2 sets) lines meets no
+        other line of it in its set in either level, so each line's net
+        effect is applied in place and it is never inserted: an L1 hit leaves
+        both levels, an L2 hit leaves L2 and evicts the oldest line of a full
+        L1 set, and a miss evicts the oldest line of each full set.  A longer
+        run is filled and then dropped."""
         sets1, nsets1, ways1 = self.l1._sets, self.l1.geometry.sets, self.l1.geometry.ways
         sets2, nsets2, ways2 = self.l2._sets, self.l2.geometry.sets, self.l2.geometry.ways
-        lead = count - min(count, nsets1, nsets2)
-        served = self._fill_lines(first, lead, outcomes) if lead else []
+        if count > min(nsets1, nsets2):
+            served = self._fill_lines(first, count, outcomes)
+            self._drop_lines(first, count)
+            return served
         from_l1, from_l2, from_dram = outcomes
+        served = []
         serve = served.append
-        for line in range(first + lead, first + count):
+        for line in range(first, first + count):
             entries = sets1[line % nsets1]
             lower = sets2[line % nsets2]
             if line in entries:
@@ -294,8 +296,6 @@ class MemorySystem:
                 serve(from_dram)
             if len(entries) >= ways1:
                 entries.pop()
-        if lead:
-            self._drop_lines(first, lead)
         return served
 
     def _drop_lines(self, first: int, count: int) -> None:
@@ -322,14 +322,6 @@ class MemorySystem:
         latency = self.latency_for(level)
         self.counter.advance(latency)
         return AccessResult(self.cells.get(addr, 0), latency, level)
-
-    def write(self, addr: int, value: int, privilege: Privilege = Privilege.KERNEL) -> AccessResult:
-        self.check_access(addr, privilege)
-        level = self.fill(addr)
-        latency = self.latency_for(level)
-        self.counter.advance(latency)
-        self.cells[addr] = value
-        return AccessResult(value, latency, level)
 
     def flush_line(
         self,

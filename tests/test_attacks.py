@@ -5,6 +5,7 @@ package ships, so a regression in either one shows up as a disagreement.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -187,5 +188,5 @@ def test_attack_outcome_bytes_are_unchanged():
         outcomes = [o for row in results.values() for o in row.values()]
         outcomes += [run_refill_bypass(p, seed=3) for p in profiles]
         for outcome in outcomes:
-            digest.update(outcome.to_json().encode() + b"\n")
+            digest.update(json.dumps(outcome.to_dict(), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == OUTCOMES_SHA256

@@ -63,6 +63,7 @@ class TestExitCodes:
             ("attack", "--variant", "rsb", "--scenario", "pagefault"),
             ("mitigate", "--flags", "magic_shield"),
             ("mitigate", "--flags", "pmu_noise_amplitude=lots"),
+            ("mitigate", "--flags", "privileged_flush=0"),
             ("mitigate", "--flags", "rsb_flush_on_cs,rsb_refill_on_cs"),
             ("covert", "--emit-latency-trace", "no-such-dir/latency.csv"),
             ("matrix", "--profile", "cortex_a9"),
@@ -327,6 +328,13 @@ class TestConfigFiles:
             ({"seed": "abc"}, "seed must be int, got 'abc'"),
             ({"message_hex": 12}, "message_hex must be str, got 12"),
             ({"profile_overrides": {"l1_hit": 0}}, "1 <= l1"),
+            ({"profile_overrides": {"stl_speculation": "false"}},
+             "stl_speculation must be bool, got 'false'"),
+            ({"profile_overrides": {"rsb_size": 8.5}}, "rsb_size must be int, got 8.5"),
+            ({"mitigations": {"pmu_noise_amplitude": 2.5}},
+             "pmu_noise_amplitude must be int, got 2.5"),
+            ({"profile_overrides": {"dram": 150.5}}, "dram must be int, got 150.5"),
+            ({"profile_overrides": {"rsb_size": "8"}}, "rsb_size must be int, got '8'"),
         ],
     )
     def test_unusable_values_are_config_errors(self, data, message):

@@ -389,6 +389,6 @@ def test_channel_report_bytes_are_unchanged():
             profile, cfg, PINNED_PAYLOAD, seed=3, gadget_base=gadget_base,
             record_latencies=True,
         )
-        digest.update(report.to_json().encode() + b"\n")
+        digest.update(emit_report(report, "json").encode())
         digest.update(json.dumps(report.latencies).encode() + b"\n")
     assert digest.hexdigest() == REPORTS_SHA256

@@ -23,6 +23,7 @@ from _reference import (
     run_reference,
 )
 from transient_sim.isa import assemble
+from transient_sim.memory import Latencies
 from transient_sim.mitigations import MitigationSet
 from transient_sim.profiles import get_profile
 
@@ -143,6 +144,20 @@ def test_loops_match_reference(name):
         gen = generate_loop_program(random.Random(50_000 + seed))
         ok, detail = final_state_matches(gen, prof)
         assert ok, f"seed {50_000 + seed} on {name}: {detail}\n{gen.text}"
+
+
+@pytest.mark.parametrize("name", ["cortex_a53", "cortex_a8", "cortex_a9", "cortex_a72", "intel_i7"])
+def test_fastest_timing_matches_reference(name):
+    # the tightest timing the config admits: a branch or return resolves in
+    # the cycle it issues, and an L1 hit takes one cycle
+    prof = get_profile(name).with_overrides(
+        branch_resolve_extra=0, return_resolve_extra=0, latencies=Latencies(1, 2, 3, 4)
+    )
+    for generate in (generate_program, generate_pointer_program, generate_loop_program):
+        for seed in range(60_000, 60_020):
+            gen = generate(random.Random(seed))
+            ok, detail = final_state_matches(gen, prof)
+            assert ok, f"{generate.__name__} seed {seed} on {name}: {detail}\n{gen.text}"
 
 
 def test_engine_runs_are_repeatable():

@@ -156,7 +156,7 @@ def test_access_latencies_follow_serving_level():
 
 def test_write_stores_value_and_read_returns_it():
     mem = MemorySystem(l1=CacheGeometry(4, 2), l2=CacheGeometry(16, 4))
-    mem.write(0x80, 42)
+    mem.cells[0x80] = 42  # what a retiring store writes
     assert mem.access(0x80).value == 42
     assert mem.access(0x88).value == 0  # neighbouring cell unset
 
@@ -342,8 +342,8 @@ class TestFlushReloadPrimitive:
             fast, slow = self._twins(seed, noise, pages)
             pick = random.Random(2000 + seed)
             base = REGION + pick.randrange(REGION_LINES) * LINE_SIZE + pick.randrange(LINE_SIZE)
-            # up to L1's 4 sets every line is reloaded in place; beyond, the
-            # leading lines are filled and dropped
+            # up to L1's 4 sets every line is reloaded in place; a longer
+            # run is filled and then dropped
             count = pick.randint(1, pick.choice((4, 130)))
             outcomes = self._reload_steps(fast, slow, base, count, privilege, f"seed {seed}")
             faulted += sum(got[1] is not None for got in outcomes)
