@@ -23,16 +23,20 @@ Each op counts its register sources whose producer has not issued yet, and
 each producer keeps a list of the ops waiting on it; when the last one
 issues, the op's ready cycle is known and it goes on a heap of
 (cycle, seq) wakeups.  Every op with consumers or waiters completes at least
-a cycle after it issues, so a wakeup always lands on a later cycle.  A
-cycle's issue pass tries the ops woken for it once, in program order.  A
-load held back by an older store is woken into the running pass when a
-store address resolves, or onto the heap for when the forwarded data is
-ready.  A store whose address resolves issues after the pass, oldest first,
-so ops ready in the same cycle issue in the order a walk of the whole window
-would give.  Control resolutions wait on their own heap, and a squash drops
-only the ops it squashes; heap entries of squashed ops are skipped when they
-come up.  Each op's retire_at is the one gate on its retirement: unissued
-ops and unresolved controls hold it at infinity.
+a cycle after it issues, so a wakeup always lands on a later cycle, and an
+op ready at dispatch is keyed to the dispatch cycle.  No key is earlier
+than the cycle it is pushed in, so a cycle's issue pass pops its ops
+straight off the heap, once each, in program order.  A load held back by
+an older store is pushed back for the running pass when a store address
+resolves, or for when the forwarded data is ready.  A store whose address
+resolves issues after the pass, oldest first, so ops ready in the same
+cycle issue in the order a walk of the whole window would give.  Control
+resolutions wait on their own heap, and a squash drops only the ops it
+squashes; heap entries of squashed ops are skipped when they come up.  Each
+op's retire_at is the one gate on its retirement: unissued ops and
+unresolved controls hold it at infinity.  The run loop looks for the next
+cycle with work after the pass, since a store-order replay in the pass
+restarts fetch.
 
 A program is decoded once, on its first run (isa.Program.decoded): each
 instruction becomes a flat tuple of an int kind, its register sources and
@@ -257,7 +261,7 @@ class Trace:
 
 class _Op:
     __slots__ = (
-        "seq", "pc", "kind", "arg", "name",
+        "seq", "pc", "kind", "arg",
         "reads", "dst", "value", "prev",
         "pending", "ready", "consumers", "waiters", "squashed",
         "issued", "complete", "retire_at",
@@ -268,30 +272,27 @@ class _Op:
         "fault",
     )
 
-    def __init__(self, seq: int, pc: int, decoded: tuple, dispatch: int):
+    def __init__(self, seq: int, pc: int, decoded: tuple):
+        # Only the slots read before _dispatch or _issue writes them are set
+        # here.  _dispatch sets ready (the cycle from which every register
+        # source is ready), store_data_src and predicted_next; _issue sets
+        # value and complete, actual_next and fill_complete.
         self.seq = seq
         self.pc = pc
         # kind, dst, offset and flags as isa._decode gives them; arg is what
-        # issue reads beside the sources, and name the opcode's text
+        # issue reads beside the sources
         (self.kind, self.dst, _, _, self.mem_offset_src, self.is_load, self.is_store,
-         self.is_control, self.arg, self.name) = decoded
+         self.is_control, self.arg, _) = decoded
         self.reads = []           # source operands, in the order of the decoded sources
-        self.value = None
         self.prev = None          # the dst's producer this op renamed over
         self.pending = 0          # register sources whose producer has not issued
-        self.ready = dispatch     # cycle from which every register source is ready
         self.consumers = []       # ops counting this op among their pending sources
         self.waiters = []         # ops to wake at this op's completion
         self.squashed = False
         self.issued = False
-        self.complete = None
         self.retire_at = _INF     # cycle from which it may retire, once issued and resolved
         self.mem_addr = None
-        self.store_data_src = None  # source operand of the stored value
         self.fill_addr = None
-        self.fill_complete = None
-        self.predicted_next = None
-        self.actual_next = None
         self.fault = None
 
 
@@ -299,13 +300,13 @@ def _ready_at(src) -> int:
     """Cycle from which a source operand, a plain value or the _Op that
     produces it, can be read: at once for a value, at the producer's
     completion once it has issued, and _INF before that."""
-    if isinstance(src, _Op):
+    if src.__class__ is _Op:
         return src.complete if src.issued else _INF
     return 0
 
 
 def _value(src) -> int:
-    return src.value if isinstance(src, _Op) else src
+    return src.value if src.__class__ is _Op else src
 
 
 class _Engine:
@@ -329,12 +330,15 @@ class _Engine:
         self.stores = deque()  # the window's stores, CALL included
         self.loads = deque()   # the window's loads, RET included
         self.rename: dict = {}
-        # (cycle, seq, op): try op from that cycle on.  Each key is a cycle at
-        # which an unissued op's sources or a store's data become ready.
+        # (cycle, seq, op): try op in that cycle's pass.  Each key is a cycle
+        # at which an unissued op's sources or a store's data become ready,
+        # or the current cycle if they already are, as for a load freed by a
+        # store in the running pass.  No key is earlier than the cycle it is
+        # pushed in, so a pass pops only keys equal to its cycle, in program
+        # order.
         self.wakeups: list = []
         self.resolutions: list = []  # (resolve cycle, seq, control op)
         self.blocked: dict = {}  # seq -> load held back by an older store
-        self.this_pass: list = []  # (seq, op) still to try in this cycle's pass
         self.late_stores: list = []  # stores whose address resolved in this pass
         self.fetch_pc = state.pc
         self.fetch_active = True
@@ -409,13 +413,14 @@ class _Engine:
         state, profile = self.state, self.profile
         cycle, seq, rename = self.cycle, self.seq, self.rename
         decoded = self.decoded[pc]
-        op = _Op(seq, pc, decoded, cycle)
+        kind, dst, srcs, data, _, is_load, is_store, is_control, arg, _ = decoded
+        op = _Op(seq, pc, decoded)
         self.seq = seq + 1
-        kind, srcs, data = op.kind, decoded[2], decoded[3]
 
         next_pc = pc + 1
         # at dispatch no issue pass is running, so a wakeup goes on the heap
         reads = op.reads
+        pending, ready = 0, cycle
         for reg in srcs:
             src = rename.get(reg)
             if src is None:
@@ -424,11 +429,14 @@ class _Engine:
             reads.append(src)
             if not src.issued:
                 src.consumers.append(op)
-                op.pending += 1
-            elif src.complete > op.ready:
-                op.ready = src.complete
-        if not op.pending:
-            heapq.heappush(self.wakeups, (op.ready, seq, op))
+                pending += 1
+            elif src.complete > ready:
+                ready = src.complete
+        op.ready = ready
+        if pending:
+            op.pending = pending
+        else:
+            heapq.heappush(self.wakeups, (ready, seq, op))
         if data is not None:
             src = rename.get(data)
             if src is None:
@@ -439,11 +447,11 @@ class _Engine:
                     src.waiters.append(op)
                 elif src.complete > cycle:
                     heapq.heappush(self.wakeups, (src.complete, seq, op))
-        if op.is_control:
+        if is_control:
             if kind == K_CALL:
                 op.store_data_src = pc + 1
                 state.rsb.push(pc + 1)  # speculative push, survives squash
-                next_pc = op.arg
+                next_pc = arg
                 op.predicted_next = next_pc  # static target, cannot mispredict
             elif kind == K_RET:
                 predicted = predict_return(state, profile, pc)
@@ -458,19 +466,19 @@ class _Engine:
                 self.fetch_active = False  # until the branch resolves
             else:
                 taken = state.pht.predict(pc)
-                op.predicted_next = next_pc = op.arg if taken else pc + 1
+                op.predicted_next = next_pc = arg if taken else pc + 1
                 self.record((
                     cycle, "predict", "bge@{} {} -> {}",
                     (pc, "taken" if taken else "not-taken", next_pc),
                 ))
 
-        if op.dst is not None:
-            op.prev = rename.get(op.dst)
-            rename[op.dst] = op
+        if dst is not None:
+            op.prev = rename.get(dst)
+            rename[dst] = op
         self.window.append(op)
-        if op.is_store:
+        if is_store:
             self.stores.append(op)
-        if op.is_load:
+        if is_load:
             self.loads.append(op)
         if self.full_trace:
             self.record((cycle, "fetch", "#{} @{} {}", (seq, pc, self.program.instructions[pc])))
@@ -487,30 +495,6 @@ class _Engine:
         self.dispatch_ready = cycle + 1
 
     # -- issue ---------------------------------------------------------------
-
-    def _issue_ready(self) -> None:
-        """Try, in program order, every op woken for this cycle, then issue
-        the stores whose address resolved in that pass, oldest first."""
-        wakeups, cycle = self.wakeups, self.cycle
-        due = []
-        while wakeups and wakeups[0][0] <= cycle:
-            _, seq, op = heapq.heappop(wakeups)
-            due.append((seq, op))
-        heapq.heapify(due)
-        self.this_pass = due  # _store_address_known adds blocked loads to it
-        last = None
-        while due:
-            seq, op = heapq.heappop(due)
-            if seq == last or op.issued or op.squashed:
-                continue  # woken twice, or done with
-            last = seq
-            self._issue(op)
-        if self.late_stores:
-            # a squash in the pass drops only ops younger than the one
-            # issuing, so none of these is squashed
-            for op in self.late_stores:
-                self._finish_issue(op, 1)
-            self.late_stores = []
 
     def _load_hazard(self, op: _Op, addr: int) -> tuple:
         """(ready, forward) for a load of addr: not ready while an older
@@ -542,84 +526,18 @@ class _Engine:
             else:
                 data.waiters.append(op)
 
-    def _issue_load(self, op: _Op) -> None:
-        addr = _value(op.reads[0]) + op.mem_offset_src
-        ready, forward = self._load_hazard(op, addr)
-        if not ready:
-            self._hold(op, forward)
-            return
-        op.mem_addr = addr
-        lat = self.mem.lat
-        if forward is not None:
-            op.value = _value(forward.store_data_src)
-            self._finish_issue(op, lat.l1_hit)
-            return
-
-        entry = self.mem.pages.entry(addr)
-        if not entry.mapped and not (entry.privileged and self.user):
-            # demand paging: the fault resolves by mapping the page
-            self.mem.pages.set_mapped(addr, True)
-            self.mem.fill(addr)
-            op.fill_addr = addr
-            op.value = self.mem.cells.get(addr, 0)
-            self.record((self.cycle, "fault", "demand-page @{:#x}", (addr,)))
-            self._finish_issue(op, lat.page_fault)
-            op.fill_complete = op.complete
-            return
-        if entry.privileged and self.user:
-            # exception deferred to retirement; dependents see a forwarded value
-            level = self.mem.probe_level(addr)
-            if self.forward_value:
-                op.value = self.mem.cells.get(addr, 0)
-            else:
-                op.value = 0
-            self._issue_faulting(op, "privilege", self.mem.latency_for(level))
-            return
-
-        level = self.mem.fill(addr)
-        latency = self.mem.latency_for(level)
-        op.fill_addr = addr
-        op.value = self.mem.cells.get(addr, 0)
-        self._finish_issue(op, latency)
-        op.fill_complete = op.complete
-        self.record((self.cycle, "fill", "@{:#x} from {}", (addr, level.value)))
-
-    def _finish_issue(self, op: _Op, latency: int) -> None:
-        """Issue op and wake the ops waiting on it.  An op with consumers or
-        waiters has a destination, so its latency is at least 1 and every
-        wakeup goes on the heap."""
-        cycle = self.cycle
-        op.issued = True
-        op.complete = op.retire_at = complete = cycle + latency
-        if self.full_trace:
-            self.record((cycle, "execute", "#{} @{} {}", (op.seq, op.pc, op.name)))
-        wakeups = self.wakeups
-        for consumer in op.consumers:
-            if consumer.squashed:
-                continue
-            if complete > consumer.ready:
-                consumer.ready = complete
-            consumer.pending -= 1
-            if not consumer.pending:
-                heapq.heappush(wakeups, (consumer.ready, consumer.seq, consumer))
-        for waiter in op.waiters:
-            if not waiter.squashed:
-                heapq.heappush(wakeups, (complete, waiter.seq, waiter))
-        op.consumers = op.waiters = None
-
-    def _issue_faulting(self, op: _Op, fault: str, latency: int) -> None:
-        """Issue op with an exception that is raised when it retires, a page
-        fault's latency after issue."""
-        op.fault = fault
-        self._finish_issue(op, latency)
-        op.retire_at = self.cycle + self.mem.lat.page_fault
-
     def _issue(self, op: _Op) -> None:
-        """Issue op at the current cycle if it can go.  A store whose address
-        resolves stays unissued until the pass is over."""
-        if op.pending or op.ready > self.cycle:
+        """Issue op at the current cycle if it can go, and wake the ops
+        waiting on it.  An op with consumers or waiters has a destination, so
+        its latency is at least 1 and every wakeup goes on the heap.  A store
+        whose address resolves stays unissued until the pass is over."""
+        cycle = self.cycle
+        if op.pending or op.ready > cycle:
             return  # woken early, for its data; its sources will wake it
         kind = op.kind
+        latency = 1
+        retire_at = None  # complete, unless a fault or a resolution holds it
+        filled = None     # the level a load's fill came from
         if kind <= K_CMP:  # ADD, SHL, AND, CMP
             reads = op.reads
             a = reads[0]
@@ -636,61 +554,84 @@ class _Engine:
                 op.value = a & b
             else:  # CMP: the sign of a - b
                 op.value = (a > b) - (a < b)
-            self._finish_issue(op, 1)
-            return
-        if op.is_load:
-            self.blocked.pop(op.seq, None)  # _hold parks it again if need be
-
-        if kind == K_ST:
+        elif kind == K_ST:
             if op.mem_addr is None:
                 op.mem_addr = _value(op.reads[0]) + op.mem_offset_src
                 self._store_address_known(op)
-                if _ready_at(op.store_data_src) <= self.cycle:
+                if _ready_at(op.store_data_src) <= cycle:
                     self.late_stores.append(op)
                 return
-            if _ready_at(op.store_data_src) > self.cycle:
+            if _ready_at(op.store_data_src) > cycle:
                 return  # its data's producer wakes it
-            self._finish_issue(op, 1)
         elif kind == K_MOVI:
             op.value = op.arg
-            self._finish_issue(op, 1)
         elif kind == K_LD:
-            self._issue_load(op)
+            self.blocked.pop(op.seq, None)  # _hold parks it again if need be
+            addr = _value(op.reads[0]) + op.mem_offset_src
+            ready, forward = self._load_hazard(op, addr)
+            if not ready:
+                self._hold(op, forward)
+                return
+            op.mem_addr = addr
+            mem = self.mem
+            entry = forward is None and mem.pages.entry(addr)
+            if forward is not None:
+                op.value = _value(forward.store_data_src)
+                latency = mem.lat.l1_hit
+            elif not entry.mapped and not (entry.privileged and self.user):
+                # demand paging: the fault resolves by mapping the page
+                mem.pages.set_mapped(addr, True)
+                mem.fill(addr)
+                op.fill_addr = addr
+                op.value = mem.cells.get(addr, 0)
+                self.record((cycle, "fault", "demand-page @{:#x}", (addr,)))
+                latency = mem.lat.page_fault
+                op.fill_complete = cycle + latency
+            elif entry.privileged and self.user:
+                # exception deferred to retirement; dependents see a forwarded value
+                op.value = mem.cells.get(addr, 0) if self.forward_value else 0
+                op.fault = "privilege"
+                latency = mem.latency_for(mem.probe_level(addr))
+                retire_at = cycle + mem.lat.page_fault
+            else:
+                filled = mem.fill(addr)
+                latency = mem.latency_for(filled)
+                op.fill_addr = addr
+                op.value = mem.cells.get(addr, 0)
+                op.fill_complete = cycle + latency
         elif kind == K_FLUSH:
             op.mem_addr = _value(op.reads[0]) + op.mem_offset_src
             if self.flush_faults:
-                self._issue_faulting(op, "privileged-flush", 1)
-            else:
-                self._finish_issue(op, 1)
+                op.fault = "privileged-flush"
+                retire_at = cycle + self.mem.lat.page_fault
         elif kind == K_RDCYC:
             counter = self.mem.counter
             saved = counter.current
-            counter.current = self.cycle_base + self.cycle
+            counter.current = self.cycle_base + cycle
             op.value = counter.read(self.state.rng)
             counter.current = saved
-            self._finish_issue(op, 1)
         elif kind == K_MRS:
             sysregs = self.state.sysregs
             if self.user:
                 op.value = sysregs.get(op.arg, 0) if self.profile.sysreg_transient_forward else 0
-                self._issue_faulting(op, "sysreg", 1)
+                op.fault = "sysreg"
+                retire_at = cycle + self.mem.lat.page_fault
             else:
                 op.value = sysregs.get(op.arg, 0)
-                self._finish_issue(op, 1)
         elif kind == K_BGE:
             taken = _value(op.reads[0]) >= 0
             op.actual_next = op.arg if taken else op.pc + 1
             op.value = 1 if taken else 0
-            self._finish_issue(op, self.profile.branch_resolve_extra)
-            op.retire_at = _INF  # until it resolves
-            heapq.heappush(self.resolutions, (op.complete, op.seq, op))
+            latency = self.profile.branch_resolve_extra
+            retire_at = _INF  # until it resolves
+            heapq.heappush(self.resolutions, (cycle + latency, op.seq, op))
         elif kind == K_CALL:
             old = _value(op.reads[0])
             op.value = old - 8
             op.mem_addr = old - 8
             self._store_address_known(op)
-            self._finish_issue(op, 1)
         elif kind == K_RET:
+            self.blocked.pop(op.seq, None)
             addr = _value(op.reads[0])
             ready, forward = self._load_hazard(op, addr)
             if not ready:
@@ -698,26 +639,47 @@ class _Engine:
                 return
             op.mem_addr = addr
             op.value = addr + 8
-            if forward is not None:
-                op.actual_next = _value(forward.store_data_src)
-                latency = self.mem.lat.l1_hit
+            mem = self.mem
+            entry = forward is None and mem.pages.entry(addr)
+            if entry and (not entry.mapped or (entry.privileged and self.user)):
+                # raised when the return retires, so a return on a wrong path
+                # is squashed with it; it has no target to resolve to
+                op.fault = "privilege" if entry.mapped else "page"
+                retire_at = cycle + mem.lat.page_fault
             else:
-                entry = self.mem.pages.entry(addr)
-                if not entry.mapped or (entry.privileged and self.user):
-                    # raised when the return retires, so a return on a wrong
-                    # path is squashed with it; it has no target to resolve to
-                    self._issue_faulting(op, "privilege" if entry.mapped else "page", 1)
-                    return
-                level = self.mem.fill(addr)
-                latency = self.mem.latency_for(level)
-                op.fill_addr = addr
-                op.fill_complete = self.cycle + latency
-                op.actual_next = self.mem.cells.get(addr, 0)
-            self._finish_issue(op, latency + self.profile.return_resolve_extra)
-            op.retire_at = _INF  # until it resolves
-            heapq.heappush(self.resolutions, (op.complete, op.seq, op))
-        else:  # NOP, FENCE, YIELD, HALT
-            self._finish_issue(op, 1)
+                if forward is not None:
+                    op.actual_next = _value(forward.store_data_src)
+                    latency = mem.lat.l1_hit
+                else:
+                    latency = mem.latency_for(mem.fill(addr))
+                    op.fill_addr = addr
+                    op.fill_complete = cycle + latency
+                    op.actual_next = mem.cells.get(addr, 0)
+                latency += self.profile.return_resolve_extra
+                retire_at = _INF  # until it resolves
+                heapq.heappush(self.resolutions, (cycle + latency, op.seq, op))
+        # NOP, FENCE, YIELD and HALT only issue
+
+        op.issued = True
+        op.complete = complete = cycle + latency
+        op.retire_at = complete if retire_at is None else retire_at
+        if self.full_trace:
+            self.record((cycle, "execute", "#{} @{} {}", (op.seq, op.pc, self.decoded[op.pc][9])))
+        wakeups = self.wakeups
+        for consumer in op.consumers:
+            if consumer.squashed:
+                continue
+            if complete > consumer.ready:
+                consumer.ready = complete
+            consumer.pending -= 1
+            if not consumer.pending:
+                heapq.heappush(wakeups, (consumer.ready, consumer.seq, consumer))
+        for waiter in op.waiters:
+            if not waiter.squashed:
+                heapq.heappush(wakeups, (complete, waiter.seq, waiter))
+        op.consumers = op.waiters = None
+        if filled is not None:
+            self.record((cycle, "fill", "@{:#x} from {}", (op.mem_addr, filled.value)))
 
     def _store_address_known(self, store: _Op) -> None:
         """A store's address just resolved.  Younger loads that already read
@@ -738,7 +700,7 @@ class _Engine:
             self._redirect(oldest.pc, self.cycle)
         if self.blocked:  # younger than the store: ahead in this pass
             for seq in [seq for seq in self.blocked if seq > store.seq]:
-                heapq.heappush(self.this_pass, (seq, self.blocked.pop(seq)))
+                heapq.heappush(self.wakeups, (self.cycle, seq, self.blocked.pop(seq)))
 
     # -- resolution ----------------------------------------------------------
 
@@ -762,55 +724,34 @@ class _Engine:
 
     # -- retirement ----------------------------------------------------------
 
-    def _retire_effects(self, op: _Op, when: int) -> None:
-        """Everything retiring op does but write its register: raise its
-        fault, write its store, train a predictor, flush, switch or halt."""
-        state = self.state
-        if op.fault:
-            if op.dst is not None and self.rename.get(op.dst) is op:
-                del self.rename[op.dst]  # the register keeps its old value
-            self.record((when, "fault", "#{} @{} {} (retired)", (op.seq, op.pc, op.fault)))
-            self._squash_younger(op.seq, when, "fault", op.pc)
-            if state.recovery_pc is not None:
-                self._redirect(state.recovery_pc, when)
-            else:
-                self.abort = f"unhandled {op.fault} fault at pc {op.pc}"
-                self.fetch_active = False
-            return
-        if op.is_store:
-            self.mem.cells[op.mem_addr] = _value(op.store_data_src)
-            self.mem.fill(op.mem_addr)
-        kind = op.kind
-        if kind == K_FLUSH:
-            self.mem.invalidate_line(op.mem_addr)
-        elif kind == K_BGE:
-            state.pht.update(op.pc, op.value == 1)
-        elif kind == K_RET:
-            state.btb[op.pc] = op.actual_next
-        elif kind == K_YIELD:
-            context_switch(state, self.profile)
-            if op.pc + 1 >= self.end:
-                # a trailing yield ends the context's turn
-                self.halted = True
-                state.pc = op.pc
-        elif kind == K_HALT:
-            self.halted = True
-            state.pc = op.pc
+    def _raise(self, op: _Op, when: int) -> None:
+        """Retire a faulting op: it writes nothing, and everything younger is
+        squashed before fetch goes to the recovery point, if there is one."""
+        if op.dst is not None and self.rename.get(op.dst) is op:
+            del self.rename[op.dst]  # the register keeps its old value
+        self.record((when, "fault", "#{} @{} {} (retired)", (op.seq, op.pc, op.fault)))
+        self._squash_younger(op.seq, when, "fault", op.pc)
+        if self.state.recovery_pc is not None:
+            self._redirect(self.state.recovery_pc, when)
+        else:
+            self.abort = f"unhandled {op.fault} fault at pc {op.pc}"
+            self.fetch_active = False
 
-    def _retire(self) -> None:
-        """Retire the oldest ops that can go by this cycle.  Their registers
-        are written here; _retire_effects does the rest, for the ops that do
-        more."""
-        window, cycle, rename = self.window, self.cycle, self.rename
+    def _retire(self) -> bool:
+        """Retire every oldest op that can go by this cycle: write its
+        register, and its store, predictor update, flush, switch or halt;
+        _raise retires a faulting op.  True when that ends the run."""
+        window, cycle, rename, state = self.window, self.cycle, self.rename, self.state
         retired, full_trace = self.trace.retired_seqs, self.full_trace
+        last = self.last_retire
         while window:
             op = window[0]
             when = op.retire_at
-            if when <= self.last_retire:
-                when = self.last_retire + 1
+            if when <= last:
+                when = last + 1
             if when > cycle:
-                return
-            self.last_retire = when
+                break
+            self.last_retire = last = when
             window.popleft()
             if op.is_store:
                 self.stores.popleft()
@@ -819,76 +760,104 @@ class _Engine:
             op.reads = op.prev = None  # keep no chain of retired ops alive
             retired.add(op.seq)
             if op.fault:
-                self._retire_effects(op, when)
-            else:
-                if full_trace:
-                    self.record((when, "retire", "#{} @{} {}", (op.seq, op.pc, op.name)))
-                dst = op.dst
-                if dst is None or op.is_store or op.is_control:
-                    self._retire_effects(op, when)
-                if dst is not None:
-                    if dst == FLAGS:
-                        self.state.flags = op.value
-                    else:
-                        self.state.regs[dst] = op.value
-                    if rename.get(dst) is op:
-                        del rename[dst]
+                self._raise(op, when)  # which squashes everything younger
+                return self.abort is not None
+            kind, dst = op.kind, op.dst
+            if full_trace:
+                self.record((when, "retire", "#{} @{} {}", (op.seq, op.pc, self.decoded[op.pc][9])))
+            if dst is not None:
+                if dst == FLAGS:
+                    state.flags = op.value
+                else:
+                    state.regs[dst] = op.value
+                if rename.get(dst) is op:
+                    del rename[dst]
+            if kind <= K_LD:
+                pass  # ALU, MOVI and LD: the register write is all
+            elif op.is_store:
+                self.mem.cells[op.mem_addr] = _value(op.store_data_src)
+                self.mem.fill(op.mem_addr)
+            elif kind == K_BGE:
+                state.pht.update(op.pc, op.value == 1)
+            elif kind == K_RET:
+                state.btb[op.pc] = op.actual_next
+            elif kind == K_FLUSH:
+                self.mem.invalidate_line(op.mem_addr)
+            elif kind == K_YIELD:
+                context_switch(state, self.profile)
+                if op.pc + 1 >= self.end:  # a trailing yield ends the context's turn
+                    self.halted = True
+                    state.pc = op.pc
+                    return True
+            elif kind == K_HALT:
+                self.halted = True
+                state.pc = op.pc
+                return True
             if op is self.drain:
                 self.drain = None
-                self.dispatch_ready = max(self.dispatch_ready, when + 1)
-            if self.halted or self.abort:
-                return
+                if self.dispatch_ready <= when:
+                    self.dispatch_ready = when + 1
+        return False
 
     # -- main loop -----------------------------------------------------------
 
-    def _next_event(self) -> int:
-        """The next cycle at which something can happen: dispatch, an op's
-        sources or a store's data becoming ready, a control resolving, or the
-        oldest op retiring.  Squashed and finished heap entries are dropped
-        from the top as they are met."""
-        best = _INF
-        if self.fetch_active and self.drain is None:
-            best = self.dispatch_ready
-        wakeups = self.wakeups
-        while wakeups and (wakeups[0][2].issued or wakeups[0][2].squashed):
-            heapq.heappop(wakeups)
-        if wakeups and self.cycle < wakeups[0][0] < best:
-            best = wakeups[0][0]
-        pending = self.resolutions
-        while pending and pending[0][2].squashed:
-            heapq.heappop(pending)
-        if pending and pending[0][0] < best:
-            best = pending[0][0]
-        # the oldest op retires at its retire_at, or at last_retire + 1 when
-        # that is later: the next cycle at most, which the run visits anyway
-        if self.window and self.window[0].retire_at < best:
-            best = self.window[0].retire_at
-        return best
-
     def run(self) -> Trace:
+        """Visit each cycle at which something can happen: a control
+        resolving, the oldest op retiring, a dispatch, or an op woken to
+        issue.  Squashed and finished heap entries are dropped from the top
+        as they are met."""
         window, wakeups, resolutions = self.window, self.wakeups, self.resolutions
+        heappop, max_cycles = heapq.heappop, self.max_cycles
+        cycle = 0
         while True:
-            cycle = self.cycle
-            if cycle > self.max_cycles:
-                self.abort = f"cycle limit {self.max_cycles} exceeded"
+            self.cycle = cycle
+            if cycle > max_cycles:
+                self.abort = f"cycle limit {max_cycles} exceeded"
                 break
             if resolutions and resolutions[0][0] <= cycle:
                 self._resolve_controls()
-            if window and window[0].retire_at <= cycle:
-                self._retire()
-                if self.halted or self.abort:
-                    break
+            if window and window[0].retire_at <= cycle and self._retire():
+                break
             if self.fetch_active and self.drain is None and self.dispatch_ready <= cycle:
                 self._dispatch()
             if wakeups and wakeups[0][0] <= cycle:
-                self._issue_ready()
-            nxt = self._next_event()
+                # the issue pass: try every op woken for this cycle once, in
+                # program order, then issue the stores whose address resolved
+                # in it, oldest first
+                last = None
+                while wakeups and wakeups[0][0] <= cycle:
+                    _, seq, op = heappop(wakeups)
+                    if seq != last and not op.issued and not op.squashed:
+                        last = seq
+                        self._issue(op)
+                if self.late_stores:
+                    # a squash in the pass drops only ops younger than the
+                    # one issuing, so none of these is squashed, and _issue
+                    # finds each one's address known and its data ready
+                    for op in self.late_stores:
+                        self._issue(op)
+                    self.late_stores = []
+            # the next cycle with work, looked for after the pass, since a
+            # replay in it redirects fetch
+            nxt = self.dispatch_ready if self.fetch_active and self.drain is None else _INF
+            while wakeups and (wakeups[0][2].issued or wakeups[0][2].squashed):
+                heappop(wakeups)
+            if wakeups and cycle < wakeups[0][0] < nxt:
+                nxt = wakeups[0][0]
+            while resolutions and resolutions[0][2].squashed:
+                heappop(resolutions)
+            if resolutions and resolutions[0][0] < nxt:
+                nxt = resolutions[0][0]
+            # the oldest op retires at its retire_at, or at last_retire + 1
+            # when that is later: the next cycle at most, visited anyway
+            if window and window[0].retire_at < nxt:
+                nxt = window[0].retire_at
             if nxt >= _INF:
                 if not window and not self.fetch_active:
                     self.abort = "program ended without HALT"
                     break
                 nxt = cycle + 1
-            self.cycle = max(nxt, cycle + 1)
+            cycle = nxt if nxt > cycle else cycle + 1
         self.trace.cycles = self.cycle
         self.trace.halted = self.halted
         self.trace.abort = self.abort

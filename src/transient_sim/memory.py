@@ -95,6 +95,11 @@ class CacheLevel:
     def contains(self, line: int) -> bool:
         return line in self._sets[line % self.geometry.sets]
 
+    def lru_view(self) -> list:
+        """(set index, its lines most to least recent) for each non-empty
+        set, in ascending set order."""
+        return [(index, tuple(lines)) for index, lines in enumerate(self._sets) if lines]
+
 
 @dataclass(frozen=True)
 class PageEntry:

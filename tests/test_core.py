@@ -623,7 +623,7 @@ def _state_text(st):
     """Everything a run can leave behind in the machine, as text."""
     return repr((
         st.regs, st.flags, st.pc, sorted(st.mem.cells.items()),
-        st.mem.l1._sets, st.mem.l2._sets, st.rsb.snapshot(), st.pht.counters,
+        st.mem.l1.lru_view(), st.mem.l2.lru_view(), st.rsb.snapshot(), st.pht.counters,
         sorted(st.btb.items()), st.mem.counter.current, st.rng.getstate(),
     ))
 
@@ -642,12 +642,13 @@ class TestTraceBytes:
     LOG_SHA256 = "9f95a71756c98720f4396a452bd54976b196b63a6d982f6de6a5aee2f92463c2"
     JSON_SHA256 = "1eb1af96feac28e5b1861294c1d5c3a36d8e8245b0e02e25b77e6ab779b3e7c5"
     LOOP_AND_MITIGATED_SHA256 = "eb89ca0b1083f001efbd18ca6081ecba1b6f0da49917240c4e228001b8c89230"
+    CACHE_SHA256 = "7c510a98a016020dba5ae07ed10e0d7b4b96842d11b6fe293277d80158a9704a"
     STATE_SHA256 = {
-        "cortex_a53": "60a2de897f2821fbae4d8ab6966746970b62872c7918704e17471d2fe193d0e0",
-        "cortex_a72": "533a92abf90bc89589dffe13ec167d7f8ba4c66b0519c159176f65f077b5ea6b",
-        "cortex_a8": "60a2de897f2821fbae4d8ab6966746970b62872c7918704e17471d2fe193d0e0",
-        "cortex_a9": "0527812cd0b8544122d2ae1cce446e87c41d50200503e63da9f407fc8bcfbfea",
-        "intel_i7": "8502e30c857655b5205e8d82542bcc9c80a9d8c46b242955dc71837ee3f0c0a0",
+        "cortex_a53": "ea38a47894fe30228633b55aea5811c4b046a74d8167433a178e6e77ddd0e02d",
+        "cortex_a72": "8da050536391ff1db14fa31db67d64175a62415f11327c5c515483171f03fa3a",
+        "cortex_a8": "ea38a47894fe30228633b55aea5811c4b046a74d8167433a178e6e77ddd0e02d",
+        "cortex_a9": "c16d655b63e303fa8a0dd7f5be366ce26d55e623f13186332ced9bd56b0696b5",
+        "intel_i7": "1d249ce5e2fa8ff44e68147521301e1a775a97c73d8b23715fb931a604c6dfa5",
     }
 
     def test_every_event_kind_is_covered(self):
@@ -688,6 +689,16 @@ class TestTraceBytes:
             for name, texts in states.items()
         }
         assert digests == self.STATE_SHA256
+
+    def test_final_cache_contents_are_unchanged(self):
+        # every line each level holds, most recent first, after each run
+        import hashlib
+
+        views = "\n".join(
+            repr((name, st.mem.l1.lru_view(), st.mem.l2.lru_view()))
+            for name, st, _trace in _digest_runs(_STATE_PROGRAMS)
+        )
+        assert hashlib.sha256(views.encode()).hexdigest() == self.CACHE_SHA256
 
     def test_loop_and_mitigated_trace_bytes_are_unchanged(self):
         # the long windows on every core, and every event kind under the
@@ -824,7 +835,11 @@ class TestDecodeTable:
         checked = [top["predict_return"], methods["Rsb", "pop"]] + [
             fn for (cls, name), fn in methods.items() if cls == "_Engine" and name != "__init__"
         ]
-        assert len(checked) > 15
+        assert {fn.name for fn in checked} >= {
+            "predict_return", "pop", "_redirect", "_squash_younger", "_dispatch",
+            "_load_hazard", "_hold", "_issue", "_store_address_known", "_resolve_controls",
+            "_raise", "_retire", "run",
+        }
         lookups = [
             f"{fn.name}: {node.value.id}.{node.attr}"
             for fn in checked for node in ast.walk(fn)
