@@ -181,7 +181,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_mitigate(args) -> int:
     cfg = experiment_config("mitigation-demo", args.config, vars(args))
     # --flags adds to the config's own mitigations
-    flags = mitigation_set({**cfg.mitigations, **_split_flags(args.flags)})
+    flags = mitigation_set(cfg.mitigations, _split_flags(args.flags))
     base_profile = cfg.resolved_profile()
     profile = base_profile.with_overrides(mitigations=flags)
 

@@ -247,23 +247,26 @@ def _apply_profile_overrides(prof: CpuProfile, overrides: dict) -> CpuProfile:
         raise ConfigError(str(exc)) from None
 
 
-def mitigation_set(flags: dict) -> MitigationSet:
-    """The one mitigation builder, for config files and --flags alike.  A
-    string value (from `name=value` on the command line) must be an integer;
-    then each value must have its flag's type, so a boolean flag takes only
-    true or false (a bare `name` on the command line)."""
-    unknown = set(flags) - set(_MITIGATION_TYPES)
+def mitigation_set(flags: dict, command_line: dict | None = None) -> MitigationSet:
+    """The one mitigation builder, for config files and --flags alike.
+    `command_line` holds --flags as cli._split_flags gives them, on top of
+    the config's `flags`: there a string (from `name=value`) must be an
+    integer.  Then each value must have its flag's type, so a boolean flag
+    takes only true or false (a bare `name` on the command line)."""
+    command_line = command_line or {}
+    unknown = (set(flags) | set(command_line)) - set(_MITIGATION_TYPES)
     if unknown:
         raise ConfigError(f"unknown mitigation flags: {sorted(unknown)}")
-    values = {}
-    for key, value in flags.items():
+    values = dict(flags)
+    for key, value in command_line.items():
         if isinstance(value, str):
             try:
                 value = int(value)
             except ValueError:
                 raise ConfigError(f"flag {key!r} needs an integer value, got {value!r}") from None
-        _check_type("mitigation flag ", key, value, _MITIGATION_TYPES[key])
         values[key] = value
+    for key, value in values.items():
+        _check_type("mitigation flag ", key, value, _MITIGATION_TYPES[key])
     try:
         return MitigationSet(**values)
     except ValueError as exc:

@@ -335,6 +335,8 @@ class TestConfigFiles:
              "pmu_noise_amplitude must be int, got 2.5"),
             ({"profile_overrides": {"dram": 150.5}}, "dram must be int, got 150.5"),
             ({"profile_overrides": {"rsb_size": "8"}}, "rsb_size must be int, got '8'"),
+            ({"mitigations": {"pmu_noise_amplitude": "98"}},
+             "pmu_noise_amplitude must be int, got '98'"),
         ],
     )
     def test_unusable_values_are_config_errors(self, data, message):
