@@ -1,0 +1,61 @@
+"""tools/trajectory.py: reading the benchmark's output and comparing files."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "trajectory.py"
+_SPEC = importlib.util.spec_from_file_location("trajectory", _PATH)
+trajectory = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(trajectory)
+
+_OUTPUT = """\
+digest engine seed=1 sha256=6f007b82aa
+rounds 12 ops_per_round 905 host_ops_per_s 1041.20
+{"correct": true, "attempted": 10860, "failed": 0, "metrics": {"setup_s": {"value": 0.07, \
+"unit": "s"}, "ops_per_kref": {"value": 3500.0, "unit": "1/kref"}, "peak_rss_mb": \
+{"value": 30.4, "unit": "MB"}}}
+"""
+
+_BOUNDS = {"ops_per_kref": (0.25, "higher"), "peak_rss_mb": (0.05, "lower")}
+
+
+def _entry(ops, rss, digest="6f007b82aa", correct=True):
+    run = trajectory.parse_run(_OUTPUT)
+    run["metrics"].update(ops_per_kref=ops, peak_rss_mb=rss)
+    run.update(digest=digest, correct=correct)
+    return {"workloads": {"engine": trajectory.summarize({1: run})}}
+
+
+def test_parse_run_reads_the_digest_and_the_last_json_line():
+    assert trajectory.parse_run(_OUTPUT) == {
+        "digest": "6f007b82aa", "correct": True, "attempted": 10860, "failed": 0,
+        "metrics": {"setup_s": 0.07, "ops_per_kref": 3500.0, "peak_rss_mb": 30.4},
+    }
+
+
+def test_parse_run_rejects_output_without_a_digest():
+    with pytest.raises(ValueError):
+        trajectory.parse_run(_OUTPUT.split("\n", 1)[1])
+
+
+def test_summarize_gives_median_and_quartiles():
+    runs = {}
+    for seed, ops in enumerate([3000.0, 3400.0, 3200.0, 3600.0, 3100.0], 1):
+        run = trajectory.parse_run(_OUTPUT)
+        run["metrics"]["ops_per_kref"] = ops
+        runs[seed] = run
+    entry = trajectory.summarize(runs)["metrics"]["ops_per_kref"]
+    assert entry["median"] == 3200.0
+    assert entry["iqr"] == [3050.0, 3500.0]
+
+
+def test_compare_fails_on_a_changed_digest_and_flags_a_worse_median():
+    base = _entry(3500.0, 30.0)
+    assert trajectory.compare(base, _entry(3000.0, 31.0), _BOUNDS) == ([], [])
+    failures, flags = trajectory.compare(base, _entry(2500.0, 32.0, digest="bf5dfbe7"), _BOUNDS)
+    assert [line.split(":")[0] for line in failures] == ["engine seed 1"]
+    assert [line.split(":")[0] for line in flags] == ["engine ops_per_kref", "engine peak_rss_mb"]
+    failures, _ = trajectory.compare(base, _entry(3500.0, 30.0, correct=False), _BOUNDS)
+    assert failures == ["engine: 0 failed, correct=False"]
