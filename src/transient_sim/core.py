@@ -418,7 +418,6 @@ class _Engine:
         self.seq = seq + 1
 
         next_pc = pc + 1
-        # at dispatch no issue pass is running, so a wakeup goes on the heap
         reads = op.reads
         pending, ready = 0, cycle
         for reg in srcs:
