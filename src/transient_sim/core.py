@@ -58,7 +58,7 @@ from .isa import (
     FLAGS, K_ADD, K_AND, K_BGE, K_CALL, K_CMP, K_FENCE, K_FLUSH, K_HALT, K_LD, K_MOVI,
     K_MRS, K_RDCYC, K_RET, K_SHL, K_ST, K_YIELD, Program,
 )
-from .memory import CycleCounter, Latencies, MemorySystem, Privilege, line_of
+from .memory import CycleCounter, Latencies, Level, MemorySystem, Privilege, line_of
 from .profiles import (
     CpuProfile,
     ExceptionPolicy,
@@ -260,40 +260,30 @@ class Trace:
 
 
 class _Op:
+    """One in-flight instruction.  _dispatch makes it with _new_op, not a
+    call of the class, and sets every slot read before _issue writes it:
+    _issue sets value and complete, actual_next and fill_complete."""
+
     __slots__ = (
-        "seq", "pc", "kind", "arg",
-        "reads", "dst", "value", "prev",
-        "pending", "ready", "consumers", "waiters", "squashed",
-        "issued", "complete", "retire_at",
+        # from the decoded entry; arg is what issue reads beside the sources
+        "seq", "pc", "kind", "dst", "arg", "mem_offset_src",
         "is_load", "is_store", "is_control",
-        "mem_addr", "mem_offset_src", "store_data_src",
-        "fill_addr", "fill_complete",
-        "predicted_next", "actual_next",
-        "fault",
+        "reads",      # source operands, in the order of the decoded sources
+        "prev",       # the dst's producer this op renamed over, if it has a dst
+        "pending",    # register sources whose producer has not issued
+        "ready",      # cycle from which every register source is ready
+        "consumers",  # ops counting this op among their pending sources
+        "waiters",    # ops to wake at this op's completion
+        "squashed", "issued", "value", "complete",
+        "retire_at",  # cycle from which it may retire, once issued and resolved
+        "mem_addr", "store_data_src", "fill_addr", "fill_complete",
+        "predicted_next", "actual_next", "fault",
     )
 
-    def __init__(self, seq: int, pc: int, decoded: tuple):
-        # Only the slots read before _dispatch or _issue writes them are set
-        # here.  _dispatch sets ready (the cycle from which every register
-        # source is ready), store_data_src and predicted_next; _issue sets
-        # value and complete, actual_next and fill_complete.
-        self.seq = seq
-        self.pc = pc
-        # kind, dst, offset and flags as isa._decode gives them; arg is what
-        # issue reads beside the sources
-        (self.kind, self.dst, _, _, self.mem_offset_src, self.is_load, self.is_store,
-         self.is_control, self.arg, _) = decoded
-        self.reads = []           # source operands, in the order of the decoded sources
-        self.prev = None          # the dst's producer this op renamed over
-        self.pending = 0          # register sources whose producer has not issued
-        self.consumers = []       # ops counting this op among their pending sources
-        self.waiters = []         # ops to wake at this op's completion
-        self.squashed = False
-        self.issued = False
-        self.retire_at = _INF     # cycle from which it may retire, once issued and resolved
-        self.mem_addr = None
-        self.fill_addr = None
-        self.fault = None
+
+# an empty _Op for _dispatch to fill in: calling a class whose __init__ is
+# Python code costs about twice as much
+_new_op = object.__new__
 
 
 def _ready_at(src) -> int:
@@ -323,6 +313,10 @@ class _Engine:
         self.forward_value = profile.exception_policy is ExceptionPolicy.DEFERRED_FORWARD_VALUE
         self.user = state.privilege is Privilege.USER
         self.flush_faults = self.user and profile.mitigations.privileged_flush
+        # what a fill gives the engine: the latency and the text of the level
+        # that served it
+        self.fill_outcomes = tuple((self.mem.latency_for(level), level.value)
+                                   for level in (Level.L1, Level.L2, Level.DRAM))
         self.cycle = 0
         self.cycle_base = state.mem.counter.current
         self.seq = 0
@@ -413,12 +407,26 @@ class _Engine:
         state, profile = self.state, self.profile
         cycle, seq, rename = self.cycle, self.seq, self.rename
         decoded = self.decoded[pc]
-        kind, dst, srcs, data, _, is_load, is_store, is_control, arg, _ = decoded
-        op = _Op(seq, pc, decoded)
+        kind, dst, srcs, data, offset, is_load, is_store, is_control, arg, _ = decoded
+        op = _new_op(_Op)
+        op.seq = seq
+        op.pc = pc
+        op.kind = kind
+        op.dst = dst
+        op.arg = arg
+        op.mem_offset_src = offset
+        op.is_load = is_load
+        op.is_store = is_store
+        op.is_control = is_control
+        op.reads = reads = []
+        op.consumers = []
+        op.waiters = []
+        op.squashed = op.issued = False
+        op.retire_at = _INF
+        op.mem_addr = op.fill_addr = op.fault = None
         self.seq = seq + 1
 
         next_pc = pc + 1
-        reads = op.reads
         pending, ready = 0, cycle
         for reg in srcs:
             src = rename.get(reg)
@@ -431,10 +439,9 @@ class _Engine:
                 pending += 1
             elif src.complete > ready:
                 ready = src.complete
+        op.pending = pending
         op.ready = ready
-        if pending:
-            op.pending = pending
-        else:
+        if not pending:
             heapq.heappush(self.wakeups, (ready, seq, op))
         if data is not None:
             src = rename.get(data)
@@ -536,7 +543,7 @@ class _Engine:
         kind = op.kind
         latency = 1
         retire_at = None  # complete, unless a fault or a resolution holds it
-        filled = None     # the level a load's fill came from
+        filled = None     # the level a load's fill came from, as text
         if kind <= K_CMP:  # ADD, SHL, AND, CMP
             reads = op.reads
             a = reads[0]
@@ -593,8 +600,7 @@ class _Engine:
                 latency = mem.latency_for(mem.probe_level(addr))
                 retire_at = cycle + mem.lat.page_fault
             else:
-                filled = mem.fill(addr)
-                latency = mem.latency_for(filled)
+                latency, filled = mem.fill(addr, self.fill_outcomes)
                 op.fill_addr = addr
                 op.value = mem.cells.get(addr, 0)
                 op.fill_complete = cycle + latency
@@ -650,7 +656,7 @@ class _Engine:
                     op.actual_next = _value(forward.store_data_src)
                     latency = mem.lat.l1_hit
                 else:
-                    latency = mem.latency_for(mem.fill(addr))
+                    latency = mem.fill(addr, self.fill_outcomes)[0]
                     op.fill_addr = addr
                     op.fill_complete = cycle + latency
                     op.actual_next = mem.cells.get(addr, 0)
@@ -678,7 +684,7 @@ class _Engine:
                 heapq.heappush(wakeups, (complete, waiter.seq, waiter))
         op.consumers = op.waiters = None
         if filled is not None:
-            self.record((cycle, "fill", "@{:#x} from {}", (op.mem_addr, filled.value)))
+            self.record((cycle, "fill", "@{:#x} from {}", (op.mem_addr, filled)))
 
     def _store_address_known(self, store: _Op) -> None:
         """A store's address just resolved.  Younger loads that already read
@@ -707,9 +713,9 @@ class _Engine:
         pending = self.resolutions
         due = []
         while pending and pending[0][0] <= self.cycle:
-            due.append(heapq.heappop(pending)[2])
-        due.sort(key=lambda op: op.seq)  # the oldest due control first
-        for op in due:
+            due.append(heapq.heappop(pending)[1:])
+        due.sort()  # the oldest due control first
+        for _, op in due:
             if op.squashed:
                 continue
             op.retire_at = op.complete

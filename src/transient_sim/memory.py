@@ -229,10 +229,11 @@ class MemorySystem:
             return self.lat.l2_hit
         return self.lat.dram
 
-    def fill(self, addr: int) -> Level:
-        """Look up a line and fill every level up to L1 on a miss. Returns the
-        level that served the request (before filling)."""
-        return self._fill_lines(line_of(addr), 1, _LEVELS)[0]
+    def fill(self, addr: int, outcomes: tuple = _LEVELS):
+        """Look up a line and fill every level up to L1 on a miss.  Returns
+        the entry of the (L1, L2, DRAM) triple `outcomes` for the level that
+        served the request (before filling): by default, that Level."""
+        return self._fill_lines(line_of(addr), 1, outcomes)[0]
 
     def _fill_lines(self, first: int, count: int, outcomes: tuple) -> list:
         """Look up `count` consecutive lines from line number `first` in
