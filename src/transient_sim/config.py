@@ -248,7 +248,7 @@ def _apply_profile_overrides(prof: CpuProfile, overrides: dict) -> CpuProfile:
 
 
 def mitigation_set(flags: dict, command_line: dict | None = None) -> MitigationSet:
-    """The one mitigation builder, for config files and --flags alike.
+    """The one place a MitigationSet is made, for config files and --flags alike.
     `command_line` holds --flags as cli._split_flags gives them, on top of
     the config's `flags`: there a string (from `name=value`) must be an
     integer.  Then each value must have its flag's type, so a boolean flag

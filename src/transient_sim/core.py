@@ -580,30 +580,31 @@ class _Engine:
                 return
             op.mem_addr = addr
             mem = self.mem
-            entry = forward is None and mem.pages.entry(addr)
             if forward is not None:
                 op.value = _value(forward.store_data_src)
                 latency = mem.lat.l1_hit
-            elif not entry.mapped and not (entry.privileged and self.user):
-                # demand paging: the fault resolves by mapping the page
-                mem.pages.set_mapped(addr, True)
-                mem.fill(addr)
-                op.fill_addr = addr
-                op.value = mem.cells.get(addr, 0)
-                self.record((cycle, "fault", "demand-page @{:#x}", (addr,)))
-                latency = mem.lat.page_fault
-                op.fill_complete = cycle + latency
-            elif entry.privileged and self.user:
-                # exception deferred to retirement; dependents see a forwarded value
-                op.value = mem.cells.get(addr, 0) if self.forward_value else 0
-                op.fault = "privilege"
-                latency = mem.latency_for(mem.probe_level(addr))
-                retire_at = cycle + mem.lat.page_fault
             else:
-                latency, filled = mem.fill(addr, self.fill_outcomes)
-                op.fill_addr = addr
-                op.value = mem.cells.get(addr, 0)
-                op.fill_complete = cycle + latency
+                entry = mem.pages.entry(addr)
+                if not entry.mapped and not (entry.privileged and self.user):
+                    # demand paging: the fault resolves by mapping the page
+                    mem.pages.set_mapped(addr, True)
+                    mem.fill(addr)
+                    op.fill_addr = addr
+                    op.value = mem.cells.get(addr, 0)
+                    self.record((cycle, "fault", "demand-page @{:#x}", (addr,)))
+                    latency = mem.lat.page_fault
+                    op.fill_complete = cycle + latency
+                elif entry.privileged and self.user:
+                    # exception deferred to retirement; dependents see a forwarded value
+                    op.value = mem.cells.get(addr, 0) if self.forward_value else 0
+                    op.fault = "privilege"
+                    latency = mem.latency_for(mem.probe_level(addr))
+                    retire_at = cycle + mem.lat.page_fault
+                else:
+                    latency, filled = mem.fill(addr, self.fill_outcomes)
+                    op.fill_addr = addr
+                    op.value = mem.cells.get(addr, 0)
+                    op.fill_complete = cycle + latency
         elif kind == K_FLUSH:
             op.mem_addr = _value(op.reads[0]) + op.mem_offset_src
             if self.flush_faults:
@@ -645,7 +646,7 @@ class _Engine:
             op.mem_addr = addr
             op.value = addr + 8
             mem = self.mem
-            entry = forward is None and mem.pages.entry(addr)
+            entry = forward is None and mem.pages.entry(addr)  # False when forwarded
             if entry and (not entry.mapped or (entry.privileged and self.user)):
                 # raised when the return retires, so a return on a wrong path
                 # is squashed with it; it has no target to resolve to
