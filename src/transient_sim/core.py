@@ -68,10 +68,16 @@ from .profiles import (
 )
 
 _INF = 1 << 62
-# Enum members compared on every return; a module-level name is read faster
+# Enum members compared on every return or run; a module-level name is read
+# faster
 _RING_BUFFER = RsbUnderflow.RING_BUFFER
 _SWITCH_TO_BTB = RsbUnderflow.SWITCH_TO_BTB
 _IN_ORDER = PipelineKind.IN_ORDER
+_KEEP_INFLIGHT_FILLS = SquashPolicy.KEEP_INFLIGHT_FILLS
+_DEFERRED_FORWARD_VALUE = ExceptionPolicy.DEFERRED_FORWARD_VALUE
+_USER = Privilege.USER
+# the text of each level a fill is served from, L1, L2 and DRAM
+_L1_TEXT, _L2_TEXT, _DRAM_TEXT = Level.L1.value, Level.L2.value, Level.DRAM.value
 
 DEFAULT_SEED = 7
 
@@ -308,15 +314,16 @@ class _Engine:
         self.max_cycles = max_cycles
         self.mem = state.mem
         # the profile's and the context's facts, resolved once for the whole run
-        self.in_order = profile.pipeline is PipelineKind.IN_ORDER
-        self.keep_inflight = profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS
-        self.forward_value = profile.exception_policy is ExceptionPolicy.DEFERRED_FORWARD_VALUE
-        self.user = state.privilege is Privilege.USER
+        self.in_order = profile.pipeline is _IN_ORDER
+        self.keep_inflight = profile.squash_policy is _KEEP_INFLIGHT_FILLS
+        self.forward_value = profile.exception_policy is _DEFERRED_FORWARD_VALUE
+        self.user = state.privilege is _USER
         self.flush_faults = self.user and profile.mitigations.privileged_flush
         # what a fill gives the engine: the latency and the text of the level
         # that served it
-        self.fill_outcomes = tuple((self.mem.latency_for(level), level.value)
-                                   for level in (Level.L1, Level.L2, Level.DRAM))
+        lat = self.mem.lat
+        self.fill_outcomes = ((lat.l1_hit, _L1_TEXT), (lat.l2_hit, _L2_TEXT),
+                              (lat.dram, _DRAM_TEXT))
         self.cycle = 0
         self.cycle_base = state.mem.counter.current
         self.seq = 0

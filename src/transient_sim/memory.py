@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
 
 LINE_SIZE = 64
 PAGE_SIZE = 4096
@@ -21,6 +22,10 @@ SWEEP_BASE = 0x100_0000
 class Privilege(Enum):
     USER = "user"
     KERNEL = "kernel"
+
+
+# Enum members compared on every check; a module-level name is read faster
+_USER = Privilege.USER
 
 
 class MemoryFault(Exception):
@@ -49,7 +54,7 @@ def _flush_refusal(
     base: int, privilege: Privilege, flush_is_privileged: bool
 ) -> PrivilegedFlushError | None:
     """The error a flush from `base` raises, or None when it is allowed."""
-    if flush_is_privileged and privilege is Privilege.USER:
+    if flush_is_privileged and privilege is _USER:
         return PrivilegedFlushError(
             f"flush of {base:#x} requires kernel privilege under this configuration"
         )
@@ -85,12 +90,13 @@ class CacheGeometry:
 
 
 class CacheLevel:
-    """One set-associative level: per set, a list of line numbers, most
-    recently used first.  MemorySystem applies the strict-LRU policy."""
+    """One set-associative level: per set, a list of line numbers, oldest
+    first, so a fill appends and an eviction deletes index 0.  MemorySystem
+    applies the strict-LRU policy."""
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
-        self._sets: list = [[] for _ in range(geometry.sets)]
+        self._sets: list = [[] for _ in repeat(None, geometry.sets)]
 
     def contains(self, line: int) -> bool:
         return line in self._sets[line % self.geometry.sets]
@@ -98,7 +104,7 @@ class CacheLevel:
     def lru_view(self) -> list:
         """(set index, its lines most to least recent) for each non-empty
         set, in ascending set order."""
-        return [(index, tuple(lines)) for index, lines in enumerate(self._sets) if lines]
+        return [(index, tuple(reversed(lines))) for index, lines in enumerate(self._sets) if lines]
 
 
 @dataclass(frozen=True)
@@ -173,7 +179,8 @@ class Level(Enum):
     DRAM = "DRAM"
 
 
-_LEVELS = (Level.L1, Level.L2, Level.DRAM)
+# members returned and compared on every call; a module-level name is read faster
+_L1, _L2, _DRAM = _LEVELS = (Level.L1, Level.L2, Level.DRAM)
 
 
 @dataclass
@@ -208,7 +215,7 @@ class MemorySystem:
         entry = self.pages.entry(addr)
         if not entry.mapped:
             raise PageFault(addr)
-        if entry.privileged and privilege is Privilege.USER:
+        if entry.privileged and privilege is _USER:
             raise PrivilegeFault(addr)
 
     # -- cache mechanics ----------------------------------------------------
@@ -217,15 +224,15 @@ class MemorySystem:
         """Which level would serve this address right now (no state change)."""
         line = line_of(addr)
         if self.l1.contains(line):
-            return Level.L1
+            return _L1
         if self.l2.contains(line):
-            return Level.L2
-        return Level.DRAM
+            return _L2
+        return _DRAM
 
     def latency_for(self, level: Level) -> int:
-        if level is Level.L1:
+        if level is _L1:
             return self.lat.l1_hit
-        if level is Level.L2:
+        if level is _L2:
             return self.lat.l2_hit
         return self.lat.dram
 
@@ -248,9 +255,9 @@ class MemorySystem:
         for line in range(first, first + count):
             entries = sets1[line % nsets1]
             if line in entries:
-                if entries[0] != line:
+                if entries[-1] != line:
                     entries.remove(line)
-                    entries.insert(0, line)
+                    entries.append(line)
                 serve(from_l1)
                 continue
             lower = sets2[line % nsets2]
@@ -259,12 +266,12 @@ class MemorySystem:
                 serve(from_l2)
             else:
                 if len(lower) >= ways2:
-                    lower.pop()
+                    del lower[0]
                 serve(from_dram)
-            lower.insert(0, line)
+            lower.append(line)
             if len(entries) >= ways1:
-                entries.pop()
-            entries.insert(0, line)
+                del entries[0]
+            entries.append(line)
         return served
 
     def _reload_drop_lines(self, first: int, count: int, outcomes: tuple) -> list:
@@ -273,8 +280,9 @@ class MemorySystem:
         other line of it in its set in either level, so each line's net
         effect is applied in place and it is never inserted: an L1 hit leaves
         both levels, an L2 hit leaves L2 and evicts the oldest line of a full
-        L1 set, and a miss evicts the oldest line of each full set.  A longer
-        run is filled and then dropped."""
+        L1 set, and a miss evicts the oldest line of each full set.  Sets are
+        stored oldest first, so the oldest line is at index 0.  A longer run
+        is filled and then dropped."""
         sets1, nsets1, ways1 = self.l1._sets, self.l1.geometry.sets, self.l1.geometry.ways
         sets2, nsets2, ways2 = self.l2._sets, self.l2.geometry.sets, self.l2.geometry.ways
         if count > min(nsets1, nsets2):
@@ -298,10 +306,10 @@ class MemorySystem:
                 serve(from_l2)
             else:
                 if len(lower) >= ways2:
-                    lower.pop()
+                    del lower[0]
                 serve(from_dram)
             if len(entries) >= ways1:
-                entries.pop()
+                del entries[0]
         return served
 
     def _drop_lines(self, first: int, count: int) -> None:

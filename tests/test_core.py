@@ -819,26 +819,32 @@ class TestDecodeTable:
         assert st.mem.counter.current == 0 and not st.mem.cells
 
     def test_no_enum_member_lookup_on_the_per_op_path(self):
-        # the engine's methods, predict_return and Rsb.pop compare ints or
-        # values resolved once per run or at import, never an Enum member
+        # the engine's methods, its run set-up, predict_return, Rsb.pop and
+        # the memory checks and lookups the engine calls per op compare ints
+        # or values resolved once per run or at import, never an Enum member
         import ast
         import inspect
 
-        from transient_sim import core
+        from transient_sim import core, memory
 
         enums = {"Opcode", "RsbUnderflow", "PipelineKind", "SquashPolicy", "ExceptionPolicy",
-                 "Privilege"}
-        tree = ast.parse(inspect.getsource(core))
-        top = {node.name: node for node in tree.body if hasattr(node, "name")}
-        methods = {(cls, fn.name): fn for cls in ("_Engine", "Rsb") for fn in top[cls].body
-                   if isinstance(fn, ast.FunctionDef)}
-        checked = [top["predict_return"], methods["Rsb", "pop"]] + [
-            fn for (cls, name), fn in methods.items() if cls == "_Engine" and name != "__init__"
-        ]
+                 "Privilege", "Level"}
+        checked = []
+        for module, functions, classes in (
+            (core, ("predict_return",), {"_Engine": None, "Rsb": {"pop"}}),
+            (memory, ("_flush_refusal",),
+             {"MemorySystem": {"check_access", "probe_level", "latency_for"}}),
+        ):
+            tree = ast.parse(inspect.getsource(module))
+            top = {node.name: node for node in tree.body if hasattr(node, "name")}
+            checked += [top[name] for name in functions]
+            checked += [fn for cls, names in classes.items() for fn in top[cls].body
+                        if isinstance(fn, ast.FunctionDef) and (names is None or fn.name in names)]
         assert {fn.name for fn in checked} >= {
-            "predict_return", "pop", "_redirect", "_squash_younger", "_dispatch",
+            "predict_return", "pop", "__init__", "_redirect", "_squash_younger", "_dispatch",
             "_load_hazard", "_hold", "_issue", "_store_address_known", "_resolve_controls",
-            "_raise", "_retire", "run",
+            "_raise", "_retire", "run", "_flush_refusal", "check_access", "probe_level",
+            "latency_for",
         }
         lookups = [
             f"{fn.name}: {node.value.id}.{node.attr}"

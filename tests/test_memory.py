@@ -72,6 +72,15 @@ class HierarchyModel:
         return "DRAM"
 
 
+def assert_same_recency(mem: MemorySystem, model: HierarchyModel) -> None:
+    """Every set of both levels holds the model's lines in its exact order,
+    most recent first."""
+    for name in ("l1", "l2"):
+        want = [(i, tuple(bucket)) for i, bucket in enumerate(getattr(model, name).entries)
+                if bucket]
+        assert getattr(mem, name).lru_view() == want, name
+
+
 def test_small_l1_matches_brute_force_model_over_10k_accesses():
     mem = MemorySystem(l1=CacheGeometry(4, 2), l2=CacheGeometry(16, 4))
     model = HierarchyModel(CacheGeometry(4, 2), CacheGeometry(16, 4))
@@ -82,6 +91,7 @@ def test_small_l1_matches_brute_force_model_over_10k_accesses():
         got = mem.access(addr).level.value
         want = model.access(addr)
         assert got == want, f"addr {addr:#x}: cache said {got}, model said {want}"
+        assert_same_recency(mem, model)
         hits += got == "L1"
     # the workload should actually exercise all three levels
     assert 0 < hits < 10_000
@@ -95,6 +105,7 @@ def test_profile_geometries_match_model_too():
     for _ in range(3_000):
         addr = rng.randrange(0, 4 * prof.l2.capacity_bytes)
         assert mem.access(addr).level.value == model.access(addr)
+        assert_same_recency(mem, model)
 
 
 def test_same_line_different_offsets_hit():

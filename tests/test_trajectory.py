@@ -59,3 +59,13 @@ def test_compare_fails_on_a_changed_digest_and_flags_a_worse_median():
     assert [line.split(":")[0] for line in flags] == ["engine ops_per_kref", "engine peak_rss_mb"]
     failures, _ = trajectory.compare(base, _entry(3500.0, 30.0, correct=False), _BOUNDS)
     assert failures == ["engine: 0 failed, correct=False"]
+
+
+def test_layer_figures_time_each_layer_against_the_reference_loop():
+    figures = trajectory.layer_figures(repeats=2, samples=2)
+    assert sorted(figures) == ["core.make_machine", "core.run_halt",
+                               "memory.flush_probe_256", "memory.probe_and_flush_8"]
+    for figure in figures.values():
+        assert figure["us_per_call"] > 0 and figure["calls_per_kref"] > 0
+        low, high = figure["iqr"]
+        assert low <= figure["calls_per_kref"] <= high

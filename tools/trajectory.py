@@ -11,13 +11,19 @@ N times, with seeds 1..N, each in its own process, and reads the ``digest``
 line and the last line (the JSON result) of its output.  The file records
 the commit, the Python version and the number of usable CPUs; per workload,
 the median and interquartile range of each end-to-end metric, whether every
-run was correct, the failed operations, and each seed's digest; and the line
-count of every module under src/transient_sim.
+run was correct, the failed operations, and each seed's digest; the line
+count of every module under src/transient_sim; and per-layer figures, each
+timed in this process through public calls on intel_i7 and divided by the
+time of bench/run.py's reference_loop: a 256-line flush_lines plus
+probe_lines, an 8-line probe_and_flush_lines, make_machine, and one run of a
+HALT program.
 
 With --compare, the new figures are checked against an earlier file: the
 command exits 1 when a digest both files have for one seed differs, or a run
 was not correct, and prints a FLAG line for each median that is worse than
-the earlier one by more than BENCHMARK.json's bound for that metric.
+the earlier one by more than BENCHMARK.json's bound for that metric.  Each
+layer figure both files have is printed on a LAYER line; none is flagged,
+since BENCHMARK.json gives per-layer figures no bound.
 
 Uses the standard library only.  Edits nothing under bench/.
 """
@@ -25,12 +31,14 @@ Uses the standard library only.  Edits nothing under bench/.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +116,75 @@ def run_benchmark(workload: str, seed: int, seconds: float) -> dict:
     return parse_run(done.stdout)
 
 
+def reference_loop():
+    """bench/run.py's reference_loop, imported from it (not copied), without
+    writing bytecode under bench/."""
+    bench = str(ROOT / "bench")
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for @dataclass
+    sys.path.insert(0, bench)  # run.py imports its checkers, inputs and tracer
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(bench)
+    return module.reference_loop
+
+
+def _layers() -> dict:
+    """name -> a call that does one unit of that layer's work."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from transient_sim import assemble, get_profile, make_machine, run
+    from transient_sim.attacks import ORACLE_BASE, ORACLE_LINES
+    from transient_sim.covert import PROBE_BASE
+    from transient_sim.memory import Privilege
+
+    profile = get_profile("intel_i7")
+    state = make_machine(profile)
+    mem = state.mem
+    halt = assemble("HALT")
+    user = Privilege.USER
+
+    def flush_probe():
+        mem.flush_lines(ORACLE_BASE, ORACLE_LINES, user)
+        mem.probe_lines(ORACLE_BASE, ORACLE_LINES, user)
+
+    return {
+        "memory.flush_probe_256": flush_probe,
+        "memory.probe_and_flush_8": lambda: mem.probe_and_flush_lines(PROBE_BASE, 8, user),
+        "core.make_machine": lambda: make_machine(profile),
+        "core.run_halt": lambda: run(halt, state, profile),
+    }
+
+
+def layer_figures(repeats: int = 1000, samples: int = 7) -> dict:
+    """Per layer, the median over `samples` of the host time of one call,
+    from `repeats` calls timed together, and of the calls per 1000
+    reference loops, each sample divided by the mean of three reference
+    loops timed right after it, so host drift cancels as in bench/run.py."""
+    loop = reference_loop()
+    figures = {}
+    for name, call in _layers().items():
+        per_call, per_kref = [], []
+        for _ in range(samples):
+            t0 = time.perf_counter()
+            for _ in range(repeats):
+                call()
+            elapsed = (time.perf_counter() - t0) / repeats
+            t0 = time.perf_counter()
+            for _ in range(3):
+                loop()
+            ref = (time.perf_counter() - t0) / 3
+            per_call.append(elapsed * 1e6)
+            per_kref.append(1000 * ref / elapsed)
+        q1, _, q3 = statistics.quantiles(per_kref, n=4) if samples > 1 else per_kref * 3
+        figures[name] = {"us_per_call": statistics.median(per_call),
+                         "calls_per_kref": statistics.median(per_kref), "iqr": [q1, q3]}
+    return figures
+
+
 def _git(*args: str) -> str:
     done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else "unknown"
@@ -149,6 +226,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "workloads": workloads,
         "src_lines": _line_counts(),
+        "layers": layer_figures(),
     }
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -157,6 +235,10 @@ def main(argv=None) -> int:
     prev = json.loads(Path(args.compare).read_text(encoding="utf-8"))
     bounds = {m["name"]: (m["bound"], m["better"]) for m in benchmark["end_to_end"]}
     failures, flags = compare(prev, record, bounds)
+    for name, figure in record["layers"].items():
+        if name in prev.get("layers", {}):
+            old, new = prev["layers"][name]["calls_per_kref"], figure["calls_per_kref"]
+            print(f"LAYER {name}: {old:.4g} -> {new:.4g} calls_per_kref ({new / old - 1:+.1%})")
     for line in flags:
         print(f"FLAG {line}")
     for line in failures:
