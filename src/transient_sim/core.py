@@ -76,7 +76,6 @@ _IN_ORDER = PipelineKind.IN_ORDER
 _KEEP_INFLIGHT_FILLS = SquashPolicy.KEEP_INFLIGHT_FILLS
 _DEFERRED_FORWARD_VALUE = ExceptionPolicy.DEFERRED_FORWARD_VALUE
 _USER = Privilege.USER
-# the text of each level a fill is served from, L1, L2 and DRAM
 _L1_TEXT, _L2_TEXT, _DRAM_TEXT = Level.L1.value, Level.L2.value, Level.DRAM.value
 
 DEFAULT_SEED = 7

@@ -64,14 +64,16 @@ def parse_run(stdout: str) -> dict:
     }
 
 
+def spread(values: list) -> dict:
+    """The median, the quartiles and the values themselves."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "iqr": [q1, q3], "runs": values}
+
+
 def summarize(runs: dict) -> dict:
     """One workload's entry from its runs, a dict of seed -> parse_run()."""
     names = sorted({name for run in runs.values() for name in run["metrics"]})
-    metrics = {}
-    for name in names:
-        values = [run["metrics"][name] for run in runs.values()]
-        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-        metrics[name] = {"median": statistics.median(values), "iqr": [q1, q3], "runs": values}
+    metrics = {name: spread([run["metrics"][name] for run in runs.values()]) for name in names}
     return {
         "metrics": metrics,
         "correct": all(run["correct"] for run in runs.values()),
@@ -160,7 +162,7 @@ def _layers() -> dict:
 
 
 def layer_figures(repeats: int = 1000, samples: int = 7) -> dict:
-    """Per layer, the median over `samples` of the host time of one call,
+    """Per layer, the spread() over `samples` of the host time of one call,
     from `repeats` calls timed together, and of the calls per 1000
     reference loops, each sample divided by the mean of three reference
     loops timed right after it, so host drift cancels as in bench/run.py."""
@@ -179,9 +181,7 @@ def layer_figures(repeats: int = 1000, samples: int = 7) -> dict:
             ref = (time.perf_counter() - t0) / 3
             per_call.append(elapsed * 1e6)
             per_kref.append(1000 * ref / elapsed)
-        q1, _, q3 = statistics.quantiles(per_kref, n=4) if samples > 1 else per_kref * 3
-        figures[name] = {"us_per_call": statistics.median(per_call),
-                         "calls_per_kref": statistics.median(per_kref), "iqr": [q1, q3]}
+        figures[name] = {"us_per_call": spread(per_call), "calls_per_kref": spread(per_kref)}
     return figures
 
 
@@ -237,7 +237,8 @@ def main(argv=None) -> int:
     failures, flags = compare(prev, record, bounds)
     for name, figure in record["layers"].items():
         if name in prev.get("layers", {}):
-            old, new = prev["layers"][name]["calls_per_kref"], figure["calls_per_kref"]
+            old = prev["layers"][name]["calls_per_kref"]["median"]
+            new = figure["calls_per_kref"]["median"]
             print(f"LAYER {name}: {old:.4g} -> {new:.4g} calls_per_kref ({new / old - 1:+.1%})")
     for line in flags:
         print(f"FLAG {line}")
