@@ -118,7 +118,7 @@ def run_benchmark(workload: str, seed: int, seconds: float) -> dict:
     return parse_run(done.stdout)
 
 
-def reference_loop():
+def load_reference_loop():
     """bench/run.py's reference_loop, imported from it (not copied), without
     writing bytecode under bench/."""
     bench = str(ROOT / "bench")
@@ -166,7 +166,7 @@ def layer_figures(repeats: int = 1000, samples: int = 7) -> dict:
     from `repeats` calls timed together, and of the calls per 1000
     reference loops, each sample divided by the mean of three reference
     loops timed right after it, so host drift cancels as in bench/run.py."""
-    loop = reference_loop()
+    loop = load_reference_loop()
     figures = {}
     for name, call in _layers().items():
         per_call, per_kref = [], []
