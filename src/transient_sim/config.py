@@ -18,13 +18,14 @@ import json
 import os
 import typing
 from dataclasses import dataclass, field
+from enum import Enum
 
 from .attacks import RSB_PAGE_FAULT_UNDEFINED, Scenario, SecretLocation, WindowTrigger
 from .core import DEFAULT_SEED
 from .covert import ChannelConfig
 from .memory import Latencies
 from .mitigations import MitigationSet
-from .profiles import CpuProfile, ExceptionPolicy, PipelineKind, RsbUnderflow, SquashPolicy, get_profile
+from .profiles import CpuProfile, get_profile
 
 SEED_ENV_VAR = "TRANSIENT_SIM_SEED"
 
@@ -195,19 +196,12 @@ def _check_type(what: str, key: str, value, types: tuple) -> None:
 _LATENCY_TYPES = _field_types(Latencies)
 _MITIGATION_TYPES = _field_types(MitigationSet)
 _PROFILE_TYPES = _field_types(CpuProfile)
+# the profile fields a flat override may set: the Enum-typed ones, and the
+# int- and bool-typed ones
 _ENUM_FIELDS = {
-    "pipeline": PipelineKind,
-    "rsb_underflow": RsbUnderflow,
-    "squash_policy": SquashPolicy,
-    "exception_policy": ExceptionPolicy,
+    key: kind for key, (kind, *more) in _PROFILE_TYPES.items() if not more and issubclass(kind, Enum)
 }
-_SCALAR_FIELDS = {
-    "rsb_size",
-    "branch_resolve_extra",
-    "return_resolve_extra",
-    "stl_speculation",
-    "sysreg_transient_forward",
-}
+_SCALAR_FIELDS = {key for key, types in _PROFILE_TYPES.items() if types in ((int,), (bool,))}
 
 
 def _coerce_enum(kind, value):

@@ -272,7 +272,7 @@ class _Op:
     __slots__ = (
         # from the decoded entry; arg is what issue reads beside the sources
         "seq", "pc", "kind", "dst", "arg", "mem_offset_src",
-        "is_load", "is_store", "is_control",
+        "is_load", "is_store",
         "reads",      # source operands, in the order of the decoded sources
         "prev",       # the dst's producer this op renamed over, if it has a dst
         "pending",    # register sources whose producer has not issued
@@ -423,7 +423,6 @@ class _Engine:
         op.mem_offset_src = offset
         op.is_load = is_load
         op.is_store = is_store
-        op.is_control = is_control
         op.reads = reads = []
         op.consumers = []
         op.waiters = []

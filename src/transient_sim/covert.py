@@ -223,8 +223,7 @@ def receiver_decode(
     profile: CpuProfile,
     config: ChannelConfig,
     gadget_base: int = GADGET_BASE,
-    record: list[int] | None = None,
-) -> int | None:
+) -> tuple[int | None, list[int]]:
     """Receiver timeslice: return through the engine's own predictor,
     core.predict_return, then Flush+Reload the probe lines.
 
@@ -234,8 +233,9 @@ def receiver_decode(
     addresses, in which case the predicted target executes no gadget and
     every symbol erases.
 
-    Returns the decoded symbol, or None for an erasure (not exactly one
-    hit).  Raises PrivilegedFlushError when the flush instruction is
+    Returns `(symbol, latencies)`: the decoded symbol, or None for an
+    erasure (not exactly one hit), and the measured reload latency of each
+    probe line.  Raises PrivilegedFlushError when the flush instruction is
     privileged on this profile, since the receiver runs in user mode.
     """
     mem = state.mem
@@ -259,12 +259,8 @@ def receiver_decode(
         Privilege.USER,
         flush_is_privileged=profile.mitigations.privileged_flush,
     )
-    if record is not None:
-        record.extend(latencies)
     hits = [i for i, latency in enumerate(latencies) if latency < threshold]
-    if len(hits) == 1:
-        return hits[0]
-    return None
+    return (hits[0] if len(hits) == 1 else None), latencies
 
 
 def run_channel(
@@ -288,62 +284,48 @@ def run_channel(
     """
     state = make_machine(profile, seed=seed)
     state.benign_return_pc = BENIGN_RETURN_PC
-    state.btb[RECEIVER_RET_PC] = RECEIVER_CONT_PC
     noise_rng = random.Random(seed ^ 0x5EED)
 
     symbols = pack_symbols(message, config.bits_per_cs)
     bits = config.bits_per_cs
-    cost = config.symbol_cost(profile)
     depth = config.fill_depth(profile)
 
     decoded: list[int] = []
     confusion: dict[tuple[int, int | None], int] = {}
     grid: list[list[int]] | None = [] if record_latencies else None
-    symbol_errors = 0
-    bit_errors = 0
-    erasures = 0
     aborted = False
-    cycles = 0
 
     for sent in symbols:
-        base = state.mem.counter.current
         sender_inject(state, sent, depth)
         if config.noise_probability and noise_rng.random() < config.noise_probability:
             state.rsb.push(INTERLOPER_PC)
             state.mem.fill(INTERLOPER_LINE)
         context_switch(state, profile)
-        record: list[int] | None = [] if record_latencies else None
         try:
-            got = receiver_decode(state, profile, config, gadget_base, record)
+            got, latencies = receiver_decode(state, profile, config, gadget_base)
         except PrivilegedFlushError:
             aborted = True
             break
         context_switch(state, profile)
-        state.mem.counter.current = base + cost
-        cycles += cost
 
-        if grid is not None and record is not None:
-            grid.append(record)
+        if grid is not None:
+            grid.append(latencies)
         decoded.append(0 if got is None else got)
         confusion[(sent, got)] = confusion.get((sent, got), 0) + 1
-        if got is None:
-            erasures += 1
-            symbol_errors += 1
-            bit_errors += bits
-        elif got != sent:
-            symbol_errors += 1
-            bit_errors += bin(got ^ sent).count("1")
 
+    counts = confusion.items()
+    erasures = sum(n for (_, got), n in counts if got is None)
+    wrong_bits = sum(n * bin(got ^ sent).count("1") for (sent, got), n in counts if got is not None)
     sent_count = len(decoded)
     return ChannelReport(
         profile=profile.name,
         bits_per_cs=bits,
         symbols_sent=sent_count,
         bits_sent=sent_count * bits,
-        symbol_errors=symbol_errors,
-        bit_errors=bit_errors,
+        symbol_errors=sum(n for (sent, got), n in counts if got != sent),
+        bit_errors=bits * erasures + wrong_bits,
         erasures=erasures,
-        total_cycles=cycles,
+        total_cycles=sent_count * config.symbol_cost(profile),
         required_memory_bytes=required_memory_bytes(bits),
         aborted=aborted,
         decoded=unpack_symbols(decoded, bits, len(message)) if not aborted else b"",

@@ -134,11 +134,8 @@ def _matrix_table(report: SuiteReport) -> str:
 def _sweep_table(reports: list) -> str:
     header = f"{'b':>2}  {'bandwidth(b/kcyc)':>18}  {'errors':>6}  {'memory(B)':>9}"
     rows = [header, "-" * len(header)]
-    for r in reports:
-        rows.append(
-            f"{r.bits_per_cs:>2}  {r.bandwidth_bits_per_kcycle:>18.6f}  "
-            f"{r.bit_errors:>6}  {r.required_memory_bytes:>9}"
-        )
+    for b, bandwidth, errors, memory in _sweep_rows(reports):
+        rows.append(f"{b:>2}  {bandwidth:>18}  {errors:>6}  {memory:>9}")
     return "\n".join(rows) + "\n"
 
 

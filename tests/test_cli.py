@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, config merging, determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,23 @@ from transient_sim.config import (
     default_seed,
     experiment_config,
 )
+from transient_sim.profiles import CpuProfile, get_profile
+
+
+# Each Enum-, int- or bool-typed CpuProfile field, with a valid value that
+# intel_i7 does not have; the other fields cannot be set by a flat override.
+_OVERRIDABLE = {
+    "pipeline": "in-order",
+    "rsb_size": 4,
+    "rsb_underflow": "ring-buffer",
+    "squash_policy": "cancel-inflight-fills",
+    "branch_resolve_extra": 9,
+    "return_resolve_extra": 9,
+    "stl_speculation": False,
+    "exception_policy": "deferred-forward-zero",
+    "sysreg_transient_forward": False,
+}
+_NOT_OVERRIDABLE = ("name", "l1", "l2", "latencies", "eviction_params", "mitigations")
 
 
 def run_cli(capsys, *argv):
@@ -337,11 +355,26 @@ class TestConfigFiles:
             ({"profile_overrides": {"rsb_size": "8"}}, "rsb_size must be int, got '8'"),
             ({"mitigations": {"pmu_noise_amplitude": "98"}},
              "pmu_noise_amplitude must be int, got '98'"),
+            *(({"profile_overrides": {key: 1}}, f"unknown profile override '{key}'")
+              for key in _NOT_OVERRIDABLE),
         ],
     )
     def test_unusable_values_are_config_errors(self, data, message):
         with pytest.raises(ConfigError, match=message):
             config_from_dict({"experiment": "covert", **data})
+
+    @pytest.mark.parametrize("key, value", sorted(_OVERRIDABLE.items()))
+    def test_every_enum_int_and_bool_profile_field_is_an_override(self, key, value):
+        profile = config_from_dict(
+            {"experiment": "covert", "profile_overrides": {key: value}}
+        ).resolved_profile()
+        got = getattr(profile, key)
+        assert getattr(got, "value", got) == value
+        assert got != getattr(get_profile("intel_i7"), key)
+
+    def test_override_keys_cover_every_profile_field(self):
+        fields = {f.name for f in dataclasses.fields(CpuProfile)}
+        assert fields == set(_OVERRIDABLE) | set(_NOT_OVERRIDABLE)
 
     @pytest.mark.parametrize(
         "command, data, first_line",

@@ -285,6 +285,20 @@ class TestChannelRequirements:
         )
         assert report.erasures == report.symbols_sent
 
+    def test_gadget_shifted_by_one_decodes_each_symbol_one_lower(self):
+        # the receiver's gadgets sit one address up, so gadget s - 1 runs where
+        # the sender meant s, and symbol 0's target falls below the window
+        sent = pack_symbols(b"HI!", 3)
+        report = run_channel(I7, ChannelConfig(bits_per_cs=3), b"HI!", gadget_base=GADGET_BASE + 1)
+        zeros = sent.count(0)
+        assert report.symbol_errors == len(sent) == 8
+        assert report.erasures == zeros == 1
+        wrong_bits = sum(bin(s ^ (s - 1)).count("1") for s in sent if s)
+        assert report.bit_errors == 3 * zeros + wrong_bits == 20
+        assert {(s, got) for s, got in report.confusion} == {
+            (s, s - 1 if s else None) for s in sent
+        }
+
     def test_rsb_flush_mitigation_leaves_no_information(self):
         armored = I7.with_overrides(mitigations=MitigationSet(rsb_flush_on_cs=True))
         payload = bytes(random.Random(8).randrange(256) for _ in range(150))  # 1200 bits
