@@ -21,22 +21,25 @@ The engine only visits cycles at which something can happen, and it finds
 the work of a cycle without scanning the window (Tomasulo-style wakeup).
 Each op counts its register sources whose producer has not issued yet, and
 each producer keeps a list of the ops waiting on it; when the last one
-issues, the op's ready cycle is known and it goes on a heap of
-(cycle, seq) wakeups.  Every op with consumers or waiters completes at least
-a cycle after it issues, so a wakeup always lands on a later cycle, and an
-op ready at dispatch is keyed to the dispatch cycle.  No key is earlier
-than the cycle it is pushed in, so a cycle's issue pass pops its ops
-straight off the heap, once each, in program order.  A load held back by
-an older store is pushed back for the running pass when a store address
-resolves, or for when the forwarded data is ready.  A store whose address
-resolves issues after the pass, oldest first, so ops ready in the same
-cycle issue in the order a walk of the whole window would give.  Control
-resolutions wait on their own heap, and a squash drops only the ops it
-squashes; heap entries of squashed ops are skipped when they come up.  Each
-op's retire_at is the one gate on its retirement: unissued ops and
-unresolved controls hold it at infinity.  The run loop looks for the next
-cycle with work after the pass, since a store-order replay in the pass
-restarts fetch.
+issues, the op's ready cycle is known and it goes on a heap of (cycle, seq)
+wakeups.  Every op with consumers or waiters completes at least a cycle
+after it issues, so a wakeup always lands on a later cycle.  No key is
+earlier than the cycle it is pushed in, so a cycle's issue pass pops its
+ops straight off the heap, once each, in program order.  An op whose
+sources are ready at dispatch gets no heap entry: it is the youngest op in
+the window and the pass wakes nothing younger for its cycle, so it issues
+after the heap's ops, as its key would have had it, unless the pass
+squashed it.  A load held back by an older store is pushed back for the
+running pass when a store address resolves, or for when the forwarded data
+is ready.  A store whose address resolves issues after the pass, oldest
+first, so ops ready in the same cycle issue in the order a walk of the
+whole window would give.  Control resolutions wait on their own heap, and a
+squash drops only the ops it squashes; heap entries of squashed ops are
+skipped when they come up.  Each op's retire_at is the one gate on its
+retirement: unissued ops and unresolved controls hold it at infinity.  The
+run loop looks for the next cycle with work after the pass, since a
+store-order replay in the pass restarts fetch; a dispatch due the next
+cycle ends that search at once.
 
 A program is decoded once, on its first run (isa.Program.decoded): each
 instruction becomes a flat tuple of an int kind, its register sources and
@@ -332,10 +335,10 @@ class _Engine:
         self.rename: dict = {}
         # (cycle, seq, op): try op in that cycle's pass.  Each key is a cycle
         # at which an unissued op's sources or a store's data become ready,
-        # or the current cycle if they already are, as for a load freed by a
-        # store in the running pass.  No key is earlier than the cycle it is
-        # pushed in, so a pass pops only keys equal to its cycle, in program
-        # order.
+        # or the current cycle for a load freed by a store in the running
+        # pass; an op ready at dispatch has none (see run).  No key is
+        # earlier than the cycle it is pushed in, so a pass pops only keys
+        # equal to its cycle, in program order.
         self.wakeups: list = []
         self.resolutions: list = []  # (resolve cycle, seq, control op)
         self.blocked: dict = {}  # seq -> load held back by an older store
@@ -398,18 +401,20 @@ class _Engine:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch(self) -> None:
+    def _dispatch(self) -> _Op | None:
         """Fetch the op at fetch_pc and register it with the producers it
         waits on.  It is woken once, at its ready cycle, when the last of its
         register sources has issued; a store is also woken when its data
-        becomes ready."""
+        becomes ready.  An op whose sources are ready in this cycle gets no
+        wakeup: it is returned, for run to issue at the end of this cycle's
+        pass."""
         pc = self.fetch_pc
         if pc >= self.end or pc < 0:
             # fetch stalls: a wrong path is redirected when its control
             # resolves, and an architectural run-off drains the window and
             # ends the run without HALT
             self.fetch_active = False
-            return
+            return None
         state, profile = self.state, self.profile
         cycle, seq, rename = self.cycle, self.seq, self.rename
         decoded = self.decoded[pc]
@@ -446,7 +451,7 @@ class _Engine:
                 ready = src.complete
         op.pending = pending
         op.ready = ready
-        if not pending:
+        if not pending and ready > cycle:
             heapq.heappush(self.wakeups, (ready, seq, op))
         if data is not None:
             src = rename.get(data)
@@ -504,6 +509,7 @@ class _Engine:
         if self.fetch_active:
             self.fetch_pc = next_pc
         self.dispatch_ready = cycle + 1
+        return None if pending or ready > cycle else op
 
     # -- issue ---------------------------------------------------------------
 
@@ -829,18 +835,23 @@ class _Engine:
                 self._resolve_controls()
             if window and window[0].retire_at <= cycle and self._retire():
                 break
+            fresh = None  # the op just dispatched, when it is ready at once
             if self.fetch_active and self.drain is None and self.dispatch_ready <= cycle:
-                self._dispatch()
-            if wakeups and wakeups[0][0] <= cycle:
+                fresh = self._dispatch()
+            if fresh is not None or (wakeups and wakeups[0][0] <= cycle):
                 # the issue pass: try every op woken for this cycle once, in
                 # program order, then issue the stores whose address resolved
-                # in it, oldest first
+                # in it, oldest first.  The fresh op is the youngest in the
+                # window and the pass wakes nothing younger for this cycle,
+                # so it goes last, unless the pass squashed it.
                 last = None
                 while wakeups and wakeups[0][0] <= cycle:
                     _, seq, op = heappop(wakeups)
                     if seq != last and not op.issued and not op.squashed:
                         last = seq
                         self._issue(op)
+                if fresh is not None and not fresh.squashed:
+                    self._issue(fresh)
                 if self.late_stores:
                     # a squash in the pass drops only ops younger than the
                     # one issuing, so none of these is squashed, and _issue
@@ -849,8 +860,16 @@ class _Engine:
                         self._issue(op)
                     self.late_stores = []
             # the next cycle with work, looked for after the pass, since a
-            # replay in it redirects fetch
-            nxt = self.dispatch_ready if self.fetch_active and self.drain is None else _INF
+            # replay in it redirects fetch.  A dispatch due next cycle comes
+            # first: no key can be earlier, and stale heap tops are dropped
+            # when they are next met.
+            if self.fetch_active and self.drain is None:
+                nxt = self.dispatch_ready
+                if nxt == cycle + 1:
+                    cycle = nxt
+                    continue
+            else:
+                nxt = _INF
             while wakeups and (wakeups[0][2].issued or wakeups[0][2].squashed):
                 heappop(wakeups)
             if wakeups and cycle < wakeups[0][0] < nxt:

@@ -246,7 +246,9 @@ class MemorySystem:
         """Look up `count` consecutive lines from line number `first` in
         order, filling every level up to L1 on a miss, strict LRU in each
         set.  Returns, per line, the entry of the (L1, L2, DRAM) triple
-        `outcomes` for the level that served it."""
+        `outcomes` for the level that served it.  An empty set is never
+        scanned: it holds no line and is not full, so a fill into it only
+        appends."""
         sets1, nsets1, ways1 = self.l1._sets, self.l1.geometry.sets, self.l1.geometry.ways
         sets2, nsets2, ways2 = self.l2._sets, self.l2.geometry.sets, self.l2.geometry.ways
         from_l1, from_l2, from_dram = outcomes
@@ -254,14 +256,19 @@ class MemorySystem:
         serve = served.append
         for line in range(first, first + count):
             entries = sets1[line % nsets1]
-            if line in entries:
-                if entries[-1] != line:
-                    entries.remove(line)
-                    entries.append(line)
-                serve(from_l1)
-                continue
+            if entries:
+                if line in entries:
+                    if entries[-1] != line:
+                        entries.remove(line)
+                        entries.append(line)
+                    serve(from_l1)
+                    continue
+                if len(entries) >= ways1:
+                    del entries[0]
             lower = sets2[line % nsets2]
-            if line in lower:
+            if not lower:
+                serve(from_dram)
+            elif line in lower:
                 lower.remove(line)
                 serve(from_l2)
             else:
@@ -269,8 +276,6 @@ class MemorySystem:
                     del lower[0]
                 serve(from_dram)
             lower.append(line)
-            if len(entries) >= ways1:
-                del entries[0]
             entries.append(line)
         return served
 
@@ -281,8 +286,8 @@ class MemorySystem:
         effect is applied in place and it is never inserted: an L1 hit leaves
         both levels, an L2 hit leaves L2 and evicts the oldest line of a full
         L1 set, and a miss evicts the oldest line of each full set.  Sets are
-        stored oldest first, so the oldest line is at index 0.  A longer run
-        is filled and then dropped."""
+        stored oldest first, so the oldest line is at index 0; an empty set
+        is never scanned.  A longer run is filled and then dropped."""
         sets1, nsets1, ways1 = self.l1._sets, self.l1.geometry.sets, self.l1.geometry.ways
         sets2, nsets2, ways2 = self.l2._sets, self.l2.geometry.sets, self.l2.geometry.ways
         if count > min(nsets1, nsets2):
@@ -295,24 +300,29 @@ class MemorySystem:
         for line in range(first, first + count):
             entries = sets1[line % nsets1]
             lower = sets2[line % nsets2]
-            if line in entries:
-                entries.remove(line)
-                if line in lower:
-                    lower.remove(line)
-                serve(from_l1)
-                continue
-            if line in lower:
+            if entries:
+                if line in entries:
+                    entries.remove(line)
+                    if line in lower:
+                        lower.remove(line)
+                    serve(from_l1)
+                    continue
+                if len(entries) >= ways1:
+                    del entries[0]
+            if not lower:
+                serve(from_dram)
+            elif line in lower:
                 lower.remove(line)
                 serve(from_l2)
             else:
                 if len(lower) >= ways2:
                     del lower[0]
                 serve(from_dram)
-            if len(entries) >= ways1:
-                del entries[0]
         return served
 
     def _drop_lines(self, first: int, count: int) -> None:
+        """Drop `count` consecutive lines from line number `first` from both
+        levels; an empty set is not scanned."""
         sets1, nsets1 = self.l1._sets, self.l1.geometry.sets
         sets2, nsets2 = self.l2._sets, self.l2.geometry.sets
         for line in range(first, first + count):
@@ -424,7 +434,11 @@ class MemorySystem:
 
     def _first_fault(self, base: int, count: int, privilege: Privilege) -> tuple:
         """(lines accessible before the first fault, that fault or None) for
-        `count` lines from `base`.  Every line of a page shares its check."""
+        `count` lines from `base`.  Every line of a page shares its check.
+        An empty page table maps every page unprivileged, so it is not
+        walked."""
+        if not self.pages._entries:
+            return count, None
         i = 0
         while i < count:
             addr = base + i * LINE_SIZE

@@ -716,6 +716,87 @@ class TestTraceBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == self.LOOP_AND_MITIGATED_SHA256
 
 
+def _filled_self_pointer(st):
+    # an L1-warm pointer to itself, and a store value for the late store
+    _point_to_self(st)
+    st.mem.fill(DATA)
+    st.regs[3] = 77
+
+
+# At cycle 4 the pointer load completes and wakes the ADD, the store and the
+# AND; the store's address resolves in that pass, so it issues after it,
+# and the MOVI dispatched in that cycle is ready at once.
+_SHARED_PASS = (
+    "    LD r1, [r14]\n    ADD r2, r1, 1\n    ST [r1 + 8], r3\n    AND r5, r1, 7\n"
+    "    MOVI r6, 5\n    LD r8, [r14 + 8]\n    ADD r9, r8, r6\n    HALT\n",
+    Privilege.KERNEL, None, _filled_self_pointer,
+)
+
+
+class TestWakeupHeap:
+    """An op whose sources are ready at dispatch is issued without a wakeup
+    entry, in the place the entry would have given it."""
+
+    SHARED_PASS_SHA256 = "8b44075f5b630fb504da8393409051fb0dd5d89577b6c078ac0b81169ab05fdf"
+
+    @staticmethod
+    def _wakeup_pushes(monkeypatch, source, setup=None):
+        """The entries pushed onto the wakeup heap in one intel_i7 run."""
+        import heapq
+        from types import SimpleNamespace
+
+        from transient_sim import core
+
+        engines, pushes = [], []
+        init = core._Engine.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            engines.append(self)
+
+        def heappush(heap, item):
+            pushes.append((heap, item))
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(core._Engine, "__init__", recording_init)
+        monkeypatch.setattr(core, "heapq", SimpleNamespace(heappush=heappush,
+                                                            heappop=heapq.heappop))
+        prof, st = _machine("intel_i7")
+        st.regs[14] = DATA
+        if setup is not None:
+            setup(st)
+        trace = run(assemble(source), st, prof)
+        assert trace.halted and len(engines) == 1
+        return [item for heap, item in pushes if heap is engines[0].wakeups], st
+
+    def test_independent_ops_push_no_wakeup(self, monkeypatch):
+        source = "".join(f"    MOVI r{k}, {k + 10}\n" for k in range(12)) + "    HALT\n"
+        pushed, st = self._wakeup_pushes(monkeypatch, source)
+        assert pushed == []
+        assert st.regs[:12] == [k + 10 for k in range(12)]
+
+    def test_an_op_waiting_on_a_load_is_pushed_once(self, monkeypatch):
+        # the load is ready at dispatch; the ADD waits for its DRAM fill
+        pushed, st = self._wakeup_pushes(monkeypatch, "    LD r1, [r14]\n    ADD r2, r1, 1\n"
+                                                      "    HALT\n")
+        assert [seq for _cycle, seq, _op in pushed] == [1]
+        assert st.regs[2] == 1
+
+    def test_shared_pass_trace_bytes_are_unchanged(self):
+        # the woken ops, then the op ready at dispatch, then the late store
+        import hashlib
+
+        runs = list(_digest_runs((_SHARED_PASS,)))
+        _, _, i7_trace = next(r for r in runs if r[0] == "intel_i7")
+        at_four = [args[0] for cycle, kind, _t, args in i7_trace.events
+                   if cycle == 4 and kind == "execute"]
+        assert at_four == [1, 3, 4, 2]
+        logs, payloads = _digest_traces(runs)
+        states = [_state_text(st) for _name, st, _trace in runs]
+        text = "\n".join(logs + payloads + states)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHARED_PASS_SHA256
+
+
 _PER_OP_KINDS = ("fetch", "execute", "retire")
 
 

@@ -248,7 +248,9 @@ def _state(mem):
 
 
 # Noise, privilege and page attributes of the seeded twins, and whether
-# some reload among their 40 seeds faults.
+# some reload among their 40 seeds faults.  A page attribute is (page,
+# setter) to set the named attribute, privileged or unmapped, or (page,
+# setter, value) to set it to value.
 _TWIN_CASES = pytest.mark.parametrize(
     "noise, privilege, pages, faults",
     [
@@ -259,9 +261,11 @@ _TWIN_CASES = pytest.mark.parametrize(
         (2, Privilege.KERNEL, ((1, "set_mapped"),), True),
         (0, Privilege.USER, ((2, "set_privileged"),), True),
         (0, Privilege.KERNEL, ((1, "set_mapped"),), True),
+        (3, Privilege.USER, ((1, "set_mapped", True), (3, "set_privileged", False)), False),
     ],
     ids=["exact", "noise", "privileged-page-user", "privileged-page-kernel",
-         "unmapped-page", "exact-privileged-page-user", "exact-unmapped-page"],
+         "unmapped-page", "exact-privileged-page-user", "exact-unmapped-page",
+         "ordinary-entries"],
 )
 
 
@@ -270,7 +274,7 @@ class TestFlushReloadPrimitive:
     from seeded random cache states over seeded random line ranges."""
 
     @staticmethod
-    def _twins(seed, noise, pages, l1=CacheGeometry(4, 2), l2=CacheGeometry(16, 4)):
+    def _twins(seed, noise, pages, l1=CacheGeometry(4, 2), l2=CacheGeometry(16, 4), warm=120):
         def build():
             mem = MemorySystem(
                 l1=l1,
@@ -278,11 +282,12 @@ class TestFlushReloadPrimitive:
                 counter=CycleCounter(current=seed * 13, noise_amplitude=noise),
                 rng=random.Random(seed),
             )
-            warm = random.Random(seed)
-            for _ in range(120):
-                mem.fill(REGION + warm.randrange(REGION_LINES) * LINE_SIZE)
-            for page, attr in pages:
-                getattr(mem.pages, attr)(REGION + page * PAGE_SIZE, attr == "set_privileged")
+            fills = random.Random(seed)
+            for _ in range(warm):
+                mem.fill(REGION + fills.randrange(REGION_LINES) * LINE_SIZE)
+            for page, attr, *value in pages:
+                setting = value[0] if value else attr == "set_privileged"
+                getattr(mem.pages, attr)(REGION + page * PAGE_SIZE, setting)
             return mem
 
         return build(), build()
@@ -391,6 +396,30 @@ class TestFlushReloadPrimitive:
             base = REGION + pick.randrange(REGION_LINES) * LINE_SIZE
             count = pick.randint(0, 140)
             self._reload_steps(fast, slow, base, count, Privilege.USER, f"seed {seed}")
+
+    @pytest.mark.parametrize("warm", [0, 6], ids=["cold", "sparse"])
+    @pytest.mark.parametrize(
+        "l1, l2",
+        [
+            (CacheGeometry(4, 2), CacheGeometry(16, 4)),
+            (CacheGeometry(64, 8), CacheGeometry(512, 8)),
+        ],
+        ids=["small", "intel-i7"],
+    )
+    def test_empty_sets_match_per_line_path(self, warm, l1, l2):
+        # from no or a few warm fills most sets are empty, so every line loop
+        # (the fill, the in-place reload and the drop) meets empty sets
+        for seed in range(30):
+            fast, slow = self._twins(seed, 2, (), l1, l2, warm)
+            pick = random.Random(4000 + seed)
+            base = REGION + pick.randrange(REGION_LINES) * LINE_SIZE + pick.randrange(LINE_SIZE)
+            count = pick.randint(1, pick.choice((4, 130)))
+            label = f"seed {seed}"
+            self._reload_steps(fast, slow, base, count, Privilege.USER, label)
+            fast.flush_lines(base, count, Privilege.USER)
+            _per_line_flush(slow, base, count, Privilege.USER, False)
+            assert _state(fast) == _state(slow), f"{label} flush {base:#x}+{count}"
+            self._reload_steps(fast, slow, base, count, Privilege.USER, label)
 
 
 class TestCycleCounter:

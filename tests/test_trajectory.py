@@ -63,9 +63,18 @@ def test_compare_fails_on_a_changed_digest_and_flags_a_worse_median():
 
 def test_layer_figures_time_each_layer_against_the_reference_loop():
     figures = trajectory.layer_figures(repeats=2, samples=2)
-    assert sorted(figures) == ["core.make_machine", "core.run_halt",
+    assert sorted(figures) == ["core.make_machine", "core.run_halt", "core.run_loop",
                                "memory.flush_probe_256", "memory.probe_and_flush_8"]
     for figure in figures.values():
         for entry in figure.values():
             assert len(entry["runs"]) == 2 and min(entry["runs"]) > 0
             assert entry["iqr"][0] <= entry["median"] <= entry["iqr"][1]
+
+
+def test_parse_pytest_summary_reads_the_outcome_counts():
+    output = ("....F.\n=== acceptance criteria ===\nPASS criterion 1: done in 2 steps\n"
+              "1 failed, 476 passed, 2 skipped in 14.02s\n")
+    assert trajectory.parse_pytest_summary(output) == {"failed": 1, "passed": 476, "skipped": 2}
+    assert trajectory.parse_pytest_summary("477 passed in 13.67s\n") == {"passed": 477}
+    with pytest.raises(ValueError):
+        trajectory.parse_pytest_summary("no tests ran\n")

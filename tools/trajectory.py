@@ -12,18 +12,24 @@ line and the last line (the JSON result) of its output.  The file records
 the commit, the Python version and the number of usable CPUs; per workload,
 the median and interquartile range of each end-to-end metric, whether every
 run was correct, the failed operations, and each seed's digest; the line
-count of every module under src/transient_sim; and per-layer figures, each
-timed in this process through public calls on intel_i7 and divided by the
-time of bench/run.py's reference_loop: a 256-line flush_lines plus
-probe_lines, an 8-line probe_and_flush_lines, make_machine, and one run of a
-HALT program.
+count of every module under src/transient_sim; the test count and wall
+time of one run of the Tier-1 suite,
+
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+
+in its own process; and per-layer figures, each timed in this process
+through public calls on intel_i7 and divided by the time of bench/run.py's
+reference_loop: a 256-line flush_lines plus probe_lines, an 8-line
+probe_and_flush_lines, make_machine, one run of a HALT program, and one run
+of a short counted loop (load, ALU, store, compare, backward branch).
 
 With --compare, the new figures are checked against an earlier file: the
-command exits 1 when a digest both files have for one seed differs, or a run
-was not correct, and prints a FLAG line for each median that is worse than
+command exits 1 when a digest both files have for one seed differs, a run
+was not correct, or a Tier-1 test failed, and prints a FLAG line for each median that is worse than
 the earlier one by more than BENCHMARK.json's bound for that metric.  Each
 layer figure both files have is printed on a LAYER line; none is flagged,
-since BENCHMARK.json gives per-layer figures no bound.
+since BENCHMARK.json gives per-layer figures no bound, and so is the Tier-1
+line, on a TIER1 line.
 
 Uses the standard library only.  Edits nothing under bench/.
 """
@@ -35,6 +41,7 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -109,6 +116,34 @@ def compare(prev: dict, cur: dict, bounds: dict) -> tuple:
     return failures, flags
 
 
+_OUTCOME = re.compile(r"(\d+) (passed|failed|skipped|xfailed|xpassed|errors?)\b")
+
+
+def parse_pytest_summary(stdout: str) -> dict:
+    """Outcome -> test count from the summary line of a pytest -q run, as
+    pytest names the outcomes: "1 failed, 476 passed in 14.02s" gives
+    {"failed": 1, "passed": 476}."""
+    for line in reversed(stdout.splitlines()):
+        counts = _OUTCOME.findall(line)
+        if counts and " in " in line:
+            return {outcome: int(n) for n, outcome in counts}
+    raise ValueError("no pytest summary line in the output")
+
+
+def tier1_figures() -> dict:
+    """The Tier-1 suite's outcome counts, test count and wall time, from one
+    run of it in its own process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    t0 = time.perf_counter()
+    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    counts = parse_pytest_summary(done.stdout)
+    return {"tests": sum(counts.values()), "counts": counts, "wall_s": wall,
+            "exit": done.returncode}
+
+
 def run_benchmark(workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -147,17 +182,27 @@ def _layers() -> dict:
     state = make_machine(profile)
     mem = state.mem
     halt = assemble("HALT")
+    loop = assemble("    MOVI r12, 16\ntop:\n    LD r8, [r14 + 384]\n    ADD r0, r8, r12\n"
+                    "    ST [r14 + 376], r0\n    ADD r12, r12, -1\n    CMP r12, 0\n"
+                    "    BGE top\n    HALT\n")
+    looping = make_machine(profile)
+    looping.regs[14] = 0x2000
     user = Privilege.USER
 
     def flush_probe():
         mem.flush_lines(ORACLE_BASE, ORACLE_LINES, user)
         mem.probe_lines(ORACLE_BASE, ORACLE_LINES, user)
 
+    def run_loop():
+        looping.pc = 0  # a run starts at the machine's pc, left on the HALT
+        return run(loop, looping, profile)
+
     return {
         "memory.flush_probe_256": flush_probe,
         "memory.probe_and_flush_8": lambda: mem.probe_and_flush_lines(PROBE_BASE, 8, user),
         "core.make_machine": lambda: make_machine(profile),
         "core.run_halt": lambda: run(halt, state, profile),
+        "core.run_loop": run_loop,
     }
 
 
@@ -227,6 +272,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "src_lines": _line_counts(),
         "layers": layer_figures(),
+        "tier1": tier1_figures(),
     }
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -235,11 +281,17 @@ def main(argv=None) -> int:
     prev = json.loads(Path(args.compare).read_text(encoding="utf-8"))
     bounds = {m["name"]: (m["bound"], m["better"]) for m in benchmark["end_to_end"]}
     failures, flags = compare(prev, record, bounds)
+    tier1 = record["tier1"]
+    if tier1["exit"] != 0:
+        failures.append(f"Tier-1: {tier1['counts']}, exit {tier1['exit']}")
     for name, figure in record["layers"].items():
         if name in prev.get("layers", {}):
             old = prev["layers"][name]["calls_per_kref"]["median"]
             new = figure["calls_per_kref"]["median"]
             print(f"LAYER {name}: {old:.4g} -> {new:.4g} calls_per_kref ({new / old - 1:+.1%})")
+    before = prev.get("tier1")
+    before = f"{before['tests']} tests in {before['wall_s']:.1f} s -> " if before else ""
+    print(f"TIER1 {before}{tier1['tests']} tests in {tier1['wall_s']:.1f} s")
     for line in flags:
         print(f"FLAG {line}")
     for line in failures:
