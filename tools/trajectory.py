@@ -25,11 +25,11 @@ of a short counted loop (load, ALU, store, compare, backward branch).
 
 With --compare, the new figures are checked against an earlier file: the
 command exits 1 when a digest both files have for one seed differs, a run
-was not correct, or a Tier-1 test failed, and prints a FLAG line for each median that is worse than
-the earlier one by more than BENCHMARK.json's bound for that metric.  Each
-layer figure both files have is printed on a LAYER line; none is flagged,
-since BENCHMARK.json gives per-layer figures no bound, and so is the Tier-1
-line, on a TIER1 line.
+was not correct, or the Tier-1 run did not pass, and prints a FLAG line for
+each median that is worse than the earlier one by more than
+BENCHMARK.json's bound for that metric.  Each layer figure both files have
+is printed on a LAYER line, and the Tier-1 figures on a TIER1 line; none is
+flagged, since BENCHMARK.json gives them no bound.
 
 Uses the standard library only.  Edits nothing under bench/.
 """
