@@ -11,11 +11,13 @@ On in-order profiles nothing is fetched past an unresolved control transfer
 and each instruction completes before the next dispatches, so no transient
 instruction ever executes.
 
-Fetch waits for one of two things.  A FENCE or YIELD, and on an in-order
-core every op, becomes the drain op: nothing younger dispatches until it
-retires.  A control transfer fetched without a prediction (a return with
-nothing to predict it, any branch on an in-order core) stops fetch until it
-resolves and redirects it.
+Fetch waits for one of two things.  A HALT, FENCE or YIELD, and on an
+in-order core every op, becomes the drain op: nothing younger dispatches
+until it retires.  A control transfer fetched without a prediction (a return
+with nothing to predict it, any branch on an in-order core) stops fetch
+until it resolves and redirects it, and a HALT stops it for good.  One gate
+holds both waits: dispatch_ready is the cycle of the next dispatch while
+fetch runs, and _INF while fetch is stopped or a drain op is in flight.
 
 The engine only visits cycles at which something can happen, and it finds
 the work of a cycle without scanning the window (Tomasulo-style wakeup).
@@ -36,10 +38,11 @@ first, so ops ready in the same cycle issue in the order a walk of the
 whole window would give.  Control resolutions wait on their own heap, and a
 squash drops only the ops it squashes; heap entries of squashed ops are
 skipped when they come up.  Each op's retire_at is the one gate on its
-retirement: unissued ops and unresolved controls hold it at infinity.  The
-run loop looks for the next cycle with work after the pass, since a
-store-order replay in the pass restarts fetch; a dispatch due the next
-cycle ends that search at once.
+retirement: unissued ops and unresolved controls hold it at infinity.  One
+op retires per cycle, so retirement stops after the op that retires in the
+current one.  The run loop looks for the next cycle with work after the
+pass, since a store-order replay in the pass restarts fetch; a dispatch due
+the next cycle ends that search at once.
 
 A program is decoded once, on its first run (isa.Program.decoded): each
 instruction becomes a flat tuple of an int kind, its register sources and
@@ -280,8 +283,8 @@ class _Op:
         "prev",       # the dst's producer this op renamed over, if it has a dst
         "pending",    # register sources whose producer has not issued
         "ready",      # cycle from which every register source is ready
-        "consumers",  # ops counting this op among their pending sources
-        "waiters",    # ops to wake at this op's completion
+        "consumers",  # ops counting this op among their pending sources, or None
+        "waiters",    # ops to wake at this op's completion, or None
         "squashed", "issued", "value", "complete",
         "retire_at",  # cycle from which it may retire, once issued and resolved
         "mem_addr", "store_data_src", "fill_addr", "fill_complete",
@@ -305,6 +308,14 @@ def _ready_at(src) -> int:
 
 def _value(src) -> int:
     return src.value if src.__class__ is _Op else src
+
+
+def _wait_on(producer: _Op, op: _Op) -> None:
+    """Wake op at producer's completion."""
+    if producer.waiters is None:
+        producer.waiters = [op]
+    else:
+        producer.waiters.append(op)
 
 
 class _Engine:
@@ -414,8 +425,8 @@ class _Engine:
             # resolves, and an architectural run-off drains the window and
             # ends the run without HALT
             self.fetch_active = False
+            self.dispatch_ready = _INF
             return None
-        state, profile = self.state, self.profile
         cycle, seq, rename = self.cycle, self.seq, self.rename
         decoded = self.decoded[pc]
         kind, dst, srcs, data, offset, is_load, is_store, is_control, arg, _ = decoded
@@ -429,8 +440,7 @@ class _Engine:
         op.is_load = is_load
         op.is_store = is_store
         op.reads = reads = []
-        op.consumers = []
-        op.waiters = []
+        op.consumers = op.waiters = None  # until the first one comes
         op.squashed = op.issued = False
         op.retire_at = _INF
         op.mem_addr = op.fill_addr = op.fault = None
@@ -441,11 +451,14 @@ class _Engine:
         for reg in srcs:
             src = rename.get(reg)
             if src is None:
-                reads.append(state.flags if reg == FLAGS else state.regs[reg])
+                reads.append(self.state.flags if reg == FLAGS else self.state.regs[reg])
                 continue
             reads.append(src)
             if not src.issued:
-                src.consumers.append(op)
+                if src.consumers is None:
+                    src.consumers = [op]
+                else:
+                    src.consumers.append(op)
                 pending += 1
             elif src.complete > ready:
                 ready = src.complete
@@ -456,21 +469,22 @@ class _Engine:
         if data is not None:
             src = rename.get(data)
             if src is None:
-                op.store_data_src = state.regs[data]
+                op.store_data_src = self.state.regs[data]
             else:
                 op.store_data_src = src
                 if not src.issued:
-                    src.waiters.append(op)
+                    _wait_on(src, op)
                 elif src.complete > cycle:
                     heapq.heappush(self.wakeups, (src.complete, seq, op))
         if is_control:
+            state = self.state
             if kind == K_CALL:
                 op.store_data_src = pc + 1
                 state.rsb.push(pc + 1)  # speculative push, survives squash
                 next_pc = arg
                 op.predicted_next = next_pc  # static target, cannot mispredict
             elif kind == K_RET:
-                predicted = predict_return(state, profile, pc)
+                predicted = predict_return(state, self.profile, pc)
                 op.predicted_next = predicted
                 if predicted is not None:
                     self.record((cycle, "predict", "ret@{} -> {}", (pc, predicted)))
@@ -499,16 +513,17 @@ class _Engine:
         if self.full_trace:
             self.record((cycle, "fetch", "#{} @{} {}", (seq, pc, self.program.instructions[pc])))
 
-        if kind == K_HALT:
-            self.fetch_active = False
-        if self.in_order or kind == K_FENCE or kind == K_YIELD:
-            # nothing younger dispatches until this retires; on an in-order
-            # core that holds for every op, so a deferred fault can never
-            # shadow-execute its dependents
+        self.fetch_pc = next_pc  # a redirect overwrites it while fetch is stopped
+        if kind >= K_YIELD or self.in_order:
+            # nothing younger dispatches until a HALT, FENCE or YIELD
+            # retires; on an in-order core that holds for every op, so a
+            # deferred fault can never shadow-execute its dependents
+            if kind == K_HALT:
+                self.fetch_active = False
             self.drain = op
-        if self.fetch_active:
-            self.fetch_pc = next_pc
-        self.dispatch_ready = cycle + 1
+            self.dispatch_ready = _INF
+        else:
+            self.dispatch_ready = cycle + 1 if self.fetch_active else _INF
         return None if pending or ready > cycle else op
 
     # -- issue ---------------------------------------------------------------
@@ -541,7 +556,7 @@ class _Engine:
             if data.issued:  # it completes after this cycle
                 heapq.heappush(self.wakeups, (data.complete, op.seq, op))
             else:
-                data.waiters.append(op)
+                _wait_on(data, op)
 
     def _issue(self, op: _Op) -> None:
         """Issue op at the current cycle if it can go, and wake the ops
@@ -573,7 +588,10 @@ class _Engine:
                 op.value = (a > b) - (a < b)
         elif kind == K_ST:
             if op.mem_addr is None:
-                op.mem_addr = _value(op.reads[0]) + op.mem_offset_src
+                base = op.reads[0]
+                if base.__class__ is _Op:
+                    base = base.value
+                op.mem_addr = base + op.mem_offset_src
                 self._store_address_known(op)
                 if _ready_at(op.store_data_src) <= cycle:
                     self.late_stores.append(op)
@@ -583,12 +601,18 @@ class _Engine:
         elif kind == K_MOVI:
             op.value = op.arg
         elif kind == K_LD:
-            self.blocked.pop(op.seq, None)  # _hold parks it again if need be
-            addr = _value(op.reads[0]) + op.mem_offset_src
-            ready, forward = self._load_hazard(op, addr)
-            if not ready:
-                self._hold(op, forward)
-                return
+            if self.blocked:
+                self.blocked.pop(op.seq, None)  # _hold parks it again if need be
+            addr = op.reads[0]
+            if addr.__class__ is _Op:
+                addr = addr.value
+            addr += op.mem_offset_src
+            forward = None
+            if self.stores and self.stores[0].seq < op.seq:  # an older store
+                ready, forward = self._load_hazard(op, addr)
+                if not ready:
+                    self._hold(op, forward)
+                    return
             op.mem_addr = addr
             mem = self.mem
             if forward is not None:
@@ -636,7 +660,8 @@ class _Engine:
             else:
                 op.value = sysregs.get(op.arg, 0)
         elif kind == K_BGE:
-            taken = _value(op.reads[0]) >= 0
+            flags = op.reads[0]
+            taken = (flags.value if flags.__class__ is _Op else flags) >= 0
             op.actual_next = op.arg if taken else op.pc + 1
             op.value = 1 if taken else 0
             latency = self.profile.branch_resolve_extra
@@ -682,19 +707,21 @@ class _Engine:
         op.retire_at = complete if retire_at is None else retire_at
         if self.full_trace:
             self.record((cycle, "execute", "#{} @{} {}", (op.seq, op.pc, self.decoded[op.pc][9])))
-        wakeups = self.wakeups
-        for consumer in op.consumers:
-            if consumer.squashed:
-                continue
-            if complete > consumer.ready:
-                consumer.ready = complete
-            consumer.pending -= 1
-            if not consumer.pending:
-                heapq.heappush(wakeups, (consumer.ready, consumer.seq, consumer))
-        for waiter in op.waiters:
-            if not waiter.squashed:
-                heapq.heappush(wakeups, (complete, waiter.seq, waiter))
-        op.consumers = op.waiters = None
+        if op.consumers is not None:
+            for consumer in op.consumers:
+                if consumer.squashed:
+                    continue
+                if complete > consumer.ready:
+                    consumer.ready = complete
+                consumer.pending -= 1
+                if not consumer.pending:
+                    heapq.heappush(self.wakeups, (consumer.ready, consumer.seq, consumer))
+            op.consumers = None
+        if op.waiters is not None:
+            for waiter in op.waiters:
+                if not waiter.squashed:
+                    heapq.heappush(self.wakeups, (complete, waiter.seq, waiter))
+            op.waiters = None
         if filled is not None:
             self.record((cycle, "fill", "@{:#x} from {}", (op.mem_addr, filled)))
 
@@ -753,11 +780,13 @@ class _Engine:
         else:
             self.abort = f"unhandled {op.fault} fault at pc {op.pc}"
             self.fetch_active = False
+            self.dispatch_ready = _INF
 
     def _retire(self) -> bool:
-        """Retire every oldest op that can go by this cycle: write its
-        register, and its store, predictor update, flush, switch or halt;
-        _raise retires a faulting op.  True when that ends the run."""
+        """Retire every oldest op that can go by this cycle, one per cycle,
+        up to the one that retires in this cycle: write its register, and its
+        store, predictor update, flush, switch or halt; _raise retires a
+        faulting op.  True when that ends the run."""
         window, cycle, rename, state = self.window, self.cycle, self.rename, self.state
         retired, full_trace = self.trace.retired_seqs, self.full_trace
         last = self.last_retire
@@ -779,6 +808,10 @@ class _Engine:
             if op.fault:
                 self._raise(op, when)  # which squashes everything younger
                 return self.abort is not None
+            if op is self.drain:  # a HALT leaves the gate shut: fetch is stopped
+                self.drain = None
+                if self.fetch_active:
+                    self.dispatch_ready = when + 1
             kind, dst = op.kind, op.dst
             if full_trace:
                 self.record((when, "retire", "#{} @{} {}", (op.seq, op.pc, self.decoded[op.pc][9])))
@@ -792,7 +825,8 @@ class _Engine:
             if kind <= K_LD:
                 pass  # ALU, MOVI and LD: the register write is all
             elif op.is_store:
-                self.mem.cells[op.mem_addr] = _value(op.store_data_src)
+                data = op.store_data_src
+                self.mem.cells[op.mem_addr] = data.value if data.__class__ is _Op else data
                 self.mem.fill(op.mem_addr)
             elif kind == K_BGE:
                 state.pht.update(op.pc, op.value == 1)
@@ -810,10 +844,8 @@ class _Engine:
                 self.halted = True
                 state.pc = op.pc
                 return True
-            if op is self.drain:
-                self.drain = None
-                if self.dispatch_ready <= when:
-                    self.dispatch_ready = when + 1
+            if when == cycle:
+                break  # one op retires per cycle
         return False
 
     # -- main loop -----------------------------------------------------------
@@ -836,7 +868,7 @@ class _Engine:
             if window and window[0].retire_at <= cycle and self._retire():
                 break
             fresh = None  # the op just dispatched, when it is ready at once
-            if self.fetch_active and self.drain is None and self.dispatch_ready <= cycle:
+            if self.dispatch_ready <= cycle:  # _INF while fetch waits
                 fresh = self._dispatch()
             if fresh is not None or (wakeups and wakeups[0][0] <= cycle):
                 # the issue pass: try every op woken for this cycle once, in
@@ -863,13 +895,10 @@ class _Engine:
             # replay in it redirects fetch.  A dispatch due next cycle comes
             # first: no key can be earlier, and stale heap tops are dropped
             # when they are next met.
-            if self.fetch_active and self.drain is None:
-                nxt = self.dispatch_ready
-                if nxt == cycle + 1:
-                    cycle = nxt
-                    continue
-            else:
-                nxt = _INF
+            nxt = self.dispatch_ready
+            if nxt == cycle + 1:
+                cycle = nxt
+                continue
             while wakeups and (wakeups[0][2].issued or wakeups[0][2].squashed):
                 heappop(wakeups)
             if wakeups and cycle < wakeups[0][0] < nxt:

@@ -39,9 +39,10 @@ class Opcode(Enum):
 
 # The int kind of each opcode, which the engine branches on instead of Opcode
 # (an Enum member lookup is slow).  The ALU kinds come first, so kind <= K_CMP
-# picks them out; an opcode without a K_ name fails here, at import.
+# picks them out, and the kinds that stop fetch last, so kind >= K_YIELD does;
+# an opcode without a K_ name fails here, at import.
 (K_ADD, K_SHL, K_AND, K_CMP, K_MOVI, K_LD, K_ST, K_BGE, K_CALL, K_RET, K_FLUSH,
- K_RDCYC, K_MRS, K_YIELD, K_FENCE, K_HALT, K_NOP) = range(17)
+ K_RDCYC, K_MRS, K_NOP, K_YIELD, K_FENCE, K_HALT) = range(17)
 KINDS = {opcode: globals()["K_" + opcode.name] for opcode in Opcode}
 
 

@@ -123,7 +123,7 @@ class PageTable:
         self._entries: dict = {}
 
     def entry(self, addr: int) -> PageEntry:
-        return self._entries.get(page_of(addr), _DEFAULT_PAGE)
+        return self._entries.get(addr // PAGE_SIZE, _DEFAULT_PAGE)  # page_of inline: per load
 
     def set_mapped(self, addr: int, mapped: bool) -> None:
         page = page_of(addr)
@@ -240,7 +240,7 @@ class MemorySystem:
         """Look up a line and fill every level up to L1 on a miss.  Returns
         the entry of the (L1, L2, DRAM) triple `outcomes` for the level that
         served the request (before filling): by default, that Level."""
-        return self._fill_lines(line_of(addr), 1, outcomes)[0]
+        return self._fill_lines(addr // LINE_SIZE, 1, outcomes)[0]  # line_of inline: per load
 
     def _fill_lines(self, first: int, count: int, outcomes: tuple) -> list:
         """Look up `count` consecutive lines from line number `first` in

@@ -1004,3 +1004,38 @@ class TestStallRule:
         resolve = execute + prof.latencies.dram + prof.return_resolve_extra
         assert retired[0] == resolve
         assert fetched[1][0] == resolve + 1
+
+    def test_dispatch_gate_is_shut_exactly_while_fetch_waits(self, monkeypatch):
+        # run tests dispatch_ready alone, so it must be _INF whenever fetch
+        # is stopped or a drain op is in flight, and a real cycle otherwise;
+        # checked as each dispatch and each retirement call starts and ends
+        from collections import Counter
+
+        from transient_sim import core
+
+        seen = Counter()
+
+        def check(engine, where):
+            shut = engine.dispatch_ready >= core._INF
+            fetching, draining = engine.fetch_active, engine.drain is not None
+            assert shut == (not fetching or draining), (where, engine.cycle, fetching, draining)
+            seen[shut, fetching, draining] += 1
+
+        def checked(method):
+            def wrapper(self):
+                check(self, f"{method.__name__} entry")
+                result = method(self)
+                check(self, f"{method.__name__} exit")
+                return result
+            return wrapper
+
+        for name in ("_dispatch", "_retire"):
+            monkeypatch.setattr(core._Engine, name, checked(getattr(core._Engine, name)))
+        runs = list(_digest_runs(_STATE_PROGRAMS + (_FENCED_LOOP,)))
+        assert len(runs) == len(PROFILES) * (len(_STATE_PROGRAMS) + 1)
+        assert all(trace.halted or trace.abort for _name, _st, trace in runs)
+        # open; shut by a drain op; by a stopped fetch; by both (an in-order
+        # branch or HALT)
+        assert set(seen) == {(False, True, False), (True, True, True), (True, False, False),
+                             (True, False, True)}
+        assert sum(seen.values()) > 10_000

@@ -71,6 +71,13 @@ class HierarchyModel:
         self.l1.install(line)
         return "DRAM"
 
+    def drop(self, addr: int) -> None:
+        line = addr // LINE_SIZE
+        for level in (self.l1, self.l2):
+            bucket = level.entries[line % level.sets]
+            if line in bucket:
+                bucket.remove(line)
+
 
 def assert_same_recency(mem: MemorySystem, model: HierarchyModel) -> None:
     """Every set of both levels holds the model's lines in its exact order,
@@ -420,6 +427,44 @@ class TestFlushReloadPrimitive:
             _per_line_flush(slow, base, count, Privilege.USER, False)
             assert _state(fast) == _state(slow), f"{label} flush {base:#x}+{count}"
             self._reload_steps(fast, slow, base, count, Privilege.USER, label)
+
+    @pytest.mark.parametrize("warm", [0, 6], ids=["cold", "sparse"])
+    @pytest.mark.parametrize(
+        "l1, l2",
+        [
+            (CacheGeometry(4, 2), CacheGeometry(16, 4)),
+            (CacheGeometry(64, 8), CacheGeometry(512, 8)),
+        ],
+        ids=["small", "intel-i7"],
+    )
+    def test_batched_reloads_match_the_lru_model(self, warm, l1, l2):
+        # the per-line twins share _fill_lines with the batched calls, so
+        # these check the served level of each line and every set's order
+        # against the independent model instead
+        lat = Latencies()
+        levels = {lat.l1_hit: "L1", lat.l2_hit: "L2", lat.dram: "DRAM"}
+        for seed in range(30):
+            mem, model = MemorySystem(l1=l1, l2=l2, latencies=lat), HierarchyModel(l1, l2)
+            pick = random.Random(5000 + seed)
+            for _ in range(warm):
+                addr = REGION + pick.randrange(REGION_LINES) * LINE_SIZE
+                mem.fill(addr)
+                model.access(addr)
+            for step in ("probe_and_flush", "probe", "probe_and_flush", "probe", "probe"):
+                base = REGION + pick.randrange(REGION_LINES) * LINE_SIZE + pick.randrange(LINE_SIZE)
+                count = pick.randint(1, pick.choice((4, 130)))
+                addrs = [base + i * LINE_SIZE for i in range(count)]
+                if step == "probe":
+                    got = mem.probe_lines(base, count)
+                else:
+                    got = mem.probe_and_flush_lines(base, count)
+                want = [model.access(addr) for addr in addrs]
+                if step == "probe_and_flush":
+                    for addr in addrs:
+                        model.drop(addr)
+                label = f"seed {seed} {step} {base:#x}+{count}"
+                assert [levels[t] for t in got] == want, label
+                assert_same_recency(mem, model)
 
 
 class TestCycleCounter:

@@ -78,3 +78,30 @@ def test_parse_pytest_summary_reads_the_outcome_counts():
     assert trajectory.parse_pytest_summary("477 passed in 13.67s\n") == {"passed": 477}
     with pytest.raises(ValueError):
         trajectory.parse_pytest_summary("no tests ran\n")
+
+
+_TRACED_OUTPUT = """\
+digest engine seed=1 sha256=6f007b82aa
+rounds 10 ops_per_round 905 host_ops_per_s 1012.75
+{"correct": true, "attempted": 9050, "failed": 0, "metrics": {"core.run.calls": {"value": 905.0, \
+"unit": "count"}, "core.retired_per_s": {"value": 288000.0, "unit": "1/s"}, \
+"covert.receiver_decode.us_per_symbol": {"value": 0.0, "unit": "us"}, "trace.overhead": \
+{"value": 1.8, "unit": "ratio"}}}
+"""
+
+
+def test_a_traced_run_gives_its_per_layer_metrics_and_trace_lines():
+    run = trajectory.parse_run(_TRACED_OUTPUT)
+    assert run["digest"] == "6f007b82aa" and run["correct"] and run["attempted"] == 9050
+    assert run["metrics"] == {"core.run.calls": 905.0, "core.retired_per_s": 288000.0,
+                              "covert.receiver_decode.us_per_symbol": 0.0,
+                              "trace.overhead": 1.8}
+    prev = {"traced": {"engine": dict(run, metrics=dict(run["metrics"],
+                                                        **{"core.retired_per_s": 240000.0}))}}
+    del prev["traced"]["engine"]["metrics"]["trace.overhead"]
+    assert trajectory.trace_lines(prev, {"traced": {"engine": run}}) == [
+        "TRACE engine core.run.calls: 905 -> 905 (+0.0%)",
+        "TRACE engine core.retired_per_s: 2.4e+05 -> 2.88e+05 (+20.0%)",
+        "TRACE engine covert.receiver_decode.us_per_symbol: 0 -> 0",
+    ]
+    assert trajectory.trace_lines({}, {"traced": {"engine": run}}) == []

@@ -17,21 +17,27 @@ time of one run of the Tier-1 suite,
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
-in its own process; and per-layer figures, each timed in this process
-through public calls on intel_i7 and divided by the time of bench/run.py's
-reference_loop: a 256-line flush_lines plus probe_lines, an 8-line
-probe_and_flush_lines, make_machine, one run of a HALT program, and one run
-of a short counted loop (load, ALU, store, compare, backward branch).
+in its own process; per workload, the per-layer metrics of one run of
+
+    python3 bench/run.py --workload W --seed 1 --seconds T --trace 1
+
+(which, as always with --trace 1, writes its spans to bench/out/); and
+per-layer figures, each timed in this process through public calls on
+intel_i7 and divided by the time of bench/run.py's reference_loop: a
+256-line flush_lines plus probe_lines, an 8-line probe_and_flush_lines on a
+machine of its own, make_machine, one run of a HALT program, and one run of
+a short counted loop (load, ALU, store, compare, backward branch).
 
 With --compare, the new figures are checked against an earlier file: the
 command exits 1 when a digest both files have for one seed differs, a run
-was not correct, or the Tier-1 run did not pass, and prints a FLAG line for
-each median that is worse than the earlier one by more than
+(traced or not) was not correct, or the Tier-1 run did not pass, and prints
+a FLAG line for each median that is worse than the earlier one by more than
 BENCHMARK.json's bound for that metric.  Each layer figure both files have
-is printed on a LAYER line, and the Tier-1 figures on a TIER1 line; none is
-flagged, since BENCHMARK.json gives them no bound.
+is printed on a LAYER line, each traced metric on a TRACE line, and the
+Tier-1 figures on a TIER1 line; none is flagged, since BENCHMARK.json gives
+them no bound.
 
-Uses the standard library only.  Edits nothing under bench/.
+Uses the standard library only.  Edits no file under bench/.
 """
 
 from __future__ import annotations
@@ -144,9 +150,22 @@ def tier1_figures() -> dict:
             "exit": done.returncode}
 
 
-def run_benchmark(workload: str, seed: int, seconds: float) -> dict:
+def trace_lines(prev: dict, cur: dict) -> list:
+    """A TRACE line for each traced metric of a workload both files have."""
+    lines = []
+    for workload, run in cur.get("traced", {}).items():
+        before = prev.get("traced", {}).get(workload, {}).get("metrics", {})
+        for name, new in run["metrics"].items():
+            if name in before:
+                old = before[name]
+                change = f" ({new / old - 1:+.1%})" if old else ""
+                lines.append(f"TRACE {workload} {name}: {old:.4g} -> {new:.4g}{change}")
+    return lines
+
+
+def run_benchmark(workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if done.returncode not in (0, 1):  # 1: ran, with an incorrect output
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}: {done.stderr.strip()}")
@@ -181,6 +200,9 @@ def _layers() -> dict:
     profile = get_profile("intel_i7")
     state = make_machine(profile)
     mem = state.mem
+    # the covert receiver's probe sets are empty after each flush, so its
+    # layer gets a machine the 256-line reload does not fill
+    covert_mem = make_machine(profile).mem
     halt = assemble("HALT")
     loop = assemble("    MOVI r12, 16\ntop:\n    LD r8, [r14 + 384]\n    ADD r0, r8, r12\n"
                     "    ST [r14 + 376], r0\n    ADD r12, r12, -1\n    CMP r12, 0\n"
@@ -199,7 +221,7 @@ def _layers() -> dict:
 
     return {
         "memory.flush_probe_256": flush_probe,
-        "memory.probe_and_flush_8": lambda: mem.probe_and_flush_lines(PROBE_BASE, 8, user),
+        "memory.probe_and_flush_8": lambda: covert_mem.probe_and_flush_lines(PROBE_BASE, 8, user),
         "core.make_machine": lambda: make_machine(profile),
         "core.run_halt": lambda: run(halt, state, profile),
         "core.run_loop": run_loop,
@@ -255,13 +277,14 @@ def main(argv=None) -> int:
         parser.error("--runs must be at least 1 and --seconds positive")
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = {}
+    workloads, traced = {}, {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         runs = {}
         for seed in range(1, args.runs + 1):
             runs[seed] = run_benchmark(workload, seed, args.seconds)
             print(f"{workload} seed {seed}: {runs[seed]['metrics']}", file=sys.stderr)
         workloads[workload] = summarize(runs)
+        traced[workload] = run_benchmark(workload, 1, args.seconds, trace=1)
     record = {
         "commit": _git("rev-parse", "HEAD"),
         "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
@@ -270,6 +293,7 @@ def main(argv=None) -> int:
         "runs": args.runs,
         "seconds": args.seconds,
         "workloads": workloads,
+        "traced": traced,
         "src_lines": _line_counts(),
         "layers": layer_figures(),
         "tier1": tier1_figures(),
@@ -281,6 +305,8 @@ def main(argv=None) -> int:
     prev = json.loads(Path(args.compare).read_text(encoding="utf-8"))
     bounds = {m["name"]: (m["bound"], m["better"]) for m in benchmark["end_to_end"]}
     failures, flags = compare(prev, record, bounds)
+    failures += [f"{workload} traced: correct=False" for workload, run in traced.items()
+                 if not run["correct"]]
     tier1 = record["tier1"]
     if tier1["exit"] != 0:
         failures.append(f"Tier-1: {tier1['counts']}, exit {tier1['exit']}")
@@ -289,6 +315,8 @@ def main(argv=None) -> int:
             old = prev["layers"][name]["calls_per_kref"]["median"]
             new = figure["calls_per_kref"]["median"]
             print(f"LAYER {name}: {old:.4g} -> {new:.4g} calls_per_kref ({new / old - 1:+.1%})")
+    for line in trace_lines(prev, record):
+        print(line)
     before = prev.get("tier1")
     before = f"{before['tests']} tests in {before['wall_s']:.1f} s -> " if before else ""
     print(f"TIER1 {before}{tier1['tests']} tests in {tier1['wall_s']:.1f} s")
