@@ -36,6 +36,9 @@ SYSREG_TEST_VALUE = 0xA5
 
 DEFAULT_SECRET = bytes((41, 7, 255))
 
+# Enum member passed on every probe; a module-level name is read faster
+_USER = Privilege.USER
+
 RSB_PAGE_FAULT_UNDEFINED = (
     "the return-stack attack evicts the stack line; unmapping it would "
     "fault the return itself, so a page-fault window is undefined"
@@ -109,9 +112,9 @@ def flush_reload(mem: MemorySystem, victim, flush_is_privileged: bool) -> ProbeR
     latency is below the latencies' hit threshold.  When flushes are
     privileged the flush raises PrivilegedFlushError and the victim never
     runs."""
-    mem.flush_lines(ORACLE_BASE, ORACLE_LINES, Privilege.USER, flush_is_privileged)
+    mem.flush_lines(ORACLE_BASE, ORACLE_LINES, _USER, flush_is_privileged)
     victim()
-    latencies = mem.probe_lines(ORACLE_BASE, ORACLE_LINES, Privilege.USER)
+    latencies = mem.probe_lines(ORACLE_BASE, ORACLE_LINES, _USER)
     threshold = mem.lat.hit_threshold
     hits = tuple(i for i, elapsed in enumerate(latencies) if elapsed < threshold)
     return ProbeResult(tuple(latencies), hits)

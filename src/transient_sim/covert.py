@@ -55,6 +55,10 @@ INTERLOPER_LINE = PROBE_BASE + (1 << MAX_BITS) * LINE_BYTES
 
 DEFAULT_MESSAGE = b"HI"
 
+# Enum members compared on every symbol; a module-level name is read faster
+_USER = Privilege.USER
+_KEEP_INFLIGHT_FILLS = SquashPolicy.KEEP_INFLIGHT_FILLS
+
 
 def gadget_address(symbol: int) -> int:
     return GADGET_BASE + symbol
@@ -213,7 +217,7 @@ def _window_admits(profile: CpuProfile) -> bool:
     # extra return-resolution delay.  Hence the >= 2: a one-op gadget (a bare
     # load) would land its fill with an extra delay of 1.  Keep-in-flight
     # cores admit the fill regardless.
-    if profile.squash_policy is SquashPolicy.KEEP_INFLIGHT_FILLS:
+    if profile.squash_policy is _KEEP_INFLIGHT_FILLS:
         return True
     return profile.return_resolve_extra >= 2
 
@@ -256,7 +260,7 @@ def receiver_decode(
     latencies = mem.probe_and_flush_lines(
         PROBE_BASE,
         lines,
-        Privilege.USER,
+        _USER,
         flush_is_privileged=profile.mitigations.privileged_flush,
     )
     hits = [i for i, latency in enumerate(latencies) if latency < threshold]
@@ -349,11 +353,17 @@ def sweep_bits(
 
 
 def latency_trace_to_csv(report: ChannelReport) -> str:
-    """Per-probe latency grid (symbol index, probe line, cycles)."""
+    """Per-probe latency grid (symbol index, probe line, cycles).  Each
+    symbol's rows are formatted in one go, from a template per row width."""
     if report.latencies is None:
         raise ValueError("run_channel was not asked to record latencies")
-    lines = ["symbol,line,latency"]
+    templates: dict[int, str] = {}
+    blocks = ["symbol,line,latency\n"]
     for sym_idx, row in enumerate(report.latencies):
-        for line_idx, lat in enumerate(row):
-            lines.append(f"{sym_idx},{line_idx},{lat}")
-    return "\n".join(lines) + "\n"
+        template = templates.get(len(row))
+        if template is None:
+            template = templates[len(row)] = "".join(
+                f"{{0}},{line_idx},{{{line_idx + 1}}}\n" for line_idx in range(len(row))
+            )
+        blocks.append(template.format(sym_idx, *row))
+    return "".join(blocks)

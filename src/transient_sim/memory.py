@@ -50,11 +50,10 @@ class PrivilegedFlushError(PermissionError):
     """Raised when a user-mode flush is attempted while flushes are privileged."""
 
 
-def _flush_refusal(
-    base: int, privilege: Privilege, flush_is_privileged: bool
-) -> PrivilegedFlushError | None:
-    """The error a flush from `base` raises, or None when it is allowed."""
-    if flush_is_privileged and privilege is _USER:
+def _flush_refusal(base: int, privilege: Privilege) -> PrivilegedFlushError | None:
+    """The error a privileged flush from `base` raises, or None when
+    `privilege` may flush."""
+    if privilege is _USER:
         return PrivilegedFlushError(
             f"flush of {base:#x} requires kernel privilege under this configuration"
         )
@@ -369,7 +368,7 @@ class MemorySystem:
         """Flush `count` consecutive lines from `base`, one cycle each.  A
         privileged flush refused to a user-mode caller raises
         PrivilegedFlushError before any line is dropped."""
-        refusal = _flush_refusal(base, privilege, flush_is_privileged)
+        refusal = _flush_refusal(base, privilege) if flush_is_privileged else None
         if refusal is not None:
             raise refusal
         self._drop_lines(line_of(base), count)
@@ -402,7 +401,7 @@ class MemorySystem:
         counter state and exceptions.  A faulting line raises as in
         probe_lines and nothing is flushed; a refused flush raises
         PrivilegedFlushError after the whole reload."""
-        refusal = _flush_refusal(base, privilege, flush_is_privileged)
+        refusal = _flush_refusal(base, privilege) if flush_is_privileged else None
         timings = self._probe(base, count, privilege, drop=refusal is None)
         if refusal is not None:
             raise refusal
@@ -411,14 +410,17 @@ class MemorySystem:
 
     def _probe(self, base: int, count: int, privilege: Privilege, drop: bool) -> list[int]:
         """probe_lines; with `drop`, a reload that faults on no line also
-        drops every line it reloaded (the flush, less its cycles)."""
-        reached, fault = self._first_fault(base, count, privilege)
+        drops every line it reloaded (the flush, less its cycles).  An empty
+        page table maps every page unprivileged, so it is not walked."""
+        fault = None
+        if self.pages._entries:
+            count, fault = self._first_fault(base, count, privilege)  # lines before a fault
         lat = self.lat
         outcomes = (lat.l1_hit, lat.l2_hit, lat.dram)
         if drop and fault is None:
             timings = self._reload_drop_lines(line_of(base), count, outcomes)
         else:
-            timings = self._fill_lines(line_of(base), reached, outcomes)
+            timings = self._fill_lines(line_of(base), count, outcomes)
         self.counter.current += sum(timings)
         amp = self.counter.noise_amplitude
         if amp:
@@ -434,11 +436,7 @@ class MemorySystem:
 
     def _first_fault(self, base: int, count: int, privilege: Privilege) -> tuple:
         """(lines accessible before the first fault, that fault or None) for
-        `count` lines from `base`.  Every line of a page shares its check.
-        An empty page table maps every page unprivileged, so it is not
-        walked."""
-        if not self.pages._entries:
-            return count, None
+        `count` lines from `base`.  Every line of a page shares its check."""
         i = 0
         while i < count:
             addr = base + i * LINE_SIZE

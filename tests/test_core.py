@@ -900,13 +900,15 @@ class TestDecodeTable:
         assert st.mem.counter.current == 0 and not st.mem.cells
 
     def test_no_enum_member_lookup_on_the_per_op_path(self):
-        # the engine's methods, its run set-up, predict_return, Rsb.pop and
-        # the memory checks and lookups the engine calls per op compare ints
-        # or values resolved once per run or at import, never an Enum member
+        # the engine's methods, its run set-up, predict_return, Rsb.pop, the
+        # memory checks and lookups the engine calls per op, the covert
+        # channel's per-symbol path and the Flush+Reload probe compare ints
+        # or values resolved once per run or at import, never an Enum member.
+        # Only bodies are walked: a signature default is evaluated at import.
         import ast
         import inspect
 
-        from transient_sim import core, memory
+        from transient_sim import attacks, core, covert, memory
 
         enums = {"Opcode", "RsbUnderflow", "PipelineKind", "SquashPolicy", "ExceptionPolicy",
                  "Privilege", "Level"}
@@ -914,7 +916,11 @@ class TestDecodeTable:
         for module, functions, classes in (
             (core, ("predict_return",), {"_Engine": None, "Rsb": {"pop"}}),
             (memory, ("_flush_refusal",),
-             {"MemorySystem": {"check_access", "probe_level", "latency_for"}}),
+             {"MemorySystem": {"check_access", "probe_level", "latency_for", "fill",
+                               "_fill_lines", "_reload_drop_lines", "_probe", "flush_lines",
+                               "probe_and_flush_lines"}}),
+            (covert, ("receiver_decode", "_window_admits", "sender_inject", "run_channel"), {}),
+            (attacks, ("flush_reload",), {}),
         ):
             tree = ast.parse(inspect.getsource(module))
             top = {node.name: node for node in tree.body if hasattr(node, "name")}
@@ -925,11 +931,13 @@ class TestDecodeTable:
             "predict_return", "pop", "__init__", "_redirect", "_squash_younger", "_dispatch",
             "_load_hazard", "_hold", "_issue", "_store_address_known", "_resolve_controls",
             "_raise", "_retire", "run", "_flush_refusal", "check_access", "probe_level",
-            "latency_for",
+            "latency_for", "fill", "_fill_lines", "_reload_drop_lines", "_probe", "flush_lines",
+            "probe_and_flush_lines", "receiver_decode", "_window_admits", "sender_inject",
+            "run_channel", "flush_reload",
         }
         lookups = [
             f"{fn.name}: {node.value.id}.{node.attr}"
-            for fn in checked for node in ast.walk(fn)
+            for fn in checked for statement in fn.body for node in ast.walk(statement)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in enums
         ]

@@ -1,5 +1,6 @@
 """Return-stack covert channel: cost law, fidelity, noise scaling, leak shape."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from transient_sim.covert import (
     ChannelConfig,
     ChannelReport,
     gadget_address,
+    latency_trace_to_csv,
     pack_symbols,
     required_memory_bytes,
     run_channel,
@@ -23,7 +25,7 @@ from transient_sim.covert import (
 )
 from transient_sim.core import make_machine, run
 from transient_sim.isa import assemble
-from transient_sim.memory import Level
+from transient_sim.memory import Latencies, Level
 from transient_sim.mitigations import MitigationSet
 from transient_sim.profiles import PROFILES, SquashPolicy, get_profile
 from transient_sim.reporting import emit_report
@@ -260,6 +262,30 @@ class TestChannelRequirements:
         else:
             assert report.erasures == report.symbols_sent == 6
 
+    def test_window_rule_matches_the_pipeline_under_random_latencies(self):
+        # the rule reads no latency: the gadget's probe load and the
+        # return's stack load are both DRAM-deep, however deep DRAM is
+        rng = random.Random(2121)
+        names = sorted(PROFILES)
+        outcomes = {True: 0, False: 0}
+        for case in range(200):
+            l1 = rng.randint(1, 30)
+            l2 = rng.randint(l1 + 1, l1 + 60)
+            dram = rng.randint(l2 + 1, 900)
+            prof = get_profile(names[case % len(names)]).with_overrides(
+                latencies=Latencies(l1_hit=l1, l2_hit=l2, dram=dram),
+                squash_policy=rng.choice(list(SquashPolicy)),
+                return_resolve_extra=rng.randint(0, 20),
+            )
+            report = run_channel(prof, ChannelConfig(bits_per_cs=3), b"HI")
+            kept = pipeline_keeps_the_probe_fill(prof)
+            if kept:
+                assert report.decoded == b"HI" and report.erasures == 0, prof
+            else:
+                assert report.erasures == report.symbols_sent == 6, prof
+            outcomes[kept] += 1
+        assert min(outcomes.values()) >= 40
+
     def test_short_speculation_cores_cannot_carry_it(self):
         for prof in (get_profile("cortex_a9"), get_profile("cortex_a53")):
             report = run_channel(prof, ChannelConfig(bits_per_cs=3), b"HI")
@@ -406,3 +432,42 @@ def test_channel_report_bytes_are_unchanged():
         digest.update(emit_report(report, "json").encode())
         digest.update(json.dumps(report.latencies).encode() + b"\n")
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+# The latency trace of every pinned run: probe widths 2 to 64 lines,
+# counter noise of +-40 and the aborted receiver's empty grid.
+LATENCY_TRACE_SHA256 = "a1142fb0016c1981b8d05d8c40f9b56230cd9b0a71db9ed6ef7606ae448e0b16"
+
+
+def test_latency_trace_bytes_are_unchanged():
+    digest = hashlib.sha256()
+    widths = set()
+    for profile, cfg, gadget_base in _pinned_channel_runs():
+        report = run_channel(
+            profile, cfg, PINNED_PAYLOAD, seed=3, gadget_base=gadget_base,
+            record_latencies=True,
+        )
+        widths |= {len(row) for row in report.latencies} if report.latencies else {0}
+        digest.update(latency_trace_to_csv(report).encode())
+    assert widths == {0, 2, 4, 8, 16, 32, 64}
+    assert digest.hexdigest() == LATENCY_TRACE_SHA256
+
+
+def test_latency_trace_matches_a_row_by_row_reference():
+    def reference(grid):
+        rows = ["symbol,line,latency"]
+        for sym_idx, row in enumerate(grid):
+            for line_idx, latency in enumerate(row):
+                rows.append(f"{sym_idx},{line_idx},{latency}")
+        return "\n".join(rows) + "\n"
+
+    ragged = [[4, -3], [], [200], [7, 7, -40, 0], [], [12, 5], [-1] * 64]
+    for grid in ([], [[]], ragged, [[-208, 3]] * 3):
+        report = ChannelReport(
+            profile="intel_i7", bits_per_cs=3, symbols_sent=len(grid), bits_sent=0,
+            symbol_errors=0, bit_errors=0, erasures=0, total_cycles=0,
+            required_memory_bytes=0, latencies=grid,
+        )
+        assert latency_trace_to_csv(report) == reference(grid)
+    with pytest.raises(ValueError):
+        latency_trace_to_csv(dataclasses.replace(report, latencies=None))

@@ -1,6 +1,7 @@
 """tools/trajectory.py: reading the benchmark's output and comparing files."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,16 @@ def test_a_traced_run_gives_its_per_layer_metrics_and_trace_lines():
         "TRACE engine covert.receiver_decode.us_per_symbol: 0 -> 0",
     ]
     assert trajectory.trace_lines({}, {"traced": {"engine": run}}) == []
+
+
+def test_history_prints_every_file_in_ascending_n(tmp_path):
+    for n, commit, ops, dirty in ((10, "c1ec76652d8b8ffc", 4172.05, True),
+                                  (9, "7ce3d8ca7c6b361e", 3853.16, False)):
+        record = dict(_entry(ops, 30.45), commit=commit, dirty=dirty)
+        (tmp_path / f"BENCH_{n}.json").write_text(json.dumps(record), encoding="utf-8")
+    (tmp_path / "BENCH_old.json").write_text("not a record", encoding="utf-8")
+    assert trajectory.history(tmp_path) == [
+        "BENCH_9 7ce3d8ca7c6b engine ops_per_kref=3853.16 peak_rss_mb=30.45 setup_s=0.07",
+        "BENCH_10 c1ec76652d8b-dirty engine ops_per_kref=4172.05 peak_rss_mb=30.45 setup_s=0.07",
+    ]
+    assert trajectory.history(tmp_path / "empty") == []

@@ -2,6 +2,7 @@
 
     python3 tools/trajectory.py --out BENCH_<n>.json [--runs N] [--seconds T]
                                 [--compare PREV.json]
+    python3 tools/trajectory.py --history
 
 For each workload named in BENCHMARK.json, runs
 
@@ -36,6 +37,10 @@ BENCHMARK.json's bound for that metric.  Each layer figure both files have
 is printed on a LAYER line, each traced metric on a TRACE line, and the
 Tier-1 figures on a TIER1 line; none is flagged, since BENCHMARK.json gives
 them no bound.
+
+With --history, nothing is run: for every BENCH_<n>.json at the root of the
+repository, in ascending n, one line per workload gives the file, its commit
+and the workload's end-to-end medians.
 
 Uses the standard library only.  Edits no file under bench/.
 """
@@ -163,6 +168,25 @@ def trace_lines(prev: dict, cur: dict) -> list:
     return lines
 
 
+def history(directory: Path) -> list:
+    """A line per workload of every BENCH_<n>.json in `directory`, in
+    ascending n: the file, its commit and the workload's end-to-end
+    medians."""
+    numbered = sorted(
+        (int(match[1]), path) for path in directory.glob("BENCH_*.json")
+        if (match := re.fullmatch(r"BENCH_(\d+)\.json", path.name))
+    )
+    lines = []
+    for _, path in numbered:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        commit = record["commit"][:12] + ("-dirty" if record.get("dirty") else "")
+        for workload, entry in record["workloads"].items():
+            medians = " ".join(f"{name}={metric['median']:.6g}"
+                               for name, metric in sorted(entry["metrics"].items()))
+            lines.append(f"{path.stem} {commit} {workload} {medians}")
+    return lines
+
+
 def run_benchmark(workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -268,11 +292,18 @@ def _line_counts() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    parser.add_argument("--out", help="the BENCH_<n>.json to write")
     parser.add_argument("--runs", type=int, default=5, help="runs per workload, seeds 1..N")
     parser.add_argument("--seconds", type=float, default=30, help="length of each run")
     parser.add_argument("--compare", help="an earlier BENCH_<n>.json to check against")
+    parser.add_argument("--history", action="store_true",
+                        help="print the medians of every BENCH_<n>.json and run nothing")
     args = parser.parse_args(argv)
+    if args.history:
+        print("\n".join(history(ROOT)))
+        return 0
+    if not args.out:
+        parser.error("--out is required unless --history is given")
     if args.runs < 1 or args.seconds <= 0:
         parser.error("--runs must be at least 1 and --seconds positive")
 
