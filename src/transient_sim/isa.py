@@ -3,6 +3,15 @@
 Code and data live in separate address spaces: code addresses are instruction
 indices, data addresses are plain byte addresses.  One memory cell holds one
 integer value, so a "byte" of secret is simply a cell whose value is < 256.
+
+assemble makes one pass over the source lines, collecting the statements and
+the labels, then parses each statement.  A mnemonic is looked up by its text
+in one table that gives the Opcode and the operand kinds; the tokens r0-r15
+and s0-s15 are shared Reg and SysReg instances, found before any regex runs;
+and a statement's operands are split with str.split unless a comma sits
+inside brackets.  Program.decoded turns each instruction into the engine's
+flat tuple, finding the opcode's kind, flags and text by the member's
+identity instead of hashing the Enum member.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 
 NUM_REGS = 16
 NUM_SYSREGS = 16
@@ -124,6 +134,15 @@ class Program:
 # with 17 registers there are at most 17 * 16 lists
 _SOURCES: dict = {}
 
+# id(opcode) -> (kind, is_load, is_store, is_control, opcode text).  Keyed by
+# identity because hashing an Enum member runs Python code; the members live
+# as long as the module, so no other object can share one of their ids.
+_OPCODE_INFO = {
+    id(opcode): (kind, kind in (K_LD, K_RET), kind in (K_ST, K_CALL),
+                 kind in (K_BGE, K_CALL, K_RET), opcode.value)
+    for opcode, kind in KINDS.items()
+}
+
 
 def _decode(instr: Instruction) -> tuple:
     """What the engine needs of an instruction, as one flat tuple: (kind, dst,
@@ -131,8 +150,8 @@ def _decode(instr: Instruction) -> tuple:
     is_control, arg, opcode text).  arg is what issue reads beside the source
     registers: an immediate, a branch target or a sysreg index.  An opcode
     without a kind raises KeyError."""
-    opc, ops = instr.opcode, instr.operands
-    kind = KINDS[opc]
+    ops = instr.operands
+    kind, is_load, is_store, is_control, text = _OPCODE_INFO[id(instr.opcode)]
     dst, srcs, data, offset, arg = None, (), None, 0, None
     if kind <= K_CMP:  # reads a register, then a register or an immediate
         a, b = ops[-2].index, ops[-1]
@@ -154,8 +173,7 @@ def _decode(instr: Instruction) -> tuple:
         dst = None if kind == K_BGE else 15
         arg = None if kind == K_RET else ops[0].target
     srcs = _SOURCES.setdefault(srcs, srcs)
-    return (kind, dst, srcs, data, offset, kind in (K_LD, K_RET), kind in (K_ST, K_CALL),
-            kind in (K_BGE, K_CALL, K_RET), arg, opc.value)
+    return (kind, dst, srcs, data, offset, is_load, is_store, is_control, arg, text)
 
 
 class AssemblyError(ValueError):
@@ -164,26 +182,31 @@ class AssemblyError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-# operand kind expected per position, per opcode
-_SIGNATURES = {
-    Opcode.MOVI: ("reg", "imm"),
-    Opcode.LD: ("reg", "mem"),
-    Opcode.ST: ("mem", "reg"),
-    Opcode.ADD: ("reg", "reg", "reg_or_imm"),
-    Opcode.SHL: ("reg", "reg", "reg_or_imm"),
-    Opcode.AND: ("reg", "reg", "reg_or_imm"),
-    Opcode.CMP: ("reg", "reg_or_imm"),
-    Opcode.BGE: ("label",),
-    Opcode.CALL: ("label",),
-    Opcode.RET: (),
-    Opcode.FLUSH: ("mem",),
-    Opcode.RDCYC: ("reg",),
-    Opcode.MRS: ("reg", "sysreg"),
-    Opcode.YIELD: (),
-    Opcode.FENCE: (),
-    Opcode.HALT: (),
-    Opcode.NOP: (),
+# mnemonic text -> (Opcode, operand kind expected per position)
+_MNEMONICS = {
+    "MOVI": (Opcode.MOVI, ("reg", "imm")),
+    "LD": (Opcode.LD, ("reg", "mem")),
+    "ST": (Opcode.ST, ("mem", "reg")),
+    "ADD": (Opcode.ADD, ("reg", "reg", "reg_or_imm")),
+    "SHL": (Opcode.SHL, ("reg", "reg", "reg_or_imm")),
+    "AND": (Opcode.AND, ("reg", "reg", "reg_or_imm")),
+    "CMP": (Opcode.CMP, ("reg", "reg_or_imm")),
+    "BGE": (Opcode.BGE, ("label",)),
+    "CALL": (Opcode.CALL, ("label",)),
+    "RET": (Opcode.RET, ()),
+    "FLUSH": (Opcode.FLUSH, ("mem",)),
+    "RDCYC": (Opcode.RDCYC, ("reg",)),
+    "MRS": (Opcode.MRS, ("reg", "sysreg")),
+    "YIELD": (Opcode.YIELD, ()),
+    "FENCE": (Opcode.FENCE, ()),
+    "HALT": (Opcode.HALT, ()),
+    "NOP": (Opcode.NOP, ()),
 }
+
+# The operands r0-r15 and s0-s15, one shared instance each: their tokens are
+# looked up here before any regex runs.
+_REGS = {f"r{i}": Reg(i) for i in range(NUM_REGS)}
+_SYSREGS = {f"s{i}": SysReg(i) for i in range(NUM_SYSREGS)}
 
 _LABEL_DEF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):(.*)$")
 _MEM_RE = re.compile(
@@ -196,7 +219,22 @@ _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def _split_operands(text: str) -> list:
-    """Split on commas that sit outside [...] brackets."""
+    """Split on commas that sit outside [...] brackets; an empty last operand
+    (a trailing comma) is dropped."""
+    parts = text.split(",")
+    if "[" in text or "]" in text:
+        depth = 0
+        for part in parts[:-1]:
+            depth += part.count("[") - part.count("]")
+            if depth:  # a comma inside brackets, or after an unmatched "]"
+                return _split_by_depth(text)
+    parts = list(map(str.strip, parts))
+    if not parts[-1]:
+        parts.pop()
+    return parts
+
+
+def _split_by_depth(text: str) -> list:
     parts, depth, cur = [], 0, ""
     for ch in text:
         if ch == "[":
@@ -215,6 +253,9 @@ def _split_operands(text: str) -> list:
 
 def _parse_operand(tok: str, kind: str, labels: dict, lineno: int):
     if kind in ("reg", "reg_or_imm"):
+        reg = _REGS.get(tok)
+        if reg is not None:
+            return reg
         m = _REG_RE.match(tok)
         if m:
             idx = int(m.group(1))
@@ -225,19 +266,25 @@ def _parse_operand(tok: str, kind: str, labels: dict, lineno: int):
             raise AssemblyError(lineno, f"expected register, got {tok!r}")
     if kind in ("imm", "reg_or_imm"):
         if _IMM_RE.match(tok):
-            return Imm(int(tok, 0))
+            try:  # int() refuses a decimal with a leading zero, such as 012
+                return Imm(int(tok, 0))
+            except ValueError:
+                pass
         raise AssemblyError(lineno, f"expected immediate, got {tok!r}")
     if kind == "mem":
         m = _MEM_RE.match(tok)
-        if not m:
-            raise AssemblyError(lineno, f"expected memory operand like [r1 + 8], got {tok!r}")
-        base = int(m.group(1))
-        if base >= NUM_REGS:
-            raise AssemblyError(lineno, f"register r{base} out of range")
-        off = int(m.group(3), 0) if m.group(3) else 0
-        if m.group(2) == "-":
-            off = -off
-        return Mem(base, off)
+        if m:
+            base, sign, off = m.groups()
+            base = int(base)
+            if base >= NUM_REGS:
+                raise AssemblyError(lineno, f"register r{base} out of range")
+            try:
+                off = int(off, 0) if off else 0
+            except ValueError:
+                pass
+            else:
+                return Mem(base, -off if sign == "-" else off)
+        raise AssemblyError(lineno, f"expected memory operand like [r1 + 8], got {tok!r}")
     if kind == "label":
         if not _IDENT_RE.match(tok):
             raise AssemblyError(lineno, f"expected label name, got {tok!r}")
@@ -245,6 +292,9 @@ def _parse_operand(tok: str, kind: str, labels: dict, lineno: int):
             raise AssemblyError(lineno, f"undefined label {tok!r}")
         return LabelRef(labels[tok])
     if kind == "sysreg":
+        sysreg = _SYSREGS.get(tok)
+        if sysreg is not None:
+            return sysreg
         m = _SYSREG_RE.match(tok)
         if not m:
             raise AssemblyError(lineno, f"expected system register like s0, got {tok!r}")
@@ -255,59 +305,50 @@ def _parse_operand(tok: str, kind: str, labels: dict, lineno: int):
     raise AssemblyError(lineno, f"cannot parse operand {tok!r}")
 
 
-def _logical_lines(text: str):
-    """Yield (lineno, label_or_None, statement_or_None) with comments stripped."""
+def assemble(text: str) -> Program:
+    """Assemble source text into a Program. Raises AssemblyError with line
+    numbers: a label error (a duplicate, an empty program, a label past the
+    last instruction) before any statement error, and statement errors in
+    line order."""
+    # one pass over the lines: (lineno, statement) with comments stripped, and
+    # label -> instruction index
+    labels: dict = {}
+    statements = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";", 1)[0].strip()
         if not line:
             continue
-        m = _LABEL_DEF.match(line)
-        if m:
-            yield lineno, m.group(1), m.group(2).strip() or None
-        else:
-            yield lineno, None, line
-
-
-def assemble(text: str) -> Program:
-    """Assemble source text into a Program. Raises AssemblyError with line numbers."""
-    # pass 1: count instructions, collect label -> instruction index
-    labels: dict = {}
-    count = 0
-    for lineno, label, stmt in _logical_lines(text):
-        if label is not None:
+        if ":" in line and (m := _LABEL_DEF.match(line)):
+            label = m.group(1)
             if label in labels:
                 raise AssemblyError(lineno, f"duplicate label {label!r}")
-            labels[label] = count
-        if stmt is not None:
-            count += 1
+            labels[label] = len(statements)
+            line = m.group(2).strip()
+            if not line:
+                continue
+        statements.append((lineno, line))
+    count = len(statements)
     if count == 0:
         raise AssemblyError(0, "empty program")
     for name, idx in labels.items():
         if idx >= count:
             raise AssemblyError(0, f"label {name!r} points past the last instruction")
 
-    # pass 2: parse statements
     instructions = []
-    for lineno, _, stmt in _logical_lines(text):
-        if stmt is None:
-            continue
+    every_labels = repeat(labels)  # map stops at the last token, so one serves every statement
+    for lineno, stmt in statements:
         parts = stmt.split(None, 1)
-        mnemonic = parts[0].upper()
-        try:
-            opcode = Opcode(mnemonic)
-        except ValueError:
-            raise AssemblyError(lineno, f"unknown mnemonic {parts[0]!r}") from None
-        operand_text = parts[1] if len(parts) > 1 else ""
-        tokens = _split_operands(operand_text)
-        sig = _SIGNATURES[opcode]
+        entry = _MNEMONICS.get(parts[0].upper())
+        if entry is None:
+            raise AssemblyError(lineno, f"unknown mnemonic {parts[0]!r}")
+        opcode, sig = entry
+        tokens = _split_operands(parts[1]) if len(parts) > 1 else []
         if len(tokens) != len(sig):
             raise AssemblyError(
                 lineno,
                 f"{opcode.value} takes {len(sig)} operand(s), got {len(tokens)}",
             )
-        operands = tuple(
-            _parse_operand(tok, kind, labels, lineno) for tok, kind in zip(tokens, sig)
-        )
+        operands = tuple(map(_parse_operand, tokens, sig, every_labels, repeat(lineno)))
         instructions.append(Instruction(opcode, operands))
 
     program = Program(tuple(instructions), labels)
@@ -316,7 +357,7 @@ def assemble(text: str) -> Program:
 
 
 def _check_termination(program: Program) -> None:
-    halts = sum(1 for i in program.instructions if i.opcode is Opcode.HALT)
+    halts = [i.opcode for i in program.instructions].count(Opcode.HALT)
     if halts == 1:
         return
     if halts == 0 and program.instructions[-1].opcode is Opcode.YIELD:

@@ -1,4 +1,5 @@
-"""Shared test fixtures: a reference interpreter and a program generator.
+"""Shared test fixtures: a reference interpreter, program generators and a
+reference assembler.
 
 The reference interpreter executes programs strictly in order, one
 instruction at a time, with no caches, no predictors, and no speculation.
@@ -11,15 +12,24 @@ branches only jump forward within their own block, and calls only go to
 later-numbered functions, so the control-flow graph is acyclic.  Two more
 cover the hazards it does not reach: counted backward loops, and loads and
 stores through a pointer that resolves late.
+
+The reference assembler is the earlier two-pass one, with its character-loop
+operand splitter and its decoder; tests require isa.assemble to agree with
+it.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 from transient_sim.core import make_machine, run
-from transient_sim.isa import Imm, LabelRef, Mem, Opcode, Program, Reg, SysReg, assemble
+from transient_sim.isa import (
+    FLAGS, K_BGE, K_CALL, K_CMP, K_FLUSH, K_LD, K_MOVI, K_MRS, K_RDCYC, K_RET, K_ST, KINDS,
+    NUM_REGS, NUM_SYSREGS, AssemblyError, Imm, Instruction, LabelRef, Mem, Opcode, Program, Reg,
+    SysReg, assemble,
+)
 from transient_sim.profiles import CpuProfile
 
 DATA_BASE = 0x2000
@@ -335,3 +345,210 @@ def final_state_matches(gen: GeneratedProgram, profile: CpuProfile) -> tuple:
         ref_only = {k: v for k, v in ref.mem.items() if st.mem.cells.get(k) != v}
         return False, f"memory differs: engine={engine_only} ref={ref_only}"
     return True, ""
+
+
+# -- the reference assembler --------------------------------------------------
+#
+# The two-pass assembler and its decoder as they stood before the assembler
+# became a single table-driven pass, kept verbatim (only the entry points are
+# renamed) so that tests can require the same Program, or the same
+# AssemblyError, from both on any source.  One known difference: a decimal
+# with a leading zero, such as 012 or [r2 + 08], escapes here as the bare
+# ValueError of int(tok, 0), where isa.assemble raises AssemblyError.
+
+_SOURCES: dict = {}
+
+
+def reference_decode(instr: Instruction) -> tuple:
+    """What the engine needs of an instruction, as one flat tuple: (kind, dst,
+    source registers, stored register, memory offset, is_load, is_store,
+    is_control, arg, opcode text).  arg is what issue reads beside the source
+    registers: an immediate, a branch target or a sysreg index.  An opcode
+    without a kind raises KeyError."""
+    opc, ops = instr.opcode, instr.operands
+    kind = KINDS[opc]
+    dst, srcs, data, offset, arg = None, (), None, 0, None
+    if kind <= K_CMP:  # reads a register, then a register or an immediate
+        a, b = ops[-2].index, ops[-1]
+        dst = FLAGS if kind == K_CMP else ops[0].index
+        if isinstance(b, Imm):
+            srcs, arg = (a,), b.value
+        else:
+            srcs = (a,) if b.index == a else (a, b.index)
+    elif kind in (K_MOVI, K_RDCYC, K_MRS):
+        dst = ops[0].index
+        arg = ops[1].value if kind == K_MOVI else ops[1].index if kind == K_MRS else None
+    elif kind in (K_LD, K_ST, K_FLUSH):
+        mem = ops[1] if kind == K_LD else ops[0]
+        srcs, offset = (mem.base,), mem.offset
+        dst = ops[0].index if kind == K_LD else None
+        data = ops[1].index if kind == K_ST else None
+    elif kind in (K_BGE, K_CALL, K_RET):  # CALL and RET use the stack at r15
+        srcs = (FLAGS,) if kind == K_BGE else (15,)
+        dst = None if kind == K_BGE else 15
+        arg = None if kind == K_RET else ops[0].target
+    srcs = _SOURCES.setdefault(srcs, srcs)
+    return (kind, dst, srcs, data, offset, kind in (K_LD, K_RET), kind in (K_ST, K_CALL),
+            kind in (K_BGE, K_CALL, K_RET), arg, opc.value)
+
+
+# operand kind expected per position, per opcode
+_SIGNATURES = {
+    Opcode.MOVI: ("reg", "imm"),
+    Opcode.LD: ("reg", "mem"),
+    Opcode.ST: ("mem", "reg"),
+    Opcode.ADD: ("reg", "reg", "reg_or_imm"),
+    Opcode.SHL: ("reg", "reg", "reg_or_imm"),
+    Opcode.AND: ("reg", "reg", "reg_or_imm"),
+    Opcode.CMP: ("reg", "reg_or_imm"),
+    Opcode.BGE: ("label",),
+    Opcode.CALL: ("label",),
+    Opcode.RET: (),
+    Opcode.FLUSH: ("mem",),
+    Opcode.RDCYC: ("reg",),
+    Opcode.MRS: ("reg", "sysreg"),
+    Opcode.YIELD: (),
+    Opcode.FENCE: (),
+    Opcode.HALT: (),
+    Opcode.NOP: (),
+}
+
+_LABEL_DEF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):(.*)$")
+_MEM_RE = re.compile(
+    r"^\[\s*r(\d+)\s*(?:([+-])\s*(0x[0-9a-fA-F]+|\d+)\s*)?\]$"
+)
+_REG_RE = re.compile(r"^r(\d+)$")
+_SYSREG_RE = re.compile(r"^s(\d+)$")
+_IMM_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F]+|\d+)$")
+_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def reference_split_operands(text: str) -> list:
+    """Split on commas that sit outside [...] brackets."""
+    parts, depth, cur = [], 0, ""
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append(cur.strip())
+            cur = ""
+        else:
+            cur += ch
+    if cur.strip():
+        parts.append(cur.strip())
+    return parts
+
+
+def _parse_operand(tok: str, kind: str, labels: dict, lineno: int):
+    if kind in ("reg", "reg_or_imm"):
+        m = _REG_RE.match(tok)
+        if m:
+            idx = int(m.group(1))
+            if idx >= NUM_REGS:
+                raise AssemblyError(lineno, f"register r{idx} out of range (r0-r{NUM_REGS - 1})")
+            return Reg(idx)
+        if kind == "reg":
+            raise AssemblyError(lineno, f"expected register, got {tok!r}")
+    if kind in ("imm", "reg_or_imm"):
+        if _IMM_RE.match(tok):
+            return Imm(int(tok, 0))
+        raise AssemblyError(lineno, f"expected immediate, got {tok!r}")
+    if kind == "mem":
+        m = _MEM_RE.match(tok)
+        if not m:
+            raise AssemblyError(lineno, f"expected memory operand like [r1 + 8], got {tok!r}")
+        base = int(m.group(1))
+        if base >= NUM_REGS:
+            raise AssemblyError(lineno, f"register r{base} out of range")
+        off = int(m.group(3), 0) if m.group(3) else 0
+        if m.group(2) == "-":
+            off = -off
+        return Mem(base, off)
+    if kind == "label":
+        if not _IDENT_RE.match(tok):
+            raise AssemblyError(lineno, f"expected label name, got {tok!r}")
+        if tok not in labels:
+            raise AssemblyError(lineno, f"undefined label {tok!r}")
+        return LabelRef(labels[tok])
+    if kind == "sysreg":
+        m = _SYSREG_RE.match(tok)
+        if not m:
+            raise AssemblyError(lineno, f"expected system register like s0, got {tok!r}")
+        idx = int(m.group(1))
+        if idx >= NUM_SYSREGS:
+            raise AssemblyError(lineno, f"system register s{idx} out of range")
+        return SysReg(idx)
+    raise AssemblyError(lineno, f"cannot parse operand {tok!r}")
+
+
+def _logical_lines(text: str):
+    """Yield (lineno, label_or_None, statement_or_None) with comments stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split(";", 1)[0].strip()
+        if not line:
+            continue
+        m = _LABEL_DEF.match(line)
+        if m:
+            yield lineno, m.group(1), m.group(2).strip() or None
+        else:
+            yield lineno, None, line
+
+
+def reference_assemble(text: str) -> Program:
+    """Assemble source text into a Program. Raises AssemblyError with line numbers."""
+    # pass 1: count instructions, collect label -> instruction index
+    labels: dict = {}
+    count = 0
+    for lineno, label, stmt in _logical_lines(text):
+        if label is not None:
+            if label in labels:
+                raise AssemblyError(lineno, f"duplicate label {label!r}")
+            labels[label] = count
+        if stmt is not None:
+            count += 1
+    if count == 0:
+        raise AssemblyError(0, "empty program")
+    for name, idx in labels.items():
+        if idx >= count:
+            raise AssemblyError(0, f"label {name!r} points past the last instruction")
+
+    # pass 2: parse statements
+    instructions = []
+    for lineno, _, stmt in _logical_lines(text):
+        if stmt is None:
+            continue
+        parts = stmt.split(None, 1)
+        mnemonic = parts[0].upper()
+        try:
+            opcode = Opcode(mnemonic)
+        except ValueError:
+            raise AssemblyError(lineno, f"unknown mnemonic {parts[0]!r}") from None
+        operand_text = parts[1] if len(parts) > 1 else ""
+        tokens = reference_split_operands(operand_text)
+        sig = _SIGNATURES[opcode]
+        if len(tokens) != len(sig):
+            raise AssemblyError(
+                lineno,
+                f"{opcode.value} takes {len(sig)} operand(s), got {len(tokens)}",
+            )
+        operands = tuple(
+            _parse_operand(tok, kind, labels, lineno) for tok, kind in zip(tokens, sig)
+        )
+        instructions.append(Instruction(opcode, operands))
+
+    program = Program(tuple(instructions), labels)
+    _check_termination(program)
+    return program
+
+
+def _check_termination(program: Program) -> None:
+    halts = sum(1 for i in program.instructions if i.opcode is Opcode.HALT)
+    if halts == 1:
+        return
+    if halts == 0 and program.instructions[-1].opcode is Opcode.YIELD:
+        return
+    raise AssemblyError(
+        0, f"program must contain exactly one HALT or end with YIELD (found {halts} HALTs)"
+    )

@@ -1,8 +1,19 @@
 """Assembler round trips and operand parsing."""
 
+import random
+import re
+
 import pytest
 
-from transient_sim import isa
+from _reference import (
+    generate_loop_program,
+    generate_pointer_program,
+    generate_program,
+    reference_assemble,
+    reference_decode,
+    reference_split_operands,
+)
+from transient_sim import attacks, isa
 from transient_sim.isa import (
     KINDS,
     AssemblyError,
@@ -106,6 +117,8 @@ def test_label_on_same_line_as_statement():
         ("    LD r1, r2\n    HALT\n", "expected memory operand"),
         ("    MOVI r1, r2\n    HALT\n", "expected immediate"),
         ("    ADD 5, r1, r2\n    HALT\n", "expected register"),
+        ("    MOVI r1, 012\n    HALT\n", "line 1: expected immediate, got '012'"),
+        ("    LD r1, [r2 + 08]\n    HALT\n", r"line 1: expected memory operand like \[r1 \+ 8\]"),
     ],
 )
 def test_parse_errors(source, fragment):
@@ -155,3 +168,126 @@ class TestDecode:
         bogus = Program((Instruction("BOGUS", ()), Instruction(Opcode.HALT, ())), {})
         with pytest.raises(KeyError):
             bogus.decoded
+
+
+# -- agreement with the reference assembler --------------------------------------
+
+# The sources attacks.py assembles: its victim programs, with the return-stack
+# victim's gadget filled in as the attacks fill it.
+_VICTIMS = [
+    source.format(payload=payload)
+    for name, source in sorted(vars(attacks).items()) if name.endswith("_SRC")
+    for payload in ("LD r5, [r4+0]", f"MRS r5, s{attacks.SYSREG_ID}")
+]
+_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def _mutate(rng: random.Random, lines: list) -> None:
+    """Change one statement line of `lines` in place, mostly into one that
+    the assembler must reject."""
+    at = rng.choice([k for k, line in enumerate(lines) if line.strip() and not line.endswith(":")])
+    line = lines[at]
+    roll = rng.randrange(16)
+    if roll == 0:  # a comma inside the brackets, or anywhere
+        line = line.replace(" + ", ", ", 1) if "[" in line else line.replace(" ", ", ", 2)
+    elif roll == 1:
+        k = rng.randrange(len(line) + 1)
+        line = line[:k] + "," + line[k:]
+    elif roll == 2:  # unbalanced brackets
+        k = rng.randrange(len(line) + 1)
+        line = line.replace(rng.choice("[]"), "", 1) if "[" in line else line[:k] + rng.choice("[]") + line[k:]
+    elif roll == 3:  # a doubled or a trailing comma
+        line = line.replace(",", ",,", 1) if "," in line else line + ","
+    elif roll == 4:
+        line += ","
+    elif roll == 5:  # tabs and lower case
+        line = "\t" + line.strip().replace(" ", "\t", 1)
+    elif roll == 6:
+        line = line.lower()
+    elif roll == 7:
+        lines.insert(at, "x: y: NOP")
+    elif roll == 8:  # registers out of range or spelt with a leading zero
+        line = re.sub(r"\br\d+", rng.choice(["r16", "r01", "r00", "r99", "5"]), line, count=1)
+    elif roll == 9:
+        line = f"    MRS r1, {rng.choice(['s16', 's01', 'r2', 's15'])}"
+    elif roll == 10:  # leading zeros, hex and other decimal digits
+        line = re.sub(r"(?<![\wx])(\d+)", rng.choice(["0\\1", "00", "0x\\1"]), line, count=1)
+    elif roll == 11:
+        line = re.sub(r"(?<![\wx])\d+", lambda m: m[0].translate(_DIGITS), line)
+    elif roll == 12:  # unknown mnemonics and wrong operand counts
+        line = line.replace(line.split()[0], line.split()[0] + "X", 1)
+    elif roll == 13:
+        line = line.rsplit(",", 1)[0] if "," in line else line + ", r1"
+    elif roll == 14:  # labels: duplicated, undefined, or past the end
+        lines.insert(at, lines[at - 1] if lines[at - 1].endswith(":") else "dup:\ndup:")
+        if rng.random() < 0.3:
+            lines.append("after_the_end:")
+    else:
+        line = re.sub(r"(BGE|CALL) \w+", r"\1 nowhere", line) if "B" in line else "end: " + line
+    lines[at] = line
+
+
+# a fragment of each message the assembler can give
+_CHECKS = (
+    "unknown mnemonic", "operand(s), got", "out of range (r0-r15)", "register r16 out of range",
+    "system register s16 out of range", "expected register", "expected immediate",
+    "expected memory operand", "expected label name", "undefined label", "duplicate label",
+    "expected system register", "points past the last instruction", "exactly one HALT",
+)
+
+
+def _outcome(assembler, decode, source):
+    try:
+        program = assembler(source)
+    except ValueError as exc:  # AssemblyError, or the reference's leading-zero escape
+        return type(exc), str(exc)
+    return program.instructions, program.labels, tuple(map(decode, program.instructions))
+
+
+def _differential_sources(seed: int) -> list:
+    rng = random.Random(seed)
+    bases = [isa_source for isa_source in _VICTIMS] + [KITCHEN_SINK]
+    for _ in range(40):
+        bases += [generate_program(rng).text, generate_pointer_program(rng).text,
+                  generate_loop_program(rng).text]
+    sources = list(bases)
+    while len(sources) < 2200:
+        lines = rng.choice(bases).splitlines()
+        for _ in range(rng.choice((1, 1, 2))):
+            _mutate(rng, lines)
+        sources.append("\n".join(lines) + "\n")
+    return sources
+
+
+def test_assembler_agrees_with_the_reference_on_seeded_sources():
+    sources = _differential_sources(2024)
+    assembled, messages, leading_zeros = 0, set(), 0
+    for source in sources:
+        want = _outcome(reference_assemble, reference_decode, source)
+        got = _outcome(isa.assemble, isa._decode, source)
+        if want[0] is ValueError:  # int(tok, 0) refused a leading zero: now an AssemblyError
+            assert got[0] is AssemblyError, source
+            message = re.fullmatch(r"line \d+: expected (immediate|memory operand like \[r1 \+ 8\]), "
+                                   r"got '(.*)'", got[1])
+            runs = re.findall(r"(?<![\dxX])\d\d+", message[2]) if message else []
+            assert any(int(run[0]) == 0 for run in runs), (source, got)
+            leading_zeros += 1
+            continue
+        assert got == want, source
+        if want[0] is AssemblyError:
+            messages.add(want[1])
+        else:
+            assembled += 1
+    assert len(sources) >= 2000
+    # the mutations reach every check the assembler makes
+    assert assembled >= 300 and leading_zeros >= 10, (assembled, leading_zeros)
+    assert {fragment for fragment in _CHECKS for message in messages if fragment in message} \
+        == set(_CHECKS), messages
+
+
+def test_operand_split_agrees_with_the_character_loop():
+    rng = random.Random(7)
+    for _ in range(20000):
+        text = "".join(rng.choice("[],, r1+\t") for _ in range(rng.randrange(12)))
+        assert isa._split_operands(text) == reference_split_operands(text), repr(text)
+

@@ -65,7 +65,8 @@ def test_compare_fails_on_a_changed_digest_and_flags_a_worse_median():
 def test_layer_figures_time_each_layer_against_the_reference_loop():
     figures = trajectory.layer_figures(repeats=2, samples=2)
     assert sorted(figures) == ["core.make_machine", "core.run_halt", "core.run_loop",
-                               "memory.flush_probe_256", "memory.probe_and_flush_8"]
+                               "isa.assemble", "memory.flush_probe_256",
+                               "memory.probe_and_flush_8"]
     for figure in figures.values():
         for entry in figure.values():
             assert len(entry["runs"]) == 2 and min(entry["runs"]) > 0

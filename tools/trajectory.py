@@ -26,8 +26,10 @@ in its own process; per workload, the per-layer metrics of one run of
 per-layer figures, each timed in this process through public calls on
 intel_i7 and divided by the time of bench/run.py's reference_loop: a
 256-line flush_lines plus probe_lines, an 8-line probe_and_flush_lines on a
-machine of its own, make_machine, one run of a HALT program, and one run of
-a short counted loop (load, ALU, store, compare, backward branch).
+machine of its own, make_machine, one run of a HALT program, one run of a
+short counted loop (load, ALU, store, compare, backward branch), and the
+assembly and decode of a fixed 24-line program (labels, a call and its
+return, memory operands and immediates).
 
 With --compare, the new figures are checked against an earlier file: the
 command exits 1 when a digest both files have for one seed differs, a run
@@ -120,11 +122,16 @@ def compare(prev: dict, cur: dict, bounds: dict) -> tuple:
             if name not in entry["metrics"] or name not in before["metrics"]:
                 continue
             old, new = before["metrics"][name]["median"], entry["metrics"][name]["median"]
-            worse = new < old * (1 - bound) if better == "higher" else new > old * (1 + bound)
-            if worse:
+            if worse_beyond(old, new, bound, better):
                 flags.append(f"{workload} {name}: median {old:.4g} -> {new:.4g}, "
                              f"worse by more than {bound:.0%}")
     return failures, flags
+
+
+def worse_beyond(old: float, new: float, bound: float, better: str) -> bool:
+    """Whether `new` is worse than `old` by more than the fraction `bound`,
+    for a metric where `better` ("higher" or "lower") values are better."""
+    return new < old * (1 - bound) if better == "higher" else new > old * (1 + bound)
 
 
 _OUTCOME = re.compile(r"(\d+) (passed|failed|skipped|xfailed|xpassed|errors?)\b")
@@ -187,10 +194,12 @@ def history(directory: Path) -> list:
     return lines
 
 
-def run_benchmark(workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+def run_benchmark(workload: str, seed: int, seconds: float, trace: int = 0,
+                  root: Path = ROOT) -> dict:
+    """parse_run() of one bench/run.py run in the checkout at `root`."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if done.returncode not in (0, 1):  # 1: ran, with an incorrect output
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}: {done.stderr.strip()}")
     return parse_run(done.stdout)
@@ -234,6 +243,12 @@ def _layers() -> dict:
     looping = make_machine(profile)
     looping.regs[14] = 0x2000
     user = Privilege.USER
+    source = ("    MOVI r15, 0x6000\n    MOVI r14, 0x2000\n    MOVI r12, 8\ntop:\n"
+              "    LD r1, [r14 + 16]\n    ADD r2, r1, -3\n    AND r3, r2, 0xff\n"
+              "    SHL r4, r3, 6\n    ST [r14 + 24], r4\n    CALL helper\n    FLUSH [r14 - 64]\n"
+              "    ADD r12, r12, -1\n    CMP r12, 0\n    BGE top\n    MRS r5, s2\n    RDCYC r6\n"
+              "    FENCE\n    HALT\nhelper:\n    LD r7, [r14]\n    ADD r7, r7, r1\n"
+              "    ST [r14 + 32], r7\n    NOP\n    RET\n")
 
     def flush_probe():
         mem.flush_lines(ORACLE_BASE, ORACLE_LINES, user)
@@ -249,6 +264,7 @@ def _layers() -> dict:
         "core.make_machine": lambda: make_machine(profile),
         "core.run_halt": lambda: run(halt, state, profile),
         "core.run_loop": run_loop,
+        "isa.assemble": lambda: assemble(source).decoded,
     }
 
 
