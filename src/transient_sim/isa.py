@@ -10,8 +10,8 @@ in one table that gives the Opcode and the operand kinds; the tokens r0-r15
 and s0-s15 are shared Reg and SysReg instances, found before any regex runs;
 and a statement's operands are split with str.split unless a comma sits
 inside brackets.  Program.decoded turns each instruction into the engine's
-flat tuple, finding the opcode's kind, flags and text by the member's
-identity instead of hashing the Enum member.
+flat tuple, finding the opcode's kind, flags and text by identity, without
+hashing the Enum member.
 """
 
 from __future__ import annotations
@@ -235,6 +235,7 @@ def _split_operands(text: str) -> list:
 
 
 def _split_by_depth(text: str) -> list:
+    """_split_operands one character at a time, tracking the bracket depth."""
     parts, depth, cur = [], 0, ""
     for ch in text:
         if ch == "[":
@@ -280,7 +281,7 @@ def _parse_operand(tok: str, kind: str, labels: dict, lineno: int):
                 raise AssemblyError(lineno, f"register r{base} out of range")
             try:
                 off = int(off, 0) if off else 0
-            except ValueError:
+            except ValueError:  # a leading zero again, such as 08
                 pass
             else:
                 return Mem(base, -off if sign == "-" else off)

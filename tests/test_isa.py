@@ -1,7 +1,10 @@
 """Assembler round trips and operand parsing."""
 
+import importlib.util
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,11 +177,12 @@ class TestDecode:
 
 # The sources attacks.py assembles: its victim programs, with the return-stack
 # victim's gadget filled in as the attacks fill it.
-_VICTIMS = [
+_VICTIMS = list(dict.fromkeys(
     source.format(payload=payload)
     for name, source in sorted(vars(attacks).items()) if name.endswith("_SRC")
     for payload in ("LD r5, [r4+0]", f"MRS r5, s{attacks.SYSREG_ID}")
-]
+))
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
 _DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
 
@@ -244,14 +248,23 @@ def _outcome(assembler, decode, source):
     return program.instructions, program.labels, tuple(map(decode, program.instructions))
 
 
+def _engine_workload_sources() -> list:
+    """The 181 programs the benchmark's engine workload assembles at seed 1
+    (bench/run.py's ACYCLIC_PROGRAMS, LOOP_PROGRAMS and POINTER_PROGRAMS)."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", _BENCH / "inputs.py")
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for @dataclass
+    spec.loader.exec_module(inputs)
+    return [program.text for program in inputs.engine_inputs(1, 120, 1, 60)]
+
+
 def _differential_sources(seed: int) -> list:
     rng = random.Random(seed)
-    bases = [isa_source for isa_source in _VICTIMS] + [KITCHEN_SINK]
-    for _ in range(40):
+    bases = _VICTIMS + [KITCHEN_SINK] + _engine_workload_sources()
+    for _ in range(20):
         bases += [generate_program(rng).text, generate_pointer_program(rng).text,
                   generate_loop_program(rng).text]
     sources = list(bases)
-    while len(sources) < 2200:
+    while len(sources) < 2000:
         lines = rng.choice(bases).splitlines()
         for _ in range(rng.choice((1, 1, 2))):
             _mutate(rng, lines)
