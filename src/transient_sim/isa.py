@@ -8,10 +8,10 @@ assemble makes one pass over the source lines, collecting the statements and
 the labels, then parses each statement.  A mnemonic is looked up by its text
 in one table that gives the Opcode and the operand kinds; the tokens r0-r15
 and s0-s15 are shared Reg and SysReg instances, found before any regex runs;
-and a statement's operands are split with str.split unless a comma sits
-inside brackets.  Program.decoded turns each instruction into the engine's
-flat tuple, finding the opcode's kind, flags and text by identity, without
-hashing the Enum member.
+and a statement's operands are split with str.split, rejoining the parts on
+either side of a comma that sits inside brackets.  Program.decoded turns each
+instruction into the engine's flat tuple, finding the opcode's kind, flags
+and text by identity, without hashing the Enum member.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 
 NUM_REGS = 16
 NUM_SYSREGS = 16
@@ -223,32 +222,20 @@ def _split_operands(text: str) -> list:
     (a trailing comma) is dropped."""
     parts = text.split(",")
     if "[" in text or "]" in text:
-        depth = 0
-        for part in parts[:-1]:
+        # the bracket depth at a comma is that of the text before it; where it
+        # is not 0 (inside brackets, or after an unmatched "]"), the parts on
+        # either side of the comma are one operand
+        joined, depth = [], 0
+        for part in parts:
+            if depth:
+                joined[-1] += "," + part
+            else:
+                joined.append(part)
             depth += part.count("[") - part.count("]")
-            if depth:  # a comma inside brackets, or after an unmatched "]"
-                return _split_by_depth(text)
+        parts = joined
     parts = list(map(str.strip, parts))
     if not parts[-1]:
         parts.pop()
-    return parts
-
-
-def _split_by_depth(text: str) -> list:
-    """_split_operands one character at a time, tracking the bracket depth."""
-    parts, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(cur.strip())
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append(cur.strip())
     return parts
 
 
@@ -336,7 +323,6 @@ def assemble(text: str) -> Program:
             raise AssemblyError(0, f"label {name!r} points past the last instruction")
 
     instructions = []
-    every_labels = repeat(labels)  # map stops at the last token, so one serves every statement
     for lineno, stmt in statements:
         parts = stmt.split(None, 1)
         entry = _MNEMONICS.get(parts[0].upper())
@@ -349,7 +335,9 @@ def assemble(text: str) -> Program:
                 lineno,
                 f"{opcode.value} takes {len(sig)} operand(s), got {len(tokens)}",
             )
-        operands = tuple(map(_parse_operand, tokens, sig, every_labels, repeat(lineno)))
+        operands = tuple(
+            _parse_operand(tok, kind, labels, lineno) for tok, kind in zip(tokens, sig)
+        )
         instructions.append(Instruction(opcode, operands))
 
     program = Program(tuple(instructions), labels)
@@ -358,7 +346,7 @@ def assemble(text: str) -> Program:
 
 
 def _check_termination(program: Program) -> None:
-    halts = [i.opcode for i in program.instructions].count(Opcode.HALT)
+    halts = sum(1 for i in program.instructions if i.opcode is Opcode.HALT)
     if halts == 1:
         return
     if halts == 0 and program.instructions[-1].opcode is Opcode.YIELD:

@@ -89,7 +89,7 @@ def test_a_changed_digest_an_incorrect_run_or_more_failures_exit_1(
         monkeypatch, tmp_path, capsys, change, failure):
     outputs = {(side, seed): {"ops": 4000.0} for side in ("parent", "change") for seed in (41, 42)}
     outputs["change", 42].update(change)
-    code, _ = _run(monkeypatch, tmp_path, outputs, ["--pairs", "2", "--seconds", "5"])
+    code, _ = _run(monkeypatch, tmp_path, outputs, ["--pairs", "2"])
     assert code == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert fails == [f"FAIL {failure}"]
@@ -99,3 +99,9 @@ def test_equal_failures_on_both_sides_pass(monkeypatch, tmp_path):
     outputs = {(side, 41): {"ops": 4000.0, "failed": 2} for side in ("parent", "change")}
     code, _ = _run(monkeypatch, tmp_path, outputs, ["--pairs", "1"])
     assert code == 0
+
+
+def test_the_run_length_is_always_the_benchmarks(monkeypatch, tmp_path):
+    outputs = {(side, 41): {"ops": 4000.0} for side in ("parent", "change")}
+    with pytest.raises(SystemExit):
+        _run(monkeypatch, tmp_path, outputs, ["--pairs", "1", "--seconds", "5"])

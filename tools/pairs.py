@@ -1,7 +1,7 @@
 """Run the alternating-pairs protocol between a parent and a change.
 
     python3 tools/pairs.py PARENT_DIR CHANGE_DIR --workload W --first-seed S
-                           [--pairs N] [--seconds T]
+                           [--pairs N]
 
 PARENT_DIR and CHANGE_DIR are two checkouts, such as two ``git archive``
 copies.  Pair k, for k = 1..N, runs
@@ -9,7 +9,7 @@ copies.  Pair k, for k = 1..N, runs
     python3 bench/run.py --workload W --seed S+k-1 --seconds T --trace 0
 
 in each checkout, each run in its own process: the parent first in odd
-pairs, the change first in even ones.  N defaults to 10 and T to
+pairs, the change first in even ones.  N defaults to 10; T is always
 BENCHMARK.json's run_seconds.  Use seeds that were not used while the change
 was written.
 
@@ -94,14 +94,13 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True,
                         help="the first pair's seed; pair k uses it plus k-1")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.workload not in {w["name"] for w in benchmark["workloads"]}:
         parser.error(f"unknown workload {args.workload!r}")
-    seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
-    if args.pairs < 1 or seconds <= 0:
-        parser.error("--pairs must be at least 1 and --seconds positive")
+    seconds = benchmark["run_seconds"]
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     for root in (args.parent, args.change):
         if not (root / "bench" / "run.py").is_file():
             parser.error(f"{root} has no bench/run.py")
