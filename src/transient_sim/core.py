@@ -358,7 +358,6 @@ class _Engine:
         self.fetch_active = True
         self.dispatch_ready = 0
         self.drain = None  # the op whose retirement dispatch waits for
-        self.last_retire = -1
         self.halted = False
         self.abort = None
         self.trace = Trace()
@@ -782,81 +781,22 @@ class _Engine:
             self.fetch_active = False
             self.dispatch_ready = _INF
 
-    def _retire(self) -> bool:
-        """Retire every oldest op that can go by this cycle, one per cycle,
-        up to the one that retires in this cycle: write its register, and its
-        store, predictor update, flush, switch or halt; _raise retires a
-        faulting op.  True when that ends the run."""
-        window, cycle, rename, state = self.window, self.cycle, self.rename, self.state
-        retired, full_trace = self.trace.retired_seqs, self.full_trace
-        last = self.last_retire
-        while window:
-            op = window[0]
-            when = op.retire_at
-            if when <= last:
-                when = last + 1
-            if when > cycle:
-                break
-            self.last_retire = last = when
-            window.popleft()
-            if op.is_store:
-                self.stores.popleft()
-            if op.is_load:
-                self.loads.popleft()
-            op.reads = op.prev = None  # keep no chain of retired ops alive
-            retired.add(op.seq)
-            if op.fault:
-                self._raise(op, when)  # which squashes everything younger
-                return self.abort is not None
-            if op is self.drain:  # a HALT leaves the gate shut: fetch is stopped
-                self.drain = None
-                if self.fetch_active:
-                    self.dispatch_ready = when + 1
-            kind, dst = op.kind, op.dst
-            if full_trace:
-                self.record((when, "retire", "#{} @{} {}", (op.seq, op.pc, self.decoded[op.pc][9])))
-            if dst is not None:
-                if dst == FLAGS:
-                    state.flags = op.value
-                else:
-                    state.regs[dst] = op.value
-                if rename.get(dst) is op:
-                    del rename[dst]
-            if kind <= K_LD:
-                pass  # ALU, MOVI and LD: the register write is all
-            elif op.is_store:
-                data = op.store_data_src
-                self.mem.cells[op.mem_addr] = data.value if data.__class__ is _Op else data
-                self.mem.fill(op.mem_addr)
-            elif kind == K_BGE:
-                state.pht.update(op.pc, op.value == 1)
-            elif kind == K_RET:
-                state.btb[op.pc] = op.actual_next
-            elif kind == K_FLUSH:
-                self.mem.invalidate_line(op.mem_addr)
-            elif kind == K_YIELD:
-                context_switch(state, self.profile)
-                if op.pc + 1 >= self.end:  # a trailing yield ends the context's turn
-                    self.halted = True
-                    state.pc = op.pc
-                    return True
-            elif kind == K_HALT:
-                self.halted = True
-                state.pc = op.pc
-                return True
-            if when == cycle:
-                break  # one op retires per cycle
-        return False
-
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Trace:
         """Visit each cycle at which something can happen: a control
         resolving, the oldest op retiring, a dispatch, or an op woken to
         issue.  Squashed and finished heap entries are dropped from the top
-        as they are met."""
+        as they are met.  Each cycle retires every oldest op that can go by
+        it, one per cycle, up to the one that retires in it: each writes its
+        register, and its store, predictor update, flush, switch or halt;
+        _raise retires a faulting op."""
         window, wakeups, resolutions = self.window, self.wakeups, self.resolutions
         heappop, max_cycles = heapq.heappop, self.max_cycles
+        popleft, stores, loads = window.popleft, self.stores, self.loads
+        rename, state, mem, full_trace = self.rename, self.state, self.mem, self.full_trace
+        retired = self.trace.retired_seqs.add
+        last_retire = -1  # the cycle of the latest retirement
         cycle = 0
         while True:
             self.cycle = cycle
@@ -865,8 +805,68 @@ class _Engine:
                 break
             if resolutions and resolutions[0][0] <= cycle:
                 self._resolve_controls()
-            if window and window[0].retire_at <= cycle and self._retire():
-                break
+            if window and window[0].retire_at <= cycle:
+                done = False  # whether a retirement ends the run
+                while window:
+                    op = window[0]
+                    when = op.retire_at
+                    if when <= last_retire:
+                        when = last_retire + 1
+                    if when > cycle:
+                        break
+                    last_retire = when
+                    popleft()
+                    if op.is_store:
+                        stores.popleft()
+                    if op.is_load:
+                        loads.popleft()
+                    op.reads = op.prev = None  # keep no chain of retired ops alive
+                    retired(op.seq)
+                    if op.fault:
+                        self._raise(op, when)  # which squashes everything younger
+                        done = self.abort is not None
+                        break
+                    if op is self.drain:  # a HALT leaves the gate shut: fetch is stopped
+                        self.drain = None
+                        if self.fetch_active:
+                            self.dispatch_ready = when + 1
+                    kind, dst = op.kind, op.dst
+                    if full_trace:
+                        self.record((when, "retire", "#{} @{} {}",
+                                     (op.seq, op.pc, self.decoded[op.pc][9])))
+                    if dst is not None:
+                        if dst == FLAGS:
+                            state.flags = op.value
+                        else:
+                            state.regs[dst] = op.value
+                        if rename.get(dst) is op:
+                            del rename[dst]
+                    if kind <= K_LD:
+                        pass  # ALU, MOVI and LD: the register write is all
+                    elif op.is_store:
+                        data = op.store_data_src
+                        mem.cells[op.mem_addr] = data.value if data.__class__ is _Op else data
+                        mem.fill(op.mem_addr)
+                    elif kind == K_BGE:
+                        state.pht.update(op.pc, op.value == 1)
+                    elif kind == K_RET:
+                        state.btb[op.pc] = op.actual_next
+                    elif kind == K_FLUSH:
+                        mem.invalidate_line(op.mem_addr)
+                    elif kind == K_YIELD:
+                        context_switch(state, self.profile)
+                        if op.pc + 1 >= self.end:  # a trailing yield ends the context's turn
+                            self.halted = done = True
+                            state.pc = op.pc
+                            break
+                    elif kind == K_HALT:
+                        self.halted = done = True
+                        state.pc = op.pc
+                        break
+                    if when == cycle:
+                        break  # one op retires per cycle
+                if done:
+                    break
             fresh = None  # the op just dispatched, when it is ready at once
             if self.dispatch_ready <= cycle:  # _INF while fetch waits
                 fresh = self._dispatch()

@@ -208,12 +208,11 @@ _REGS = {f"r{i}": Reg(i) for i in range(NUM_REGS)}
 _SYSREGS = {f"s{i}": SysReg(i) for i in range(NUM_SYSREGS)}
 
 _LABEL_DEF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):(.*)$")
-_MEM_RE = re.compile(
-    r"^\[\s*r(\d+)\s*(?:([+-])\s*(0x[0-9a-fA-F]+|\d+)\s*)?\]$"
-)
-_REG_RE = re.compile(r"^r(\d+)$")
-_SYSREG_RE = re.compile(r"^s(\d+)$")
-_IMM_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F]+|\d+)$")
+# ASCII digits only: \d and int() would also take other scripts' digits
+_MEM_RE = re.compile(r"^\[\s*r([0-9]+)\s*(?:([+-])\s*(0x[0-9a-fA-F]+|[0-9]+)\s*)?\]$")
+_REG_RE = re.compile(r"^r([0-9]+)$")
+_SYSREG_RE = re.compile(r"^s([0-9]+)$")
+_IMM_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F]+|[0-9]+)$")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 

@@ -930,7 +930,7 @@ class TestDecodeTable:
         assert {fn.name for fn in checked} >= {
             "predict_return", "pop", "__init__", "_redirect", "_squash_younger", "_dispatch",
             "_load_hazard", "_hold", "_issue", "_store_address_known", "_resolve_controls",
-            "_raise", "_retire", "run", "_flush_refusal", "check_access", "probe_level",
+            "_raise", "run", "_flush_refusal", "check_access", "probe_level",
             "latency_for", "fill", "_fill_lines", "_reload_drop_lines", "_probe", "flush_lines",
             "probe_and_flush_lines", "receiver_decode", "_window_admits", "sender_inject",
             "run_channel", "flush_reload",
@@ -1016,7 +1016,8 @@ class TestStallRule:
     def test_dispatch_gate_is_shut_exactly_while_fetch_waits(self, monkeypatch):
         # run tests dispatch_ready alone, so it must be _INF whenever fetch
         # is stopped or a drain op is in flight, and a real cycle otherwise;
-        # checked as each dispatch and each retirement call starts and ends
+        # checked as each dispatch, issue, control resolution, fault and run
+        # starts and ends, so also after the retirement that ends a run
         from collections import Counter
 
         from transient_sim import core
@@ -1030,14 +1031,14 @@ class TestStallRule:
             seen[shut, fetching, draining] += 1
 
         def checked(method):
-            def wrapper(self):
+            def wrapper(self, *args):
                 check(self, f"{method.__name__} entry")
-                result = method(self)
+                result = method(self, *args)
                 check(self, f"{method.__name__} exit")
                 return result
             return wrapper
 
-        for name in ("_dispatch", "_retire"):
+        for name in ("_dispatch", "_issue", "_resolve_controls", "_raise", "run"):
             monkeypatch.setattr(core._Engine, name, checked(getattr(core._Engine, name)))
         runs = list(_digest_runs(_STATE_PROGRAMS + (_FENCED_LOOP,)))
         assert len(runs) == len(PROFILES) * (len(_STATE_PROGRAMS) + 1)

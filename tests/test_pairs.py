@@ -26,21 +26,24 @@ def _output(seed, ops, rss=30.0, setup=0.035, correct=True, failed=0, digest=Non
             f"rounds 10 ops_per_round 905 host_ops_per_s 1000.00\n{json.dumps(result)}\n")
 
 
-def _fake_runner(calls, outputs):
+def _fake_runner(calls, outputs, seen=None):
     """A run_benchmark that reads canned output: outputs maps (side, seed)
-    to _output() keyword arguments, where side is the checkout's name."""
+    to _output() keyword arguments, where side is the checkout's name.  With
+    `seen`, it also records each checkout's lever.txt."""
     def run(workload, seed, seconds, trace=0, root=None):
         calls.append((root.name, seed, workload, seconds, trace))
+        if seen is not None:
+            seen.append((root.name, (root / "lever.txt").read_text()))
         return parse_run(_output(seed, **outputs[root.name, seed]))
     return run
 
 
-def _run(monkeypatch, tmp_path, outputs, argv=()):
+def _run(monkeypatch, tmp_path, outputs, argv=(), seen=None):
     for side in ("parent", "change"):
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text("")
     calls = []
-    monkeypatch.setattr(pairs, "run_benchmark", _fake_runner(calls, outputs))
+    monkeypatch.setattr(pairs, "run_benchmark", _fake_runner(calls, outputs, seen))
     code = pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "engine",
                        "--first-seed", "41", *argv])
     return code, calls
@@ -105,3 +108,64 @@ def test_the_run_length_is_always_the_benchmarks(monkeypatch, tmp_path):
     outputs = {(side, 41): {"ops": 4000.0} for side in ("parent", "change")}
     with pytest.raises(SystemExit):
         _run(monkeypatch, tmp_path, outputs, ["--pairs", "1", "--seconds", "5"])
+
+
+_LEVER = ("--- a/lever.txt\n+++ b/lever.txt\n@@ -1 +1 @@\n-without\n+with\n")
+
+
+def _run_with_variant(monkeypatch, tmp_path, outputs, argv=(), lever="with\n"):
+    """_run() with --variant: the change's lever.txt is `lever`, and the
+    patch turns "without" into "with".  Returns (exit code, calls, the
+    lever.txt each run saw)."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "lever.txt").write_text("without\n" if side == "parent" else lever)
+    (tmp_path / "lever.patch").write_text(_LEVER)
+    seen = []
+    code, calls = _run(monkeypatch, tmp_path, outputs,
+                       ["--variant", str(tmp_path / "lever.patch"), *argv], seen)
+    return code, calls, seen
+
+
+def test_a_variant_runs_between_the_pairs_sides_with_the_patch_reverted(
+        monkeypatch, tmp_path, capsys):
+    ops = {"parent": 4000.0, "change": 4400.0, "variant": 4200.0}
+    outputs = {(side, seed): {"ops": ops[side] + seed}
+               for side in ops for seed in range(41, 45)}
+    code, _, seen = _run_with_variant(monkeypatch, tmp_path, outputs, ["--pairs", "4"])
+    assert code == 0
+    # the change always runs second; the variant last in odd pairs
+    assert [side for side, _ in seen] == ["parent", "change", "variant",
+                                          "variant", "change", "parent"] * 2
+    assert {text for side, text in seen if side == "variant"} == {"without\n"}
+    assert {text for side, text in seen if side == "change"} == {"with\n"}
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("ops_per_kref") and "+9.89%, wins 4/4" in out[1]
+    assert out[4] == f"variant: the change with {tmp_path / 'lever.patch'} reverted"
+    assert out[5] == ("ops_per_kref (higher is better, bound 25%): "
+                      "variant 4242.5 (4241.25-4243.75) change 4442.5 (4441.25-4443.75) "
+                      "+4.71%, wins 4/4, gap/IQR +80.00")
+    assert out[6].startswith("setup_s") and out[7].startswith("peak_rss_mb")
+    assert len(out) == 8
+
+
+def test_a_variant_digest_or_failure_is_a_failure_of_its_own(monkeypatch, tmp_path, capsys):
+    outputs = {(side, seed): {"ops": 4000.0} for side in ("parent", "change", "variant")
+               for seed in (41, 42)}
+    outputs["variant", 42].update(digest="bf5dfbe7" * 8, failed=1)
+    outputs["change", 41].update(failed=1)
+    code, _, _ = _run_with_variant(monkeypatch, tmp_path, outputs, ["--pairs", "2"])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith(("FLAG", "FAIL"))] == [
+        "FAIL the change failed 1 operations, the parent 0",
+        "FAIL variant seed 42: digest bf5dfbe7... -> 00000000...",
+    ]
+
+
+def test_a_patch_that_does_not_revert_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    outputs = {(side, 41): {"ops": 4000.0} for side in ("parent", "change", "variant")}
+    with pytest.raises(SystemExit) as exc:
+        _run_with_variant(monkeypatch, tmp_path, outputs, ["--pairs", "1"], lever="other\n")
+    assert exc.value.code == 2
+    assert "does not revert" in capsys.readouterr().err

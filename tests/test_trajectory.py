@@ -120,3 +120,21 @@ def test_history_prints_every_file_in_ascending_n(tmp_path):
         "BENCH_10 c1ec76652d8b-dirty engine ops_per_kref=4172.05 peak_rss_mb=30.45 setup_s=0.07",
     ]
     assert trajectory.history(tmp_path / "empty") == []
+
+
+def test_setup_lines_set_setup_s_beside_the_hosts_reference_loop():
+    prev, cur = _entry(3500.0, 30.0), _entry(3500.0, 30.0)
+    prev["workloads"]["engine"]["metrics"]["setup_s"]["median"] = 0.04
+    cur["workloads"]["engine"]["metrics"]["setup_s"]["median"] = 0.07
+    # without traced runs, only the raw figures
+    assert trajectory.setup_lines(prev, cur) == ["SETUP engine setup_s: 0.04 -> 0.07 s (+75.0%)"]
+    prev["traced"] = {"engine": {"metrics": {"host.ref_loop_ms": 2.0}}}
+    cur["traced"] = {"engine": {"metrics": {"host.ref_loop_ms": 4.0}}}
+    assert trajectory.setup_lines(prev, cur) == [
+        "SETUP engine setup_s: 0.04 -> 0.07 s (+75.0%); host.ref_loop_ms x2.00; "
+        "setup_s / host.ref_loop_ms: 20 -> 17.5 reference loops (-12.5%)"]
+    # the raw medians still decide the FLAG
+    bounds = {"setup_s": (0.25, "lower")}
+    assert trajectory.compare(prev, cur, bounds)[1] == [
+        "engine setup_s: median 0.04 -> 0.07, worse by more than 25%"]
+    assert trajectory.setup_lines({"workloads": {}}, cur) == []

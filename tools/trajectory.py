@@ -38,7 +38,10 @@ a FLAG line for each median that is worse than the earlier one by more than
 BENCHMARK.json's bound for that metric.  Each layer figure both files have
 is printed on a LAYER line, each traced metric on a TRACE line, and the
 Tier-1 figures on a TIER1 line; none is flagged, since BENCHMARK.json gives
-them no bound.
+them no bound.  A SETUP line per workload sets its setup_s, which is raw
+host seconds and so moves with the host's speed, beside the two files'
+traced host.ref_loop_ms and setup_s in reference loops; the setup_s FLAG
+still reads the raw medians.
 
 With --history, nothing is run: for every BENCH_<n>.json at the root of the
 repository, in ascending n, one line per workload gives the file, its commit
@@ -172,6 +175,29 @@ def trace_lines(prev: dict, cur: dict) -> list:
                 old = before[name]
                 change = f" ({new / old - 1:+.1%})" if old else ""
                 lines.append(f"TRACE {workload} {name}: {old:.4g} -> {new:.4g}{change}")
+    return lines
+
+
+def setup_lines(prev: dict, cur: dict) -> list:
+    """A SETUP line for each workload both files have: the setup_s medians,
+    which are raw host seconds, and, where both files traced the workload,
+    the ratio of their host.ref_loop_ms and setup_s in reference loops
+    (setup_s over host.ref_loop_ms), which a slower host does not move."""
+    lines = []
+    for workload, entry in cur["workloads"].items():
+        before = prev["workloads"].get(workload, {}).get("metrics", {}).get("setup_s")
+        if before is None or "setup_s" not in entry["metrics"]:
+            continue
+        old, new = before["median"], entry["metrics"]["setup_s"]["median"]
+        line = f"SETUP {workload} setup_s: {old:.4g} -> {new:.4g} s ({new / old - 1:+.1%})"
+        ref_old, ref_new = (record.get("traced", {}).get(workload, {}).get("metrics", {})
+                            .get("host.ref_loop_ms") for record in (prev, cur))
+        if ref_old and ref_new:
+            loops_old, loops_new = 1000 * old / ref_old, 1000 * new / ref_new
+            line += (f"; host.ref_loop_ms x{ref_new / ref_old:.2f}; setup_s / host.ref_loop_ms: "
+                     f"{loops_old:.4g} -> {loops_new:.4g} reference loops "
+                     f"({loops_new / loops_old - 1:+.1%})")
+        lines.append(line)
     return lines
 
 
@@ -362,7 +388,7 @@ def main(argv=None) -> int:
             old = prev["layers"][name]["calls_per_kref"]["median"]
             new = figure["calls_per_kref"]["median"]
             print(f"LAYER {name}: {old:.4g} -> {new:.4g} calls_per_kref ({new / old - 1:+.1%})")
-    for line in trace_lines(prev, record):
+    for line in trace_lines(prev, record) + setup_lines(prev, record):
         print(line)
     before = prev.get("tier1")
     before = f"{before['tests']} tests in {before['wall_s']:.1f} s -> " if before else ""
