@@ -131,12 +131,12 @@ def main(argv=None) -> int:
         if not (root / "bench" / "run.py").is_file():
             parser.error(f"{root} has no bench/run.py")
 
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as tmp:
         sides = [("parent", args.parent), ("change", args.change)]
         if args.variant:
             try:
                 sides.append(("variant", variant_checkout(args.change, args.variant,
-                                                          Path(scratch))))
+                                                          Path(tmp))))
             except ValueError as exc:
                 parser.error(str(exc))
         results = run_pairs(sides, args.workload, args.first_seed, args.pairs, seconds)
