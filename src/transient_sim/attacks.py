@@ -74,15 +74,6 @@ class Scenario:
 
 
 @dataclass
-class ProbeResult:
-    latencies: tuple
-    hits: tuple
-
-    def single_hit(self) -> int | None:
-        return self.hits[0] if len(self.hits) == 1 else None
-
-
-@dataclass
 class AttackOutcome:
     variant: str
     profile: str
@@ -106,18 +97,15 @@ class AttackOutcome:
         }
 
 
-def flush_reload(mem: MemorySystem, victim, flush_is_privileged: bool) -> ProbeResult:
+def flush_reload(mem: MemorySystem, victim, flush_is_privileged: bool) -> list[int]:
     """Three-phase user-mode probe of the oracle: flush every oracle line, run
-    the victim step, then time a reload of each line.  Hit means the measured
-    latency is below the latencies' hit threshold.  When flushes are
+    the victim step, then time a reload of each line; returns the reload
+    latencies, which Latencies.single_hit decodes.  When flushes are
     privileged the flush raises PrivilegedFlushError and the victim never
     runs."""
     mem.flush_lines(ORACLE_BASE, ORACLE_LINES, _USER, flush_is_privileged)
     victim()
-    latencies = mem.probe_lines(ORACLE_BASE, ORACLE_LINES, _USER)
-    threshold = mem.lat.hit_threshold
-    hits = tuple(i for i, elapsed in enumerate(latencies) if elapsed < threshold)
-    return ProbeResult(tuple(latencies), hits)
+    return mem.probe_lines(ORACLE_BASE, ORACLE_LINES, _USER)
 
 
 # -- victim programs -----------------------------------------------------------
@@ -233,9 +221,9 @@ def _outcome(
     expected: tuple | bytes,
     probes: list,
 ) -> AttackOutcome:
-    """One recovered value per probe; the last probe's latencies are kept."""
+    """One recovered value per probe's latencies; the last probe's are kept."""
     expected = tuple(expected)
-    recovered = tuple(probe.single_hit() for probe in probes)
+    recovered = tuple(map(profile.latencies.single_hit, probes))
     return AttackOutcome(
         variant=variant,
         profile=profile.name,
@@ -243,7 +231,7 @@ def _outcome(
         success=recovered == expected,
         recovered=recovered,
         expected=expected,
-        probe_latencies=probes[-1].latencies if probes else (),
+        probe_latencies=tuple(probes[-1]) if probes else (),
     )
 
 
@@ -260,16 +248,16 @@ def _run_from(st: MachineState, profile: CpuProfile, prog: Program, regs: dict,
     return run(prog, st, profile)
 
 
-def _attack_probe(st: MachineState, profile: CpuProfile, prog: Program, regs: dict) -> ProbeResult:
-    """Flush+Reload around one victim run of prog from pc 0.  The attacker's
-    probe always runs user-mode, whatever privilege the victim holds.  With
-    flushes restricted to privileged code the probe cannot set up, so the
-    attack comes back empty-handed."""
+def _attack_probe(st: MachineState, profile: CpuProfile, prog: Program, regs: dict) -> list:
+    """Flush+Reload's latencies around one victim run of prog from pc 0.  The
+    attacker's probe always runs user-mode, whatever privilege the victim
+    holds.  With flushes restricted to privileged code the probe cannot set
+    up, so the attack comes back empty-handed: no latencies, no hit."""
     try:
         return flush_reload(st.mem, lambda: _run_from(st, profile, prog, regs),
                             profile.mitigations.privileged_flush)
     except PrivilegedFlushError:
-        return ProbeResult((), ())
+        return []
 
 
 def _plant(st: MachineState, base: int, secret: bytes) -> list:
@@ -455,6 +443,26 @@ def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     return _outcome("RSB", profile, None, (secret,), [probe])
 
 
+# variant -> its runner as (profile, scenario, secret, seed); the variants
+# without a scenario ignore it, and v3a, which reads a system register, the secret
+_RUNNERS = {
+    "v1": run_spectre_v1,
+    "v3": lambda profile, _scenario, secret, seed: run_meltdown_v3(profile, secret, seed),
+    "v3a": lambda profile, _scenario, _secret, seed: run_meltdown_v3a(profile, seed),
+    "v4": lambda profile, _scenario, secret, seed: run_spectre_v4(profile, secret, seed),
+    "rsb": run_spectre_rsb,
+}
+VARIANTS = tuple(_RUNNERS)
+
+
+def run_attack(variant: str, profile, scenario: Scenario = Scenario(),
+               secret: bytes = DEFAULT_SECRET, seed: int = DEFAULT_SEED) -> AttackOutcome:
+    """One attack variant of VARIANTS, by its command-line name."""
+    if variant not in _RUNNERS:
+        raise ValueError(f"unknown attack variant {variant!r}; expected one of {VARIANTS}")
+    return _RUNNERS[variant](profile, scenario, secret, seed)
+
+
 # -- the susceptibility matrix ---------------------------------------------------
 
 MATRIX_PROFILES = ("cortex_a53", "cortex_a8", "cortex_a9", "cortex_a72", "intel_i7")
@@ -475,23 +483,20 @@ EXPECTED_SUSCEPTIBILITY = {
 
 MATRIX_CELLS = tuple(EXPECTED_SUSCEPTIBILITY)
 
-
-def _run_cell(cell: str, profile, secret: bytes, seed: int) -> AttackOutcome:
-    location = SecretLocation.L1 if cell.endswith("-l1") else SecretLocation.MAIN_MEMORY
-    if cell == "spec-load":
-        return run_spectre_v1(profile, Scenario(WindowTrigger.SPECULATIVE_LOAD), secret, seed)
-    if cell.startswith("v1-"):
-        trigger = WindowTrigger.CACHE_MISS if "cache-miss" in cell else WindowTrigger.PAGE_FAULT
-        return run_spectre_v1(profile, Scenario(trigger, location), secret, seed)
-    if cell.startswith("rsb-"):
-        return run_spectre_rsb(profile, Scenario(WindowTrigger.CACHE_MISS, location), secret, seed)
-    if cell == "v3":
-        return run_meltdown_v3(profile, secret, seed)
-    if cell == "v3a":
-        return run_meltdown_v3a(profile, seed)
-    if cell == "v4":
-        return run_spectre_v4(profile, secret, seed)
-    raise ValueError(f"unknown matrix cell {cell!r}")
+_L1, _MEM = SecretLocation.L1, SecretLocation.MAIN_MEMORY
+# each grid cell's (variant, scenario) for run_attack
+_CELLS = {
+    "spec-load": ("v1", Scenario(WindowTrigger.SPECULATIVE_LOAD)),
+    "v1-cache-miss-l1": ("v1", Scenario(WindowTrigger.CACHE_MISS, _L1)),
+    "v1-cache-miss-mem": ("v1", Scenario(WindowTrigger.CACHE_MISS, _MEM)),
+    "v1-page-fault-l1": ("v1", Scenario(WindowTrigger.PAGE_FAULT, _L1)),
+    "v1-page-fault-mem": ("v1", Scenario(WindowTrigger.PAGE_FAULT, _MEM)),
+    "rsb-l1": ("rsb", Scenario(WindowTrigger.CACHE_MISS, _L1)),
+    "rsb-mem": ("rsb", Scenario(WindowTrigger.CACHE_MISS, _MEM)),
+    "v3": ("v3", Scenario()),
+    "v3a": ("v3a", Scenario()),
+    "v4": ("v4", Scenario()),
+}
 
 
 def run_matrix(
@@ -505,10 +510,13 @@ def run_matrix(
     results are keyed by cell, then profile name."""
     results: dict = {}
     for cell in cells:
+        if cell not in _CELLS:
+            raise ValueError(f"unknown matrix cell {cell!r}")
+        variant, scenario = _CELLS[cell]
         results[cell] = {}
         for prof in profiles:
             prof = _resolve_profile(prof)
-            results[cell][prof.name] = _run_cell(cell, prof, secret, seed)
+            results[cell][prof.name] = run_attack(variant, prof, scenario, secret, seed)
     return results
 
 

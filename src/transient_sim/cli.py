@@ -11,22 +11,12 @@ import argparse
 import contextlib
 import sys
 
-from .attacks import (
-    DEFAULT_SECRET,
-    MATRIX_PROFILES,
-    run_matrix,
-    run_meltdown_v3,
-    run_meltdown_v3a,
-    run_spectre_rsb,
-    run_spectre_v1,
-    run_spectre_v4,
-)
+from .attacks import DEFAULT_SECRET, MATRIX_PROFILES, VARIANTS, run_attack, run_matrix
 from .config import (
     ConfigError,
     OUTPUT_FORMATS,
     SCENARIOS,
     SECRET_LOCS,
-    VARIANTS,
     experiment_config,
     mitigation_set,
 )
@@ -94,21 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_flags(spec: str) -> dict:
-    """`a,b=3` -> {"a": True, "b": "3"}; config.mitigation_set does the rest."""
-    values: dict = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" in part:
-            key, _, raw = part.partition("=")
-            values[key.strip()] = raw
-        else:
-            values[part] = True
-    return values
-
-
 def _cmd_profiles(_args) -> int:
     width = max(len(n) for n in PROFILES)
     for name, prof in PROFILES.items():
@@ -121,19 +96,8 @@ def _cmd_profiles(_args) -> int:
 
 def _cmd_attack(args) -> int:
     cfg = experiment_config("attack", args.config, vars(args))
-    profile = cfg.resolved_profile()
-    secret = cfg.secret_bytes() or DEFAULT_SECRET
-    scenario = cfg.attack_scenario()
-    if cfg.variant == "v1":
-        outcome = run_spectre_v1(profile, scenario, secret, cfg.seed)
-    elif cfg.variant == "rsb":
-        outcome = run_spectre_rsb(profile, scenario, secret, cfg.seed)
-    elif cfg.variant == "v3":
-        outcome = run_meltdown_v3(profile, secret, cfg.seed)
-    elif cfg.variant == "v3a":
-        outcome = run_meltdown_v3a(profile, cfg.seed)
-    else:
-        outcome = run_spectre_v4(profile, secret, cfg.seed)
+    outcome = run_attack(cfg.variant, cfg.resolved_profile(), cfg.attack_scenario(),
+                         cfg.secret_bytes() or DEFAULT_SECRET, cfg.seed)
     sys.stdout.write(emit_report(outcome, cfg.output))
     return 0 if outcome.success else 1
 
@@ -181,7 +145,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_mitigate(args) -> int:
     cfg = experiment_config("mitigation-demo", args.config, vars(args))
     # --flags adds to the config's own mitigations
-    flags = mitigation_set(cfg.mitigations, _split_flags(args.flags))
+    flags = mitigation_set(cfg.mitigations, args.flags)
     base_profile = cfg.resolved_profile()
     profile = base_profile.with_overrides(mitigations=flags)
 

@@ -20,7 +20,7 @@ import typing
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .attacks import RSB_PAGE_FAULT_UNDEFINED, Scenario, SecretLocation, WindowTrigger
+from .attacks import RSB_PAGE_FAULT_UNDEFINED, VARIANTS, Scenario, SecretLocation, WindowTrigger
 from .core import DEFAULT_SEED
 from .covert import ChannelConfig
 from .memory import Latencies
@@ -30,7 +30,6 @@ from .profiles import CpuProfile, get_profile
 SEED_ENV_VAR = "TRANSIENT_SIM_SEED"
 
 EXPERIMENT_KINDS = ("attack", "covert", "sweep", "matrix", "mitigation-demo")
-VARIANTS = ("v1", "v3", "v3a", "v4", "rsb")
 OUTPUT_FORMATS = ("json", "csv", "table")
 
 _WINDOW_TRIGGERS = {
@@ -241,13 +240,19 @@ def _apply_profile_overrides(prof: CpuProfile, overrides: dict) -> CpuProfile:
         raise ConfigError(str(exc)) from None
 
 
-def mitigation_set(flags: dict, command_line: dict | None = None) -> MitigationSet:
-    """The one place a MitigationSet is made, for config files and --flags alike.
-    `command_line` holds --flags as cli._split_flags gives them, on top of
-    the config's `flags`: there a string (from `name=value`) must be an
-    integer.  Then each value must have its flag's type, so a boolean flag
-    takes only true or false (a bare `name` on the command line)."""
-    command_line = command_line or {}
+def mitigation_set(flags: dict, spec: str = "") -> MitigationSet:
+    """The one place a MitigationSet is made, for config files and --flags
+    alike.  `spec` is the text of --flags, on top of the config's `flags`:
+    comma-separated parts, each a bare `name`, which sets the flag to true,
+    or `name=value`, whose value must be an integer; empty parts are
+    skipped.  Then each value must have its flag's type, so a boolean flag
+    takes only true or false."""
+    command_line: dict = {}
+    for part in spec.split(","):
+        part = part.strip()
+        if part:
+            key, eq, raw = part.partition("=")
+            command_line[key.strip()] = raw if eq else True
     unknown = (set(flags) | set(command_line)) - set(_MITIGATION_TYPES)
     if unknown:
         raise ConfigError(f"unknown mitigation flags: {sorted(unknown)}")

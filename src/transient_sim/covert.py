@@ -33,7 +33,7 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 
-from .core import MachineState, context_switch, make_machine, predict_return
+from .core import DEFAULT_SEED, MachineState, context_switch, make_machine, predict_return
 from .memory import Privilege, PrivilegedFlushError
 from .profiles import CpuProfile, SquashPolicy
 
@@ -237,14 +237,13 @@ def receiver_decode(
     addresses, in which case the predicted target executes no gadget and
     every symbol erases.
 
-    Returns `(symbol, latencies)`: the decoded symbol, or None for an
-    erasure (not exactly one hit), and the measured reload latency of each
-    probe line.  Raises PrivilegedFlushError when the flush instruction is
+    Returns `(symbol, latencies)`: the symbol Latencies.single_hit decodes,
+    or None for an erasure (not exactly one hit), and the measured reload
+    latency of each probe line.  Raises PrivilegedFlushError when the flush instruction is
     privileged on this profile, since the receiver runs in user mode.
     """
     mem = state.mem
     lines = 1 << config.bits_per_cs
-    threshold = mem.lat.hit_threshold
 
     predicted = predict_return(state, profile, RECEIVER_RET_PC)
     if (
@@ -263,15 +262,14 @@ def receiver_decode(
         _USER,
         flush_is_privileged=profile.mitigations.privileged_flush,
     )
-    hits = [i for i, latency in enumerate(latencies) if latency < threshold]
-    return (hits[0] if len(hits) == 1 else None), latencies
+    return mem.lat.single_hit(latencies), latencies
 
 
 def run_channel(
     profile: CpuProfile,
     config: ChannelConfig = ChannelConfig(),
     message: bytes = DEFAULT_MESSAGE,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     gadget_base: int = GADGET_BASE,
     record_latencies: bool = False,
 ) -> ChannelReport:
@@ -341,7 +339,7 @@ def run_channel(
 def sweep_bits(
     profile: CpuProfile,
     message: bytes = DEFAULT_MESSAGE,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     config: ChannelConfig = ChannelConfig(),
 ) -> list[ChannelReport]:
     """Run the channel once per symbol width b in [1, 6]; every other

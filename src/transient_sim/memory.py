@@ -18,6 +18,9 @@ PAGE_SIZE = 4096
 # Region used by sweep_evict, far away from anything experiments allocate.
 SWEEP_BASE = 0x100_0000
 
+# The seed of every experiment given none; core and mitigations both read it
+DEFAULT_SEED = 7
+
 
 class Privilege(Enum):
     USER = "user"
@@ -153,6 +156,13 @@ class Latencies:
     def hit_threshold(self) -> int:
         """Flush+Reload's hit/miss line: a timed reload below it is a hit."""
         return (self.l1_hit + self.dram) // 2
+
+    def single_hit(self, latencies) -> int | None:
+        """Flush+Reload's decode: the index of the one timed reload below
+        hit_threshold, or None when no reload or more than one is a hit."""
+        threshold = self.hit_threshold
+        hits = [i for i, elapsed in enumerate(latencies) if elapsed < threshold]
+        return hits[0] if len(hits) == 1 else None
 
 
 @dataclass
@@ -467,14 +477,6 @@ class EvictionParams:
     accesses: int
 
 
-@dataclass
-class EvictionAccess:
-    iteration: int
-    access_index: int
-    address: int
-    level: str
-
-
 class EvictionRegionError(ValueError):
     """The candidate buffer is too small for the requested pattern."""
 
@@ -496,9 +498,10 @@ def evict_with_pattern(
 ) -> list:
     """Run the sliding-window eviction loop against `target`'s cache set.
 
-    Accesses candidate lines congruent with the target; returns the access
-    trace.  Whether the pattern actually evicts depends on the parameters and
-    the geometry; callers verify with probe_level or fall back to sweep_evict.
+    Accesses candidate lines congruent with the target through access, and
+    returns their addresses in the order touched.  Whether the pattern
+    actually evicts depends on the parameters and the geometry; callers
+    verify with probe_level or fall back to sweep_evict.
     """
     start, span = _congruent_base(mem, base, target)
     max_index = 0
@@ -509,15 +512,11 @@ def evict_with_pattern(
         raise EvictionRegionError(
             f"pattern needs {needed} bytes of candidate region, only {region_size} available"
         )
-    trace = []
-    seq = 0
-    for i in range(params.loops):
-        for j in range(params.accesses):
-            addr = start + (i * params.shift + j) * span
-            result = mem.access(addr, privilege)
-            trace.append(EvictionAccess(i, seq, addr, result.level.value))
-            seq += 1
-    return trace
+    touched = [start + (i * params.shift + j) * span
+               for i in range(params.loops) for j in range(params.accesses)]
+    for addr in touched:
+        mem.access(addr, privilege)
+    return touched
 
 
 def sweep_evict(
@@ -541,9 +540,3 @@ def sweep_evict(
         mem.access(base + k * LINE_SIZE, privilege)
     return lines
 
-
-def eviction_trace_to_csv(trace: list) -> str:
-    rows = ["iteration,access_index,address,level"]
-    for acc in trace:
-        rows.append(f"{acc.iteration},{acc.access_index},{acc.address:#x},{acc.level}")
-    return "\n".join(rows) + "\n"

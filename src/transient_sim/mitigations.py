@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .memory import DEFAULT_SEED
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import AttackOutcome
@@ -41,7 +42,7 @@ def pmu_noise_effect(
     profile: "CpuProfile",
     amplitude: int,
     trials: int = 1000,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
 ) -> float:
     """Fraction of correct hit/miss classifications under noisy cycle reads.
 
@@ -72,7 +73,7 @@ def pmu_noise_effect(
     return correct / trials
 
 
-def demo_refill_bypass(profile: "CpuProfile", seed: int = 7) -> "AttackOutcome":
+def demo_refill_bypass(profile: "CpuProfile", seed: int = DEFAULT_SEED) -> "AttackOutcome":
     """Drain a refilled RSB and show whether BTB fallback reopens the channel.
 
     The profile must carry rsb_refill_on_cs.  An attacker context first runs a

@@ -13,12 +13,14 @@ from transient_sim.attacks import (
     DEFAULT_SECRET,
     MATRIX_PROFILES,
     SYSREG_TEST_VALUE,
+    VARIANTS,
     AttackOutcome,
     Scenario,
     SecretLocation,
     WindowTrigger,
     matrix_mismatches,
     matrix_susceptibility,
+    run_attack,
     run_matrix,
     run_meltdown_v3,
     run_meltdown_v3a,
@@ -159,6 +161,33 @@ def test_matrix_accepts_custom_secret():
         outcome = results[cell]["intel_i7"]
         assert outcome.success
         assert outcome.recovered == tuple(secret)
+
+
+# each variant's direct runner, given a scenario and a secret that are not the
+# defaults, for the variants that take them
+_MEM_MISS = Scenario(WindowTrigger.CACHE_MISS, SecretLocation.MAIN_MEMORY)
+_DIRECT = {
+    "v1": lambda secret, seed: run_spectre_v1(I7, _MEM_MISS, secret, seed),
+    "v3": lambda secret, seed: run_meltdown_v3(I7, secret, seed),
+    "v3a": lambda secret, seed: run_meltdown_v3a(I7, seed),
+    "v4": lambda secret, seed: run_spectre_v4(I7, secret, seed),
+    "rsb": lambda secret, seed: run_spectre_rsb(I7, _MEM_MISS, secret, seed),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_attack_is_the_variants_runner(variant):
+    secret, seed = bytes((9, 200)), 3
+    got = run_attack(variant, I7, _MEM_MISS, secret, seed)
+    assert got.to_dict() == _DIRECT[variant](secret, seed).to_dict()
+
+
+def test_unknown_variant_and_cell_raise():
+    with pytest.raises(ValueError, match="unknown attack variant 'v2'"):
+        run_attack("v2", I7)
+    # a name shaped like a V1 cell is no cell either
+    with pytest.raises(ValueError, match="unknown matrix cell 'v1-cache-hit-l1'"):
+        run_matrix(profiles=(I7,), cells=("v1-cache-hit-l1",))
 
 
 def test_matrix_is_deterministic():

@@ -12,7 +12,9 @@ from transient_sim.config import (
     config_from_dict,
     default_seed,
     experiment_config,
+    mitigation_set,
 )
+from transient_sim.mitigations import MitigationSet
 from transient_sim.profiles import CpuProfile, get_profile
 
 
@@ -101,8 +103,7 @@ class TestExitCodes:
         def must_not_run(*args, **kwargs):
             raise AssertionError("an experiment ran on bad input")
 
-        for name in ("run_channel", "sweep_bits", "run_matrix", "run_spectre_rsb",
-                     "run_spectre_v1", "run_meltdown_v3"):
+        for name in ("run_channel", "sweep_bits", "run_matrix", "run_attack"):
             monkeypatch.setattr(cli, name, must_not_run)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -118,6 +119,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_matrix", broken)
         with pytest.raises(ValueError, match="engine bug"):
             main(["matrix"])
+
+    def test_unknown_variant_rejected_by_parser_with_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--variant", "v2"])
+        assert exc.value.code == 2
+        assert ("argument --variant: invalid choice: 'v2' "
+                "(choose from 'v1', 'v3', 'v3a', 'v4', 'rsb')") in capsys.readouterr().err
 
     def test_unknown_profile_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -278,6 +286,30 @@ class TestMitigateCommand:
         code, _, err = run_cli(capsys, "mitigate", "--flags", "magic_shield")
         assert code == 2
         assert "error:" in err
+
+
+class TestMitigationSet:
+    def test_flags_text_skips_empty_parts_and_strips_names(self):
+        assert mitigation_set({}, "") == mitigation_set({}, " , ,") == MitigationSet()
+        assert mitigation_set({"btb_fallback_disabled": True}, " privileged_flush ,,") == (
+            MitigationSet(privileged_flush=True, btb_fallback_disabled=True))
+        assert mitigation_set({}, "pmu_noise_amplitude = 3") == MitigationSet(pmu_noise_amplitude=3)
+
+    def test_a_value_must_be_an_integer_of_the_flags_type(self):
+        with pytest.raises(ConfigError, match="flag 'pmu_noise_amplitude' needs an integer "
+                                              "value, got 'x'"):
+            mitigation_set({}, "pmu_noise_amplitude=x")
+        with pytest.raises(ConfigError, match="mitigation flag privileged_flush must be bool, "
+                                              "got 0"):
+            mitigation_set({}, "privileged_flush=0")
+        with pytest.raises(ConfigError, match=r"unknown mitigation flags: \[''\]"):
+            mitigation_set({}, "=3")
+
+    def test_an_unknown_flag_is_reported_before_a_bad_integer(self):
+        with pytest.raises(ConfigError, match=r"unknown mitigation flags: \['magic'\]"):
+            mitigation_set({}, "pmu_noise_amplitude=x,magic")
+        with pytest.raises(ConfigError, match=r"unknown mitigation flags: \['magic'\]"):
+            mitigation_set({"magic": True}, "pmu_noise_amplitude=x")
 
 
 class TestConfigFiles:

@@ -13,6 +13,7 @@ import random
 
 from transient_sim.attacks import run_matrix
 from transient_sim.config import _apply_profile_overrides
+from transient_sim.covert import ChannelConfig, run_channel
 from transient_sim.mitigations import MitigationSet, apply_mitigations
 from transient_sim.profiles import (
     PROFILES, RSB_MAX, RSB_MIN, ExceptionPolicy, PipelineKind, RsbUnderflow, SquashPolicy,
@@ -120,3 +121,38 @@ def test_mitigations_never_open_a_leak():
 
     _check_law("a mitigation opening a leak", _profiles(2502, 12), fails)
     assert sum(opened) >= 6, opened  # the unmitigated rows leak somewhere
+
+
+def _rsb_leaks(profile) -> bool:
+    return run_matrix([profile], cells=("rsb-l1",))["rsb-l1"][profile.name].success
+
+
+def _channel_clean(profile) -> bool:
+    """A b=3 transfer of b"HI" that is not aborted and has no erasure and no
+    wrong symbol."""
+    report = run_channel(profile, ChannelConfig(bits_per_cs=3), b"HI")
+    return not report.aborted and report.erasures == 0 and report.symbol_errors == 0
+
+
+def test_the_grids_rsb_cell_implies_a_clean_channel():
+    # only this direction: the channel's gadget is shorter than the grid's,
+    # so at the window's margin the channel opens first
+    leaked = []
+
+    def fails(core, overrides):
+        profile = _apply_profile_overrides(PROFILES[core], overrides)
+        leaked.append(_rsb_leaks(profile))
+        return leaked[-1] and not _channel_clean(profile)
+
+    _check_law("rsb-l1 leaking without a clean channel", _profiles(2601, 60), fails)
+    assert sum(leaked) >= 15, leaked  # the law is not met by rows that never leak
+
+
+def test_the_channel_opens_before_the_grid_at_the_window_margin():
+    # On a core that cancels in-flight fills, the channel's 2-op gadget lands
+    # its fill from a return resolution delay of 2; the grid's rsb-l1 gadget,
+    # a 4-op chain that starts with a load, only from 7.
+    for extra in range(0, 9):
+        profile = _apply_profile_overrides(PROFILES["cortex_a72"], {
+            "squash_policy": "cancel-inflight-fills", "return_resolve_extra": extra})
+        assert (_channel_clean(profile), _rsb_leaks(profile)) == (extra >= 2, extra >= 7), extra

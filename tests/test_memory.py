@@ -20,7 +20,6 @@ from transient_sim.memory import (
     PrivilegeFault,
     PrivilegedFlushError,
     evict_with_pattern,
-    eviction_trace_to_csv,
     sweep_evict,
 )
 from transient_sim.profiles import PROFILES, get_profile
@@ -276,6 +275,17 @@ _TWIN_CASES = pytest.mark.parametrize(
 )
 
 
+def test_single_hit_decodes_exactly_one_reload_below_the_threshold():
+    lat = Latencies()
+    threshold = lat.hit_threshold
+    assert lat.single_hit([threshold + 1, lat.dram]) is None  # no hit
+    assert lat.single_hit([lat.dram, lat.l1_hit, lat.dram]) == 1
+    assert lat.single_hit([lat.l1_hit, threshold - 1]) is None  # two hits
+    assert lat.single_hit([threshold, threshold - 1]) == 1  # the threshold itself misses
+    assert lat.single_hit([threshold]) is None
+    assert lat.single_hit([]) is None
+
+
 class TestFlushReloadPrimitive:
     """probe_lines/flush_lines against the per-line public path they replace,
     from seeded random cache states over seeded random line ranges."""
@@ -520,11 +530,11 @@ class TestEviction:
         mem = MemorySystem(l1=prof.l1, l2=prof.l2)
         target = 0x5000
         span = max(mem.l1.geometry.span_bytes, mem.l2.geometry.span_bytes)
-        trace = evict_with_pattern(
+        touched = evict_with_pattern(
             mem, 0x10_0000, 8 << 20, prof.eviction_params, target
         )
-        assert trace, "pattern produced no accesses"
-        assert all(acc.address % span == target % span for acc in trace)
+        assert touched, "pattern produced no accesses"
+        assert all(addr % span == target % span for addr in touched)
 
     def test_region_too_small_raises(self):
         prof = get_profile("cortex_a72")
@@ -536,16 +546,6 @@ class TestEviction:
         mem = MemorySystem(l1=CacheGeometry(4, 2), l2=CacheGeometry(16, 4))
         with pytest.raises(ValueError, match="3x L2 capacity"):
             sweep_evict(mem, 2 * mem.l2.geometry.capacity_bytes)
-
-    def test_trace_csv_headed_and_row_per_access(self):
-        prof = get_profile("cortex_a9")
-        mem = MemorySystem(l1=prof.l1, l2=prof.l2)
-        trace = evict_with_pattern(
-            mem, 0x10_0000, 8 << 20, EvictionParams(2, 1, 3), 0x5000
-        )
-        lines = eviction_trace_to_csv(trace).splitlines()
-        assert lines[0] == "iteration,access_index,address,level"
-        assert len(lines) == 1 + 2 * 3
 
 
 def test_every_profile_geometry_is_valid():

@@ -1,6 +1,7 @@
 """README's table of modeled cores, its library example and the code names it
 cites against the code."""
 
+import ast
 import re
 from pathlib import Path
 from types import ModuleType
@@ -85,17 +86,67 @@ def _resolve(dotted: str):
     return obj
 
 
-def test_cited_code_names_exist():
-    text = README.read_text(encoding="utf-8")
-    names = {
+# A backticked name without a dot, such as `_raise` or `retire_at`.
+_BARE_NAME = re.compile(r"`([A-Za-z_]\w*)(?:\(\))?`")
+# Backticked words that name no code: the bundled cores, CLI commands and
+# values, the seed's environment variable, trace event kinds, register
+# tokens and a builtin.
+_VOCABULARY = {
+    *PROFILES, "attack", "covert", "matrix", "pagefault", "TRANSIENT_SIM_SEED",
+    "fetch", "execute", "retire", "squash", "r0", "r01", "r15", "r16", "s0", "s15", "int",
+}
+
+
+def _defined_names() -> set:
+    """Every name the package's source defines at module level, in a class
+    body (dataclass fields and __slots__ entries too) or as a self.
+    attribute."""
+    names = set()
+    for path in Path(transient_sim.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for statement in [*tree.body, *(s for cls in classes for s in cls.body)]:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names.add(statement.name)
+            if isinstance(statement, ast.Assign):
+                targets = statement.targets
+            else:
+                targets = [statement.target] if isinstance(statement, ast.AnnAssign) else []
+            for target in targets:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+                if isinstance(target, ast.Name) and target.id == "__slots__":
+                    names |= {c.value for c in ast.walk(statement.value)
+                              if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return names
+
+
+def _missing_names(text: str) -> list:
+    """The code names `text` cites that the package does not define."""
+    dotted = {
         name for name in _CODE_NAME.findall(text) if name.rsplit(".", 1)[1] not in _FILE_SUFFIXES
     }
-    assert {"MemorySystem.probe_and_flush_lines", "covert.receiver_decode",
-            "Latencies.hit_threshold"} <= names
     missing = []
-    for name in sorted(names):
+    for name in sorted(dotted):
         try:
             _resolve(name)
         except (AttributeError, StopIteration):
             missing.append(name)
-    assert missing == []
+    return missing + sorted(set(_BARE_NAME.findall(text)) - _defined_names() - _VOCABULARY)
+
+
+def test_cited_code_names_exist():
+    text = README.read_text(encoding="utf-8")
+    assert {"MemorySystem.probe_and_flush_lines", "covert.receiver_decode",
+            "Latencies.hit_threshold"} <= set(_CODE_NAME.findall(text))
+    assert {"_raise", "retire_at", "dispatch_ready", "benign_return_pc"} <= set(
+        _BARE_NAME.findall(text))
+    assert _missing_names(text) == []
+
+
+def test_a_deleted_name_fails_the_check():
+    line = "A faulting op is retired by `_retire`, and `_raise` squashes the rest."
+    assert _missing_names(line) == ["_retire"]
+    assert _missing_names("`Rsb.pop` and `Rsb.drop`") == ["Rsb.drop"]
