@@ -269,9 +269,10 @@ class Trace:
 
 
 class _Op:
-    """One in-flight instruction.  _dispatch makes it with _new_op, not a
-    call of the class, and sets every slot read before _issue writes it:
-    _issue sets value and complete, actual_next and fill_complete."""
+    """One in-flight instruction.  The dispatch step of _Engine.run makes it
+    with _new_op, not a call of the class, and sets every slot read before
+    _issue writes it: _issue sets value and complete, actual_next and
+    fill_complete."""
 
     __slots__ = (
         # from the decoded entry; arg is what issue reads beside the sources
@@ -290,8 +291,8 @@ class _Op:
     )
 
 
-# an empty _Op for _dispatch to fill in: calling a class whose __init__ is
-# Python code costs about twice as much
+# an empty _Op for run's dispatch step to fill in: calling a class whose
+# __init__ is Python code costs about twice as much
 _new_op = object.__new__
 
 
@@ -325,7 +326,6 @@ class _Engine:
         self.max_cycles = max_cycles
         self.mem = state.mem
         # the profile's and the context's facts, resolved once for the whole run
-        self.in_order = profile.pipeline is _IN_ORDER
         self.keep_inflight = profile.squash_policy is _KEEP_INFLIGHT_FILLS
         self.forward_value = profile.exception_policy is _DEFERRED_FORWARD_VALUE
         self.user = state.privilege is _USER
@@ -361,7 +361,6 @@ class _Engine:
         self.trace = Trace()
         self.record = self.trace.events.append  # takes (cycle, kind, template, args)
         self.full_trace = full_trace  # also record each op's fetch, execute and retire
-        self.end = len(program)
         self.decoded = program.decoded  # pc -> isa._decode(instruction)
 
     # -- helpers -------------------------------------------------------------
@@ -406,122 +405,6 @@ class _Engine:
             cycle, "squash", "{} @{}: dropped {} ops, persisted transient lines {}",
             (reason, pc, len(doomed), sorted(persisted)),
         ))
-
-    # -- dispatch ------------------------------------------------------------
-
-    def _dispatch(self) -> _Op | None:
-        """Fetch the op at fetch_pc and register it with the producers it
-        waits on.  It is woken once, at its ready cycle, when the last of its
-        register sources has issued; a store is also woken when its data
-        becomes ready.  An op whose sources are ready in this cycle gets no
-        wakeup: it is returned, for run to issue at the end of this cycle's
-        pass."""
-        pc = self.fetch_pc
-        if pc >= self.end or pc < 0:
-            # fetch stalls: a wrong path is redirected when its control
-            # resolves, and an architectural run-off drains the window and
-            # ends the run without HALT
-            self.fetch_active = False
-            self.dispatch_ready = _INF
-            return None
-        cycle, seq, rename = self.cycle, self.seq, self.rename
-        decoded = self.decoded[pc]
-        kind, dst, srcs, data, offset, is_load, is_store, is_control, arg, _ = decoded
-        op = _new_op(_Op)
-        op.seq = seq
-        op.pc = pc
-        op.kind = kind
-        op.dst = dst
-        op.arg = arg
-        op.mem_offset_src = offset
-        op.is_load = is_load
-        op.is_store = is_store
-        op.reads = reads = []
-        op.consumers = op.waiters = None  # until the first one comes
-        op.squashed = op.issued = False
-        op.retire_at = _INF
-        op.mem_addr = op.fill_addr = op.fault = None
-        self.seq = seq + 1
-
-        next_pc = pc + 1
-        pending, ready = 0, cycle
-        for reg in srcs:
-            src = rename.get(reg)
-            if src is None:
-                reads.append(self.state.flags if reg == FLAGS else self.state.regs[reg])
-                continue
-            reads.append(src)
-            if not src.issued:
-                if src.consumers is None:
-                    src.consumers = [op]
-                else:
-                    src.consumers.append(op)
-                pending += 1
-            elif src.complete > ready:
-                ready = src.complete
-        op.pending = pending
-        op.ready = ready
-        if not pending and ready > cycle:
-            heapq.heappush(self.wakeups, (ready, seq, op))
-        if data is not None:
-            src = rename.get(data)
-            if src is None:
-                op.store_data_src = self.state.regs[data]
-            else:
-                op.store_data_src = src
-                if not src.issued:
-                    _wait_on(src, op)
-                elif src.complete > cycle:
-                    heapq.heappush(self.wakeups, (src.complete, seq, op))
-        if is_control:
-            state = self.state
-            if kind == K_CALL:
-                op.store_data_src = pc + 1
-                state.rsb.push(pc + 1)  # speculative push, survives squash
-                next_pc = arg
-                op.predicted_next = next_pc  # static target, cannot mispredict
-            elif kind == K_RET:
-                predicted = predict_return(state, self.profile, pc)
-                op.predicted_next = predicted
-                if predicted is not None:
-                    self.record((cycle, "predict", "ret@{} -> {}", (pc, predicted)))
-                    next_pc = predicted
-                else:
-                    self.fetch_active = False  # until the return resolves
-            elif self.in_order:  # BGE
-                op.predicted_next = None
-                self.fetch_active = False  # until the branch resolves
-            else:
-                taken = state.pht.predict(pc)
-                op.predicted_next = next_pc = arg if taken else pc + 1
-                self.record((
-                    cycle, "predict", "bge@{} {} -> {}",
-                    (pc, "taken" if taken else "not-taken", next_pc),
-                ))
-
-        if dst is not None:
-            op.prev = rename.get(dst)
-            rename[dst] = op
-        self.window.append(op)
-        if is_store:
-            self.stores.append(op)
-        if is_load:
-            self.loads.append(op)
-        if self.full_trace:
-            self.record((cycle, "fetch", "#{} @{} {}", (seq, pc, self.program.instructions[pc])))
-
-        self.fetch_pc = next_pc  # a redirect overwrites it while fetch is stopped
-        if kind >= K_YIELD or self.in_order:
-            # nothing younger dispatches until a HALT, FENCE or YIELD
-            # retires; on an in-order core that holds for every op, so a
-            # deferred fault can never shadow-execute its dependents
-            if kind == K_HALT:
-                self.fetch_active = False
-            self.drain = op
-            self.dispatch_ready = _INF
-        else:
-            self.dispatch_ready = cycle + 1 if self.fetch_active else _INF
-        return None if pending or ready > cycle else op
 
     # -- issue ---------------------------------------------------------------
 
@@ -788,11 +671,18 @@ class _Engine:
         as they are met.  Each cycle retires every oldest op that can go by
         it, one per cycle, up to the one that retires in it: each writes its
         register, and its store, predictor update, flush, switch or halt;
-        _raise retires a faulting op."""
+        _raise retires a faulting op.  Then at most one op dispatches: the
+        op at fetch_pc is registered with the producers it waits on, and is
+        woken once, at its ready cycle, when the last of its register
+        sources has issued; a store is also woken when its data becomes
+        ready.  An op whose sources are ready in its dispatch cycle gets no
+        wakeup: it is issued at the end of that cycle's pass."""
         window, wakeups, resolutions = self.window, self.wakeups, self.resolutions
-        heappop, max_cycles = heapq.heappop, self.max_cycles
+        heappop, heappush, max_cycles = heapq.heappop, heapq.heappush, self.max_cycles
         popleft, stores, loads = window.popleft, self.stores, self.loads
         rename, state, mem, full_trace = self.rename, self.state, self.mem, self.full_trace
+        profile, decoded, record = self.profile, self.decoded, self.record
+        end, in_order = len(self.program), profile.pipeline is _IN_ORDER
         retired = self.trace.retired_seqs.add
         last_retire = -1  # the cycle of the latest retirement
         cycle = 0
@@ -830,8 +720,8 @@ class _Engine:
                             self.dispatch_ready = when + 1
                     kind, dst = op.kind, op.dst
                     if full_trace:
-                        self.record((when, "retire", "#{} @{} {}",
-                                     (op.seq, op.pc, self.decoded[op.pc][9])))
+                        record((when, "retire", "#{} @{} {}",
+                                (op.seq, op.pc, decoded[op.pc][9])))
                     if dst is not None:
                         if dst == FLAGS:
                             state.flags = op.value
@@ -852,8 +742,8 @@ class _Engine:
                     elif kind == K_FLUSH:
                         mem.invalidate_line(op.mem_addr)
                     elif kind == K_YIELD:
-                        context_switch(state, self.profile)
-                        if op.pc + 1 >= self.end:  # a trailing yield ends the context's turn
+                        context_switch(state, profile)
+                        if op.pc + 1 >= end:  # a trailing yield ends the context's turn
                             self.halted = done = True
                             state.pc = op.pc
                             break
@@ -867,7 +757,114 @@ class _Engine:
                     break
             fresh = None  # the op just dispatched, when it is ready at once
             if self.dispatch_ready <= cycle:  # _INF while fetch waits
-                fresh = self._dispatch()
+                pc = self.fetch_pc
+                if pc >= end or pc < 0:
+                    # fetch stalls: a wrong path is redirected when its
+                    # control resolves, and an architectural run-off drains
+                    # the window and ends the run without HALT
+                    self.fetch_active = False
+                    self.dispatch_ready = _INF
+                else:
+                    seq = self.seq
+                    kind, dst, srcs, data, offset, is_load, is_store, is_control, arg, _ = (
+                        decoded[pc])
+                    op = _new_op(_Op)
+                    op.seq = seq
+                    op.pc = pc
+                    op.kind = kind
+                    op.dst = dst
+                    op.arg = arg
+                    op.mem_offset_src = offset
+                    op.is_load = is_load
+                    op.is_store = is_store
+                    op.reads = reads = []
+                    op.consumers = op.waiters = None  # until the first one comes
+                    op.squashed = op.issued = False
+                    op.retire_at = _INF
+                    op.mem_addr = op.fill_addr = op.fault = None
+                    self.seq = seq + 1
+
+                    next_pc = pc + 1
+                    pending, ready = 0, cycle
+                    for reg in srcs:
+                        src = rename.get(reg)
+                        if src is None:
+                            reads.append(state.flags if reg == FLAGS else state.regs[reg])
+                            continue
+                        reads.append(src)
+                        if not src.issued:
+                            if src.consumers is None:
+                                src.consumers = [op]
+                            else:
+                                src.consumers.append(op)
+                            pending += 1
+                        elif src.complete > ready:
+                            ready = src.complete
+                    op.pending = pending
+                    op.ready = ready
+                    if not pending and ready > cycle:
+                        heappush(wakeups, (ready, seq, op))
+                    if data is not None:
+                        src = rename.get(data)
+                        if src is None:
+                            op.store_data_src = state.regs[data]
+                        else:
+                            op.store_data_src = src
+                            if not src.issued:
+                                _wait_on(src, op)
+                            elif src.complete > cycle:
+                                heappush(wakeups, (src.complete, seq, op))
+                    if is_control:
+                        if kind == K_CALL:
+                            op.store_data_src = pc + 1
+                            state.rsb.push(pc + 1)  # speculative push, survives squash
+                            next_pc = arg
+                            op.predicted_next = next_pc  # static target, cannot mispredict
+                        elif kind == K_RET:
+                            predicted = predict_return(state, profile, pc)
+                            op.predicted_next = predicted
+                            if predicted is not None:
+                                record((cycle, "predict", "ret@{} -> {}", (pc, predicted)))
+                                next_pc = predicted
+                            else:
+                                self.fetch_active = False  # until the return resolves
+                        elif in_order:  # BGE
+                            op.predicted_next = None
+                            self.fetch_active = False  # until the branch resolves
+                        else:
+                            taken = state.pht.predict(pc)
+                            op.predicted_next = next_pc = arg if taken else pc + 1
+                            record((
+                                cycle, "predict", "bge@{} {} -> {}",
+                                (pc, "taken" if taken else "not-taken", next_pc),
+                            ))
+
+                    if dst is not None:
+                        op.prev = rename.get(dst)
+                        rename[dst] = op
+                    window.append(op)
+                    if is_store:
+                        stores.append(op)
+                    if is_load:
+                        loads.append(op)
+                    if full_trace:
+                        record((cycle, "fetch", "#{} @{} {}",
+                                (seq, pc, self.program.instructions[pc])))
+
+                    self.fetch_pc = next_pc  # a redirect overwrites it while fetch is stopped
+                    if kind >= K_YIELD or in_order:
+                        # nothing younger dispatches until a HALT, FENCE or
+                        # YIELD retires; on an in-order core that holds for
+                        # every op, so a deferred fault can never
+                        # shadow-execute its dependents
+                        if kind == K_HALT:
+                            self.fetch_active = False
+                        self.drain = op
+                        self.dispatch_ready = _INF
+                    else:
+                        self.dispatch_ready = cycle + 1 if self.fetch_active else _INF
+                    if not pending and ready <= cycle:
+                        fresh = op
             if fresh is not None or (wakeups and wakeups[0][0] <= cycle):
                 # the issue pass: try every op woken for this cycle once, in
                 # program order, then issue the stores whose address resolved

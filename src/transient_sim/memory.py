@@ -94,14 +94,17 @@ class CacheGeometry:
 class CacheLevel:
     """One set-associative level: per set, a list of line numbers, oldest
     first, so a fill appends and an eviction deletes index 0.  MemorySystem
-    applies the strict-LRU policy."""
+    applies the strict-LRU policy.  nsets and ways copy the geometry's, so
+    the per-access paths read each in one attribute lookup, not two."""
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
+        self.nsets = geometry.sets
+        self.ways = geometry.ways
         self._sets: list = [[] for _ in repeat(None, geometry.sets)]
 
     def contains(self, line: int) -> bool:
-        return line in self._sets[line % self.geometry.sets]
+        return line in self._sets[line % self.nsets]
 
     def lru_view(self) -> list:
         """(set index, its lines most to least recent) for each non-empty
@@ -248,8 +251,15 @@ class MemorySystem:
     def fill(self, addr: int, outcomes: tuple = _LEVELS):
         """Look up a line and fill every level up to L1 on a miss.  Returns
         the entry of the (L1, L2, DRAM) triple `outcomes` for the level that
-        served the request (before filling): by default, that Level."""
-        return self._fill_lines(addr // LINE_SIZE, 1, outcomes)[0]  # line_of inline: per load
+        served the request (before filling): by default, that Level.  A line
+        that is already the most recent of its L1 set is an L1 hit that
+        moves nothing in either level, so it returns at once."""
+        line = addr // LINE_SIZE  # line_of inline: per load
+        l1 = self.l1
+        entries = l1._sets[line % l1.nsets]
+        if entries and entries[-1] == line:
+            return outcomes[0]
+        return self._fill_lines(line, 1, outcomes)[0]
 
     def _fill_lines(self, first: int, count: int, outcomes: tuple) -> list:
         """Look up `count` consecutive lines from line number `first` in
@@ -258,8 +268,8 @@ class MemorySystem:
         `outcomes` for the level that served it.  An empty set is never
         scanned: it holds no line and is not full, so a fill into it only
         appends."""
-        sets1, nsets1, ways1 = self.l1._sets, self.l1.geometry.sets, self.l1.geometry.ways
-        sets2, nsets2, ways2 = self.l2._sets, self.l2.geometry.sets, self.l2.geometry.ways
+        sets1, nsets1, ways1 = self.l1._sets, self.l1.nsets, self.l1.ways
+        sets2, nsets2, ways2 = self.l2._sets, self.l2.nsets, self.l2.ways
         from_l1, from_l2, from_dram = outcomes
         served = []
         serve = served.append
@@ -297,8 +307,8 @@ class MemorySystem:
         L1 set, and a miss evicts the oldest line of each full set.  Sets are
         stored oldest first, so the oldest line is at index 0; an empty set
         is never scanned.  A longer run is filled and then dropped."""
-        sets1, nsets1, ways1 = self.l1._sets, self.l1.geometry.sets, self.l1.geometry.ways
-        sets2, nsets2, ways2 = self.l2._sets, self.l2.geometry.sets, self.l2.geometry.ways
+        sets1, nsets1, ways1 = self.l1._sets, self.l1.nsets, self.l1.ways
+        sets2, nsets2, ways2 = self.l2._sets, self.l2.nsets, self.l2.ways
         if count > min(nsets1, nsets2):
             served = self._fill_lines(first, count, outcomes)
             self._drop_lines(first, count)
@@ -332,8 +342,8 @@ class MemorySystem:
     def _drop_lines(self, first: int, count: int) -> None:
         """Drop `count` consecutive lines from line number `first` from both
         levels; an empty set is not scanned."""
-        sets1, nsets1 = self.l1._sets, self.l1.geometry.sets
-        sets2, nsets2 = self.l2._sets, self.l2.geometry.sets
+        sets1, nsets1 = self.l1._sets, self.l1.nsets
+        sets2, nsets2 = self.l2._sets, self.l2.nsets
         for line in range(first, first + count):
             entries = sets1[line % nsets1]
             if entries and line in entries:

@@ -928,10 +928,9 @@ class TestDecodeTable:
             checked += [fn for cls, names in classes.items() for fn in top[cls].body
                         if isinstance(fn, ast.FunctionDef) and (names is None or fn.name in names)]
         assert {fn.name for fn in checked} >= {
-            "predict_return", "pop", "__init__", "_redirect", "_squash_younger", "_dispatch",
-            "_load_hazard", "_hold", "_issue", "_store_address_known", "_resolve_controls",
-            "_raise", "run", "_flush_refusal", "check_access", "probe_level",
-            "latency_for", "fill", "_fill_lines", "_reload_drop_lines", "_probe", "flush_lines",
+            "predict_return", "pop", "__init__", "_redirect", "_squash_younger", "_load_hazard",
+            "_hold", "_issue", "_store_address_known", "_resolve_controls", "_raise", "run",
+            "_flush_refusal", "check_access", "probe_level", "latency_for", "fill", "_fill_lines", "_reload_drop_lines", "_probe", "flush_lines",
             "probe_and_flush_lines", "receiver_decode", "_window_admits", "sender_inject",
             "run_channel", "flush_reload",
         }
@@ -1016,8 +1015,10 @@ class TestStallRule:
     def test_dispatch_gate_is_shut_exactly_while_fetch_waits(self, monkeypatch):
         # run tests dispatch_ready alone, so it must be _INF whenever fetch
         # is stopped or a drain op is in flight, and a real cycle otherwise;
-        # checked as each dispatch, issue, control resolution, fault and run
-        # starts and ends, so also after the retirement that ends a run
+        # checked as each issue, control resolution, fault and run starts and
+        # ends, so also after the retirement that ends a run.  Run dispatches
+        # in its own loop, so each issue's entry check sees the gate that the
+        # cycle's dispatch, and its retirements, left
         from collections import Counter
 
         from transient_sim import core
@@ -1038,7 +1039,7 @@ class TestStallRule:
                 return result
             return wrapper
 
-        for name in ("_dispatch", "_issue", "_resolve_controls", "_raise", "run"):
+        for name in ("_issue", "_resolve_controls", "_raise", "run"):
             monkeypatch.setattr(core._Engine, name, checked(getattr(core._Engine, name)))
         runs = list(_digest_runs(_STATE_PROGRAMS + (_FENCED_LOOP,)))
         assert len(runs) == len(PROFILES) * (len(_STATE_PROGRAMS) + 1)

@@ -114,6 +114,44 @@ def test_profile_geometries_match_model_too():
         assert_same_recency(mem, model)
 
 
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_fill_matches_model_on_every_kind_of_hit(name):
+    # the draws re-touch recent lines of four L1 sets, so fill meets a hit on
+    # its L1 set's most recent line (served without moving anything), any
+    # other L1 hit, an L2 hit and a miss; each call passes the default
+    # outcomes or a triple of its own
+    prof = get_profile(name)
+    mem, model = MemorySystem(l1=prof.l1, l2=prof.l2), HierarchyModel(prof.l1, prof.l2)
+    sets1, ways1 = prof.l1.sets, prof.l1.ways
+    hot = [s + k * sets1 for s in range(4) for k in range(3 * ways1)]
+    fresh = iter(range(3 * ways1 * sets1, 1 << 30, sets1))  # never drawn before
+    levels, own = ("L1", "L2", "DRAM"), ("first", "second", "third")
+    rng = random.Random(2702)
+    recent = [hot[0]]
+    cases = dict.fromkeys(("most recent", "L1", "L2", "DRAM"), 0)
+    for step in range(3_000):
+        pick = rng.random()
+        if pick < 0.35:
+            line = recent[-1]
+        elif pick < 0.7:
+            line = rng.choice(recent[-8:])
+        elif pick < 0.9:
+            line = rng.choice(hot)
+        else:
+            line = next(fresh) + rng.randrange(4)
+        most_recent = model.l1.entries[line % sets1][:1] == [line]
+        addr = line * LINE_SIZE + rng.randrange(LINE_SIZE)
+        want = model.access(addr)
+        cases["most recent" if most_recent else want] += 1
+        if rng.random() < 0.5:
+            assert mem.fill(addr).value == want, (step, line)
+        else:
+            assert mem.fill(addr, own) is own[levels.index(want)], (step, line)
+        assert_same_recency(mem, model)
+        recent.append(line)
+    assert min(cases.values()) >= 100, cases
+
+
 def test_same_line_different_offsets_hit():
     mem = MemorySystem(l1=CacheGeometry(4, 2), l2=CacheGeometry(16, 4))
     mem.access(0x1000)

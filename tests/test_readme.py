@@ -2,7 +2,9 @@
 cites against the code."""
 
 import ast
+import importlib
 import re
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -75,12 +77,16 @@ _FILE_SUFFIXES = {"py", "md", "json", "csv"}
 
 
 def _resolve(dotted: str):
-    """The attribute `dotted` names, its head looked up on the package and
-    then on each of its modules."""
+    """The attribute `dotted` names, its head looked up on the package, then
+    on each of its imported modules, and last as a module of the package,
+    imported if no test has imported it yet."""
     head, *rest = dotted.split(".")
     modules = [v for v in vars(transient_sim).values() if isinstance(v, ModuleType)]
-    owners = [transient_sim, *modules]
-    obj = next(getattr(owner, head) for owner in owners if hasattr(owner, head))
+    owner = next((o for o in (transient_sim, *modules) if hasattr(o, head)), None)
+    if owner is None:
+        obj = importlib.import_module(f"transient_sim.{head}")
+    else:
+        obj = getattr(owner, head)
     for part in rest:
         obj = getattr(obj, part)
     return obj
@@ -132,7 +138,7 @@ def _missing_names(text: str) -> list:
     for name in sorted(dotted):
         try:
             _resolve(name)
-        except (AttributeError, StopIteration):
+        except (AttributeError, ImportError):
             missing.append(name)
     return missing + sorted(set(_BARE_NAME.findall(text)) - _defined_names() - _VOCABULARY)
 
@@ -150,3 +156,14 @@ def test_a_deleted_name_fails_the_check():
     line = "A faulting op is retired by `_retire`, and `_raise` squashes the rest."
     assert _missing_names(line) == ["_retire"]
     assert _missing_names("`Rsb.pop` and `Rsb.drop`") == ["Rsb.drop"]
+
+
+def test_a_module_no_test_imported_still_resolves(monkeypatch):
+    # the package's __init__ does not import config; run alone, the check
+    # must not depend on another test having imported it
+    monkeypatch.delitem(sys.modules, "transient_sim.config", raising=False)
+    monkeypatch.delattr(transient_sim, "config", raising=False)
+    assert _resolve("config.mitigation_set").__name__ == "mitigation_set"
+    assert _missing_names("`config.mitigation_set` and `config.no_such_name`") == [
+        "config.no_such_name"]
+    assert _missing_names("`no_such_module.name`") == ["no_such_module.name"]
