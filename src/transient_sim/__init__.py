@@ -10,14 +10,13 @@ countermeasure toggles that close or fail to close each hole.
 """
 
 from .core import MachineState, Trace, make_machine, run
-from .covert import ChannelConfig, ChannelReport, run_channel, sweep_bits
+from .covert import ChannelConfig, ChannelReport, PrivilegedFlushError, run_channel, sweep_bits
 from .isa import Opcode, Program, assemble, disassemble
 from .memory import (
     CycleCounter,
     Latencies,
     MemorySystem,
     Privilege,
-    PrivilegedFlushError,
     evict_with_pattern,
     sweep_evict,
 )

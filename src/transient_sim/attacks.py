@@ -15,7 +15,7 @@ from enum import Enum
 
 from .core import DEFAULT_SEED, MachineState, Trace, make_machine, run
 from .isa import Program, assemble
-from .memory import LINE_SIZE, MemorySystem, Privilege, PrivilegedFlushError
+from .memory import LINE_SIZE, MemorySystem, Privilege
 from .profiles import CpuProfile, get_profile
 
 ORACLE_LINES = 256
@@ -97,13 +97,12 @@ class AttackOutcome:
         }
 
 
-def flush_reload(mem: MemorySystem, victim, flush_is_privileged: bool) -> list[int]:
+def flush_reload(mem: MemorySystem, victim) -> list[int]:
     """Three-phase user-mode probe of the oracle: flush every oracle line, run
     the victim step, then time a reload of each line; returns the reload
-    latencies, which Latencies.single_hit decodes.  When flushes are
-    privileged the flush raises PrivilegedFlushError and the victim never
-    runs."""
-    mem.flush_lines(ORACLE_BASE, ORACLE_LINES, _USER, flush_is_privileged)
+    latencies, which Latencies.single_hit decodes.  Whether user mode may
+    flush at all is the caller's question."""
+    mem.flush_lines(ORACLE_BASE, ORACLE_LINES)
     victim()
     return mem.probe_lines(ORACLE_BASE, ORACLE_LINES, _USER)
 
@@ -252,12 +251,11 @@ def _attack_probe(st: MachineState, profile: CpuProfile, prog: Program, regs: di
     """Flush+Reload's latencies around one victim run of prog from pc 0.  The
     attacker's probe always runs user-mode, whatever privilege the victim
     holds.  With flushes restricted to privileged code the probe cannot set
-    up, so the attack comes back empty-handed: no latencies, no hit."""
-    try:
-        return flush_reload(st.mem, lambda: _run_from(st, profile, prog, regs),
-                            profile.mitigations.privileged_flush)
-    except PrivilegedFlushError:
+    up, so the attack comes back empty-handed: no victim run, no latencies,
+    no hit."""
+    if profile.mitigations.privileged_flush:
         return []
+    return flush_reload(st.mem, lambda: _run_from(st, profile, prog, regs))
 
 
 def _plant(st: MachineState, base: int, secret: bytes) -> list:

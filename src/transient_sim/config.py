@@ -24,8 +24,7 @@ from .attacks import RSB_PAGE_FAULT_UNDEFINED, VARIANTS, Scenario, SecretLocatio
 from .core import DEFAULT_SEED
 from .covert import ChannelConfig
 from .memory import Latencies
-from .mitigations import MitigationSet
-from .profiles import CpuProfile, get_profile
+from .profiles import CpuProfile, MitigationSet, get_profile
 
 SEED_ENV_VAR = "TRANSIENT_SIM_SEED"
 
@@ -43,6 +42,14 @@ SECRET_LOCS = tuple(_SECRET_LOCATIONS)
 # a command's output format where neither --format nor its config file names
 # one, for the commands whose default is not json
 _COMMAND_OUTPUTS = {"sweep": "csv", "matrix": "table"}
+# ExperimentConfig field -> the values it may take
+_CHOICES = {
+    "experiment": EXPERIMENT_KINDS,
+    "variant": VARIANTS,
+    "scenario": SCENARIOS,
+    "secret_loc": SECRET_LOCS,
+    "output": OUTPUT_FORMATS,
+}
 # ExperimentConfig field -> ChannelConfig field; an unset (None) value keeps
 # ChannelConfig's own default
 _CHANNEL_FIELDS = {
@@ -88,20 +95,10 @@ class ExperimentConfig:
     output: str = "json"
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENT_KINDS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_KINDS}"
-            )
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if self.secret_loc not in SECRET_LOCS:
-            raise ConfigError(
-                f"unknown secret_loc {self.secret_loc!r}; expected one of {SECRET_LOCS}"
-            )
-        if self.output not in OUTPUT_FORMATS:
-            raise ConfigError(f"unknown output {self.output!r}; expected one of {OUTPUT_FORMATS}")
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(f"unknown {name} {value!r}; expected one of {choices}")
         # Building the derived objects applies every module-level invariant
         # (rsb_size range, latency ordering, mitigation exclusivity, channel
         # bounds, the scenarios an attack supports).

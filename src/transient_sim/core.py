@@ -64,7 +64,7 @@ from .isa import (
     FLAGS, K_ADD, K_AND, K_BGE, K_CALL, K_CMP, K_FENCE, K_FLUSH, K_HALT, K_LD, K_MOVI,
     K_MRS, K_RDCYC, K_RET, K_SHL, K_ST, K_YIELD, Program,
 )
-from .memory import DEFAULT_SEED, CycleCounter, Latencies, Level, MemorySystem, Privilege, line_of
+from .memory import CycleCounter, Latencies, Level, MemorySystem, Privilege, line_of
 from .profiles import (
     CpuProfile,
     ExceptionPolicy,
@@ -83,6 +83,8 @@ _KEEP_INFLIGHT_FILLS = SquashPolicy.KEEP_INFLIGHT_FILLS
 _DEFERRED_FORWARD_VALUE = ExceptionPolicy.DEFERRED_FORWARD_VALUE
 _USER = Privilege.USER
 _L1_TEXT, _L2_TEXT, _DRAM_TEXT = Level.L1.value, Level.L2.value, Level.DRAM.value
+
+DEFAULT_SEED = 7
 
 
 class Rsb:

@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 
 from .core import DEFAULT_SEED, MachineState, context_switch, make_machine, predict_return
-from .memory import Privilege, PrivilegedFlushError
+from .memory import Privilege
 from .profiles import CpuProfile, SquashPolicy
 
 LINE_BYTES = 64
@@ -58,6 +58,10 @@ DEFAULT_MESSAGE = b"HI"
 # Enum members compared on every symbol; a module-level name is read faster
 _USER = Privilege.USER
 _KEEP_INFLIGHT_FILLS = SquashPolicy.KEEP_INFLIGHT_FILLS
+
+
+class PrivilegedFlushError(PermissionError):
+    """Raised when the user-mode receiver must flush while flushes are privileged."""
 
 
 def gadget_address(symbol: int) -> int:
@@ -239,9 +243,14 @@ def receiver_decode(
 
     Returns `(symbol, latencies)`: the symbol Latencies.single_hit decodes,
     or None for an erasure (not exactly one hit), and the measured reload
-    latency of each probe line.  Raises PrivilegedFlushError when the flush instruction is
-    privileged on this profile, since the receiver runs in user mode.
+    latency of each probe line.  Raises PrivilegedFlushError, before it
+    touches the machine, when the flush instruction is privileged on this
+    profile, since the receiver runs in user mode.
     """
+    if profile.mitigations.privileged_flush:
+        raise PrivilegedFlushError(
+            f"flush of {PROBE_BASE:#x} requires kernel privilege under this configuration"
+        )
     mem = state.mem
     lines = 1 << config.bits_per_cs
 
@@ -256,12 +265,7 @@ def receiver_decode(
     # which keeps the shared BTB trained on the benign target.
     state.btb[RECEIVER_RET_PC] = RECEIVER_CONT_PC
 
-    latencies = mem.probe_and_flush_lines(
-        PROBE_BASE,
-        lines,
-        _USER,
-        flush_is_privileged=profile.mitigations.privileged_flush,
-    )
+    latencies = mem.probe_and_flush_lines(PROBE_BASE, lines, _USER)
     return mem.lat.single_hit(latencies), latencies
 
 

@@ -18,9 +18,6 @@ PAGE_SIZE = 4096
 # Region used by sweep_evict, far away from anything experiments allocate.
 SWEEP_BASE = 0x100_0000
 
-# The seed of every experiment given none; core and mitigations both read it
-DEFAULT_SEED = 7
-
 
 class Privilege(Enum):
     USER = "user"
@@ -47,20 +44,6 @@ class PageFault(MemoryFault):
 class PrivilegeFault(MemoryFault):
     def __init__(self, addr: int):
         super().__init__(addr, f"privilege fault at {addr:#x} (privileged page, user access)")
-
-
-class PrivilegedFlushError(PermissionError):
-    """Raised when a user-mode flush is attempted while flushes are privileged."""
-
-
-def _flush_refusal(base: int, privilege: Privilege) -> PrivilegedFlushError | None:
-    """The error a privileged flush from `base` raises, or None when
-    `privilege` may flush."""
-    if privilege is _USER:
-        return PrivilegedFlushError(
-            f"flush of {base:#x} requires kernel privilege under this configuration"
-        )
-    return None
 
 
 def line_of(addr: int) -> int:
@@ -366,31 +349,14 @@ class MemorySystem:
         self.counter.advance(latency)
         return AccessResult(self.cells.get(addr, 0), latency, level)
 
-    def flush_line(
-        self,
-        addr: int,
-        privilege: Privilege = Privilege.KERNEL,
-        flush_is_privileged: bool = False,
-    ) -> None:
-        """Invalidate a line from both levels.  Idempotent.  When flushes are
-        privileged, user-mode callers get PrivilegedFlushError."""
-        self.flush_lines(addr, 1, privilege, flush_is_privileged)
+    def flush_line(self, addr: int) -> None:
+        """Invalidate a line from both levels.  Idempotent."""
+        self.flush_lines(addr, 1)
 
     # -- Flush+Reload -------------------------------------------------------
 
-    def flush_lines(
-        self,
-        base: int,
-        count: int,
-        privilege: Privilege = Privilege.KERNEL,
-        flush_is_privileged: bool = False,
-    ) -> None:
-        """Flush `count` consecutive lines from `base`, one cycle each.  A
-        privileged flush refused to a user-mode caller raises
-        PrivilegedFlushError before any line is dropped."""
-        refusal = _flush_refusal(base, privilege) if flush_is_privileged else None
-        if refusal is not None:
-            raise refusal
+    def flush_lines(self, base: int, count: int) -> None:
+        """Flush `count` consecutive lines from `base`, one cycle each."""
         self._drop_lines(line_of(base), count)
         self.counter.current += count
 
@@ -409,22 +375,13 @@ class MemorySystem:
         return self._probe(base, count, privilege, drop=False)
 
     def probe_and_flush_lines(
-        self,
-        base: int,
-        count: int,
-        privilege: Privilege = Privilege.KERNEL,
-        flush_is_privileged: bool = False,
+        self, base: int, count: int, privilege: Privilege = Privilege.KERNEL
     ) -> list[int]:
         """probe_lines(base, count, privilege) followed by
-        flush_lines(base, count, privilege, flush_is_privileged), in one
-        pass over the lines: the same latencies, noise draws, cache and
-        counter state and exceptions.  A faulting line raises as in
-        probe_lines and nothing is flushed; a refused flush raises
-        PrivilegedFlushError after the whole reload."""
-        refusal = _flush_refusal(base, privilege) if flush_is_privileged else None
-        timings = self._probe(base, count, privilege, drop=refusal is None)
-        if refusal is not None:
-            raise refusal
+        flush_lines(base, count), in one pass over the lines: the same
+        latencies, noise draws, cache and counter state and exceptions.  A
+        faulting line raises as in probe_lines and nothing is flushed."""
+        timings = self._probe(base, count, privilege, drop=True)
         self.counter.current += count
         return timings
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .memory import CacheGeometry, EvictionParams, Latencies
-from .mitigations import MitigationSet
 
 
 class PipelineKind(Enum):
@@ -43,6 +42,27 @@ class ExceptionPolicy(Enum):
 
 RSB_MIN = 4
 RSB_MAX = 32
+
+
+@dataclass(frozen=True)
+class MitigationSet:
+    """Deployable countermeasures; fields default to 'off'.
+
+    rsb_flush_on_cs and rsb_refill_on_cs are alternatives for the same hook
+    (what to do with the RSB on a context switch) and cannot be combined.
+    """
+
+    privileged_flush: bool = False
+    pmu_noise_amplitude: int = 0
+    rsb_flush_on_cs: bool = False
+    rsb_refill_on_cs: bool = False
+    btb_fallback_disabled: bool = False
+
+    def __post_init__(self):
+        if self.rsb_flush_on_cs and self.rsb_refill_on_cs:
+            raise ValueError("rsb_flush_on_cs and rsb_refill_on_cs are mutually exclusive")
+        if self.pmu_noise_amplitude < 0:
+            raise ValueError("pmu_noise_amplitude must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from transient_sim import attacks
 from transient_sim.attacks import (
     DEFAULT_SECRET,
     MATRIX_PROFILES,
@@ -29,6 +30,7 @@ from transient_sim.attacks import (
     run_spectre_v1,
     run_spectre_v4,
 )
+from transient_sim.memory import MemorySystem
 from transient_sim.mitigations import MitigationSet, apply_mitigations
 from transient_sim.profiles import get_profile
 
@@ -219,3 +221,48 @@ def test_attack_outcome_bytes_are_unchanged():
         for outcome in outcomes:
             digest.update(json.dumps(outcome.to_dict(), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == OUTCOMES_SHA256
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_privileged_flush_stops_the_probe_before_it_touches_the_machine(variant, monkeypatch):
+    # the attacker's user-mode probe cannot flush, so it neither flushes nor
+    # runs the victim nor reloads; only the runs outside the probe (v1's
+    # branch training) remain.  The unmitigated run shows that each is counted.
+    calls = {"flush_lines": 0, "probe_lines": 0, "runs": 0, "probe_runs": 0}
+    in_probe = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def run(*args, **kwargs):
+        calls["runs"] += 1
+        calls["probe_runs"] += bool(in_probe)
+        return original_run(*args, **kwargs)
+
+    def probe(*args, **kwargs):
+        in_probe.append(True)
+        try:
+            return original_probe(*args, **kwargs)
+        finally:
+            in_probe.pop()
+
+    original_run, original_probe = attacks.run, attacks._attack_probe
+    monkeypatch.setattr(attacks, "run", run)
+    monkeypatch.setattr(attacks, "_attack_probe", probe)
+    for name in ("flush_lines", "probe_lines"):
+        monkeypatch.setattr(MemorySystem, name, counted(name, getattr(MemorySystem, name)))
+    for core in MATRIX_PROFILES:
+        base = get_profile(core)
+        calls.update(dict.fromkeys(calls, 0))
+        run_attack(variant, base)
+        assert min(calls.values()) > 0, core
+        training = calls["runs"] - calls["probe_runs"]
+        calls.update(dict.fromkeys(calls, 0))
+        sealed = apply_mitigations(base, MitigationSet(privileged_flush=True))
+        outcome = run_attack(variant, sealed)
+        assert calls == {"flush_lines": 0, "probe_lines": 0, "runs": training,
+                         "probe_runs": 0}, core
+        assert outcome.probe_latencies == () and not outcome.success, core

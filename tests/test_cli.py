@@ -313,6 +313,20 @@ class TestMitigationSet:
 
 
 class TestConfigFiles:
+    @pytest.mark.parametrize("field, message", [
+        ("experiment", "unknown experiment 'bogus'; expected one of "
+                       "('attack', 'covert', 'sweep', 'matrix', 'mitigation-demo')"),
+        ("variant", "unknown variant 'bogus'; expected one of ('v1', 'v3', 'v3a', 'v4', 'rsb')"),
+        ("scenario", "unknown scenario 'bogus'; expected one of "
+                     "('specload', 'cachemiss', 'pagefault')"),
+        ("secret_loc", "unknown secret_loc 'bogus'; expected one of ('l1', 'dram')"),
+        ("output", "unknown output 'bogus'; expected one of ('json', 'csv', 'table')"),
+    ])
+    def test_unknown_choice_names_the_field_and_its_choices(self, field, message):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{field: "bogus"})
+        assert str(exc.value) == message
+
     def test_minimal_config_fills_defaults(self):
         cfg = config_from_dict(
             {"experiment": "attack", "variant": "v1", "profile": "cortex_a72"}

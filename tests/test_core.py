@@ -915,7 +915,7 @@ class TestDecodeTable:
         checked = []
         for module, functions, classes in (
             (core, ("predict_return",), {"_Engine": None, "Rsb": {"pop"}}),
-            (memory, ("_flush_refusal",),
+            (memory, (),
              {"MemorySystem": {"check_access", "probe_level", "latency_for", "fill",
                                "_fill_lines", "_reload_drop_lines", "_probe", "flush_lines",
                                "probe_and_flush_lines"}}),
@@ -930,7 +930,7 @@ class TestDecodeTable:
         assert {fn.name for fn in checked} >= {
             "predict_return", "pop", "__init__", "_redirect", "_squash_younger", "_load_hazard",
             "_hold", "_issue", "_store_address_known", "_resolve_controls", "_raise", "run",
-            "_flush_refusal", "check_access", "probe_level", "latency_for", "fill", "_fill_lines", "_reload_drop_lines", "_probe", "flush_lines",
+            "check_access", "probe_level", "latency_for", "fill", "_fill_lines", "_reload_drop_lines", "_probe", "flush_lines",
             "probe_and_flush_lines", "receiver_decode", "_window_admits", "sender_inject",
             "run_channel", "flush_reload",
         }

@@ -8,15 +8,18 @@ import random
 
 import pytest
 
+import transient_sim
 from transient_sim.covert import (
     GADGET_BASE,
     LINE_BYTES,
     PROBE_BASE,
     ChannelConfig,
     ChannelReport,
+    PrivilegedFlushError,
     gadget_address,
     latency_trace_to_csv,
     pack_symbols,
+    receiver_decode,
     required_memory_bytes,
     run_channel,
     sender_inject,
@@ -347,6 +350,29 @@ class TestChannelRequirements:
         report = run_channel(armored, ChannelConfig(bits_per_cs=3), b"HI")
         assert report.aborted
         assert report.bandwidth_bits_per_cycle == 0.0
+
+    def test_privileged_flush_refuses_the_receiver_before_it_touches_the_machine(self):
+        # a sender has stocked the RSB and a probe line is cached, so a
+        # return, a fill, a BTB update, a reload or a flush would each show
+        armored = I7.with_overrides(mitigations=MitigationSet(privileged_flush=True))
+        config = ChannelConfig(bits_per_cs=3)
+        state = make_machine(armored, seed=3)
+        sender_inject(state, 5, config.fill_depth(armored))
+        state.mem.fill(PROBE_BASE + 2 * LINE_BYTES)
+        mem = state.mem
+
+        def observed():
+            return (state.rsb.snapshot(), dict(state.btb), mem.l1.lru_view(),
+                    mem.l2.lru_view(), mem.counter.current, mem.rng.getstate())
+
+        assert transient_sim.PrivilegedFlushError is PrivilegedFlushError
+        before = observed()
+        with pytest.raises(PrivilegedFlushError):
+            receiver_decode(state, armored, config)
+        assert observed() == before
+        # without the mitigation the same call changes each of them
+        receiver_decode(state, I7, config)
+        assert all(a != b for a, b in zip(observed()[:5], before))
 
 
 class TestConfigValidation:

@@ -18,7 +18,6 @@ from transient_sim.memory import (
     PageFault,
     Privilege,
     PrivilegeFault,
-    PrivilegedFlushError,
     evict_with_pattern,
     sweep_evict,
 )
@@ -232,20 +231,15 @@ class TestFaults:
             mem.access(0x7000, Privilege.USER)
         mem.access(0x7000, Privilege.KERNEL)
 
-    def test_flush_privilege_gate(self):
-        mem = MemorySystem(l1=CacheGeometry(4, 2), l2=CacheGeometry(16, 4))
-        mem.access(0x40)
-        with pytest.raises(PrivilegedFlushError):
-            mem.flush_line(0x40, Privilege.USER, flush_is_privileged=True)
-        assert mem.probe_level(0x40) is Level.L1  # rejected flush left it alone
-        mem.flush_line(0x40, Privilege.USER, flush_is_privileged=False)
-        assert mem.probe_level(0x40) is Level.DRAM
-
     def test_flush_is_idempotent(self):
         mem = MemorySystem(l1=CacheGeometry(4, 2), l2=CacheGeometry(16, 4))
+        mem.access(0x40)
+        start = mem.counter.current
         mem.flush_line(0x40)
         mem.flush_line(0x40)
         assert mem.probe_level(0x40) is Level.DRAM
+        mem.flush_lines(0x40, 5)
+        assert mem.counter.current == start + 7  # one cycle per flushed line
 
 
 REGION = 0x1_0000  # four pages of lines for the Flush+Reload twins
@@ -262,21 +256,21 @@ def _per_line_probe(mem, base, count, privilege):
     return latencies
 
 
-def _per_line_flush(mem, base, count, privilege, flush_is_privileged):
+def _per_line_flush(mem, base, count):
     for i in range(count):
-        mem.flush_line(base + i * LINE_SIZE, privilege, flush_is_privileged)
+        mem.flush_line(base + i * LINE_SIZE)
 
 
-def _per_line_probe_and_flush(mem, base, count, privilege, flush_is_privileged):
+def _per_line_probe_and_flush(mem, base, count, privilege):
     latencies = _per_line_probe(mem, base, count, privilege)
-    _per_line_flush(mem, base, count, privilege, flush_is_privileged)
+    _per_line_flush(mem, base, count)
     return latencies
 
 
 def _outcome(call):
     try:
         return call(), None
-    except (MemoryFault, PrivilegedFlushError) as exc:
+    except MemoryFault as exc:
         return None, (type(exc), getattr(exc, "addr", None), str(exc))
 
 
@@ -362,28 +356,12 @@ class TestFlushReloadPrimitive:
                     got = _outcome(lambda: fast.probe_lines(base, count, privilege))
                     want = _outcome(lambda: _per_line_probe(slow, base, count, privilege))
                 else:
-                    got = _outcome(lambda: fast.flush_lines(base, count, privilege))
-                    want = _outcome(lambda: _per_line_flush(slow, base, count, privilege, False))
+                    got = _outcome(lambda: fast.flush_lines(base, count))
+                    want = _outcome(lambda: _per_line_flush(slow, base, count))
                 assert got == want, f"seed {seed} {step} {base:#x}+{count}"
                 assert _state(fast) == _state(slow), f"seed {seed} {step} {base:#x}+{count}"
                 faulted += got[1] is not None
         assert bool(faulted) == faults
-
-    @pytest.mark.parametrize("privilege", [Privilege.USER, Privilege.KERNEL])
-    def test_privileged_flush_matches_per_line_path(self, privilege):
-        for seed in range(10):
-            fast, slow = self._twins(seed, 3, ())
-            base, count = REGION + seed * 5 * LINE_SIZE, 20 + seed
-            start = fast.counter.current
-            got = _outcome(lambda: fast.flush_lines(base, count, privilege, True))
-            want = _outcome(lambda: _per_line_flush(slow, base, count, privilege, True))
-            assert got == want
-            refused = privilege is Privilege.USER
-            assert (got[1] is not None) == refused
-            # one cycle per flushed line; a refused flush drops nothing
-            assert fast.counter.current == start + (0 if refused else count)
-            assert _state(fast) == _state(slow)
-
 
     @staticmethod
     def _reload_steps(fast, slow, base, count, privilege, label):
@@ -396,9 +374,7 @@ class TestFlushReloadPrimitive:
                 want = _outcome(lambda: _per_line_probe(slow, base, count, privilege))
             else:
                 got = _outcome(lambda: fast.probe_and_flush_lines(base, count, privilege))
-                want = _outcome(
-                    lambda: _per_line_probe_and_flush(slow, base, count, privilege, False)
-                )
+                want = _outcome(lambda: _per_line_probe_and_flush(slow, base, count, privilege))
             assert got == want, f"{label} {step} {base:#x}+{count}"
             assert _state(fast) == _state(slow), f"{label} {step} {base:#x}+{count}"
             outcomes.append(got)
@@ -419,21 +395,6 @@ class TestFlushReloadPrimitive:
             outcomes = self._reload_steps(fast, slow, base, count, privilege, f"seed {seed}")
             faulted += sum(got[1] is not None for got in outcomes)
         assert bool(faulted) == faults
-
-    @pytest.mark.parametrize("privilege", [Privilege.USER, Privilege.KERNEL])
-    def test_probe_and_privileged_flush_matches_per_line_path(self, privilege):
-        for seed in range(10):
-            fast, slow = self._twins(seed, 3, ())
-            base, count = REGION + seed * 5 * LINE_SIZE, 20 + seed
-            for _ in range(2):  # the second pass finds the first one's lines cached or gone
-                got = _outcome(lambda: fast.probe_and_flush_lines(base, count, privilege, True))
-                want = _outcome(
-                    lambda: _per_line_probe_and_flush(slow, base, count, privilege, True)
-                )
-                assert got == want
-                # a refused flush raises after the whole reload
-                assert (got[1] is not None) == (privilege is Privilege.USER)
-                assert _state(fast) == _state(slow)
 
     @pytest.mark.parametrize(
         "l1, l2",
@@ -471,8 +432,8 @@ class TestFlushReloadPrimitive:
             count = pick.randint(1, pick.choice((4, 130)))
             label = f"seed {seed}"
             self._reload_steps(fast, slow, base, count, Privilege.USER, label)
-            fast.flush_lines(base, count, Privilege.USER)
-            _per_line_flush(slow, base, count, Privilege.USER, False)
+            fast.flush_lines(base, count)
+            _per_line_flush(slow, base, count)
             assert _state(fast) == _state(slow), f"{label} flush {base:#x}+{count}"
             self._reload_steps(fast, slow, base, count, Privilege.USER, label)
 

@@ -25,8 +25,8 @@ in its own process; per workload, the per-layer metrics of one run of
 (which, as always with --trace 1, writes its spans to bench/out/); and
 per-layer figures, each timed in this process through public calls on
 intel_i7 and divided by the time of bench/run.py's reference_loop: a
-256-line flush_lines plus probe_lines, an 8-line probe_and_flush_lines on a
-machine of its own, make_machine, one run of a HALT program, one run of a
+256-line flush_lines plus a user-mode probe_lines, an 8-line user-mode
+probe_and_flush_lines on a machine of its own, make_machine, one run of a HALT program, one run of a
 short counted loop (load, ALU, store, compare, backward branch), and the
 assembly and decode of a fixed 24-line program (labels, a call and its
 return, memory operands and immediates).
@@ -277,7 +277,7 @@ def _layers() -> dict:
               "    ST [r14 + 32], r7\n    NOP\n    RET\n")
 
     def flush_probe():
-        mem.flush_lines(ORACLE_BASE, ORACLE_LINES, user)
+        mem.flush_lines(ORACLE_BASE, ORACLE_LINES)
         mem.probe_lines(ORACLE_BASE, ORACLE_LINES, user)
 
     def run_loop():
