@@ -247,14 +247,18 @@ def _run_from(st: MachineState, profile: CpuProfile, prog: Program, regs: dict,
     return run(prog, st, profile)
 
 
-def _attack_probe(st: MachineState, profile: CpuProfile, prog: Program, regs: dict) -> list:
-    """Flush+Reload's latencies around one victim run of prog from pc 0.  The
-    attacker's probe always runs user-mode, whatever privilege the victim
-    holds.  With flushes restricted to privileged code the probe cannot set
-    up, so the attack comes back empty-handed: no victim run, no latencies,
-    no hit."""
+def _attack_probe(st: MachineState, profile: CpuProfile, prog: Program, regs: dict,
+                  prepare=None) -> list:
+    """Flush+Reload's latencies around one victim run of prog from pc 0,
+    after prepare(), the set-up that only this probe reads (training,
+    seeding, placing the secret).  The attacker's probe always runs
+    user-mode, whatever privilege the victim holds.  With flushes restricted
+    to privileged code the probe cannot set up, so the attack comes back
+    empty-handed: no preparation, no victim run, no latencies, no hit."""
     if profile.mitigations.privileged_flush:
         return []
+    if prepare is not None:
+        prepare()
     return flush_reload(st.mem, lambda: _run_from(st, profile, prog, regs))
 
 
@@ -290,8 +294,8 @@ def run_spectre_v1(
     st.mem.cells[BOUND_ADDR] = 16
     for i in range(16):
         st.mem.cells[ARRAY_BASE + i * LINE_SIZE] = i
-    probes = []
-    for secret_addr in _plant(st, SECRET_BASE, secret):
+
+    def prepare(secret_addr: int) -> None:
         st.mem.fill(BOUND_ADDR)
         for j in range(5):  # train the branch toward in-bounds
             regs = {1: BOUND_ADDR, 2: j, 4: ARRAY_BASE + j * LINE_SIZE, 8: TRAIN_ORACLE_BASE}
@@ -301,8 +305,12 @@ def run_spectre_v1(
         else:
             st.mem.pages.set_mapped(BOUND_ADDR, False)
         _place_secret(st, secret_addr, scenario.secret_location)
+
+    probes = []
+    for secret_addr in _plant(st, SECRET_BASE, secret):
         regs = {1: BOUND_ADDR, 2: 64, 4: secret_addr, 8: ORACLE_BASE}  # 64: way past the bound
-        probes.append(_attack_probe(st, profile, prog, regs))
+        probes.append(_attack_probe(st, profile, prog, regs,
+                                    functools.partial(prepare, secret_addr)))
         if scenario.window_trigger is WindowTrigger.PAGE_FAULT:
             st.mem.pages.set_mapped(BOUND_ADDR, True)
     return _outcome("V1", profile, scenario, secret, probes)
@@ -416,28 +424,30 @@ def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     secret = SYSREG_TEST_VALUE
     st.mem.cells[SECRET_BASE] = secret
 
-    # phase 1: architecturally return into the gadget to seed the target buffer
-    st.mem.cells[_UNDERFLOW_PRIME_SLOT] = _UNDERFLOW_GADGET_PC
-    st.mem.fill(_UNDERFLOW_PRIME_SLOT)
-    regs = {4: SECRET_BASE, 8: TRAIN_ORACLE_BASE, 15: _UNDERFLOW_PRIME_SLOT}
-    _run_from(st, profile, prog, regs, pc=_UNDERFLOW_RET_PC)
+    def prepare() -> None:
+        # phase 1: architecturally return into the gadget to seed the target buffer
+        st.mem.cells[_UNDERFLOW_PRIME_SLOT] = _UNDERFLOW_GADGET_PC
+        st.mem.fill(_UNDERFLOW_PRIME_SLOT)
+        regs = {4: SECRET_BASE, 8: TRAIN_ORACLE_BASE, 15: _UNDERFLOW_PRIME_SLOT}
+        _run_from(st, profile, prog, regs, pc=_UNDERFLOW_RET_PC)
 
-    # phase 2: plant the drain chain: one self-slot per stack entry a refill
-    # could install, then the seeded site, then the benign final target
-    depth = profile.rsb_size
-    for k in range(depth - 1):
-        st.mem.cells[STACK_TOP + 8 * k] = _UNDERFLOW_DRAIN_PC
-    st.mem.cells[STACK_TOP + 8 * (depth - 1)] = _UNDERFLOW_RET_PC
-    attack_slot = STACK_TOP + 8 * depth
-    st.mem.cells[attack_slot] = _UNDERFLOW_DONE_PC
-    for off in range(0, 8 * depth + 1, LINE_SIZE):
-        st.mem.fill(STACK_TOP + off)  # drains resolve fast
-    st.mem.fill(SECRET_BASE)
-    st.rsb.flush()  # the victim context starts with an empty stack
-    st.mem.invalidate_line(attack_slot)  # the seeded site resolves slowly
+        # phase 2: plant the drain chain: one self-slot per stack entry a refill
+        # could install, then the seeded site, then the benign final target
+        depth = profile.rsb_size
+        for k in range(depth - 1):
+            st.mem.cells[STACK_TOP + 8 * k] = _UNDERFLOW_DRAIN_PC
+        st.mem.cells[STACK_TOP + 8 * (depth - 1)] = _UNDERFLOW_RET_PC
+        attack_slot = STACK_TOP + 8 * depth
+        st.mem.cells[attack_slot] = _UNDERFLOW_DONE_PC
+        for off in range(0, 8 * depth + 1, LINE_SIZE):
+            st.mem.fill(STACK_TOP + off)  # drains resolve fast
+        st.mem.fill(SECRET_BASE)
+        st.rsb.flush()  # the victim context starts with an empty stack
+        st.mem.invalidate_line(attack_slot)  # the seeded site resolves slowly
 
     # the victim enters through the context-switch point
-    probe = _attack_probe(st, profile, prog, {4: SECRET_BASE, 8: ORACLE_BASE, 15: STACK_TOP})
+    probe = _attack_probe(st, profile, prog, {4: SECRET_BASE, 8: ORACLE_BASE, 15: STACK_TOP},
+                          prepare)
     return _outcome("RSB", profile, None, (secret,), [probe])
 
 

@@ -4,6 +4,8 @@ The expected grid is written out literally here, independent of the copy the
 package ships, so a regression in either one shows up as a disagreement.
 """
 
+import dataclasses
+import functools
 import hashlib
 import json
 
@@ -223,11 +225,23 @@ def test_attack_outcome_bytes_are_unchanged():
     assert digest.hexdigest() == OUTCOMES_SHA256
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_privileged_flush_stops_the_probe_before_it_touches_the_machine(variant, monkeypatch):
-    # the attacker's user-mode probe cannot flush, so it neither flushes nor
-    # runs the victim nor reloads; only the runs outside the probe (v1's
-    # branch training) remain.  The unmitigated run shows that each is counted.
+# each attack with the mitigations of its unsealed run; the refill bypass
+# runs under rsb_refill_on_cs, as `mitigate` shows it
+_SEALED_CASES = {
+    **{variant: (functools.partial(run_attack, variant), MitigationSet())
+       for variant in VARIANTS},
+    "refill-bypass": (run_refill_bypass, MitigationSet(rsb_refill_on_cs=True)),
+}
+
+
+@pytest.mark.parametrize("case", _SEALED_CASES)
+def test_privileged_flush_stops_the_probe_before_it_touches_the_machine(case, monkeypatch):
+    # the attacker's user-mode probe cannot flush, so it neither prepares
+    # the victim (v1's training, the refill bypass's seeding run) nor
+    # flushes nor runs the victim nor reloads: no engine run at all.  The
+    # unsealed run shows that each counter counts, and that every engine
+    # run happens inside the probe step.
+    attack, mitigations = _SEALED_CASES[case]
     calls = {"flush_lines": 0, "probe_lines": 0, "runs": 0, "probe_runs": 0}
     in_probe = []
 
@@ -257,12 +271,11 @@ def test_privileged_flush_stops_the_probe_before_it_touches_the_machine(variant,
     for core in MATRIX_PROFILES:
         base = get_profile(core)
         calls.update(dict.fromkeys(calls, 0))
-        run_attack(variant, base)
+        attack(apply_mitigations(base, mitigations))
         assert min(calls.values()) > 0, core
-        training = calls["runs"] - calls["probe_runs"]
+        assert calls["runs"] == calls["probe_runs"], core
         calls.update(dict.fromkeys(calls, 0))
-        sealed = apply_mitigations(base, MitigationSet(privileged_flush=True))
-        outcome = run_attack(variant, sealed)
-        assert calls == {"flush_lines": 0, "probe_lines": 0, "runs": training,
-                         "probe_runs": 0}, core
+        sealed = dataclasses.replace(mitigations, privileged_flush=True)
+        outcome = attack(apply_mitigations(base, sealed))
+        assert calls == {"flush_lines": 0, "probe_lines": 0, "runs": 0, "probe_runs": 0}, core
         assert outcome.probe_latencies == () and not outcome.success, core

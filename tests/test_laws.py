@@ -53,9 +53,10 @@ def _profiles(seed: int, count: int, keys=tuple(_DRAWS)):
         yield rng.choice(sorted(PROFILES)), {key: _DRAWS[key](rng) for key in chosen}
 
 
-def _leaks(profile) -> set:
-    """The cells of the profile's grid row that leak."""
-    return {cell for cell, row in run_matrix([profile]).items() if row[profile.name].success}
+def _leaks(profile, **kwargs) -> set:
+    """The cells of the profile's grid row that leak; kwargs go to run_matrix."""
+    return {cell for cell, row in run_matrix([profile], **kwargs).items()
+            if row[profile.name].success}
 
 
 def _shrink(fails, overrides: dict) -> dict:
@@ -121,6 +122,28 @@ def test_mitigations_never_open_a_leak():
 
     _check_law("a mitigation opening a leak", _profiles(2502, 12), fails)
     assert sum(opened) >= 6, opened  # the unmitigated rows leak somewhere
+
+
+def test_the_grid_depends_on_no_secret_and_no_seed():
+    # the secret only picks which oracle lines light and the seed only the
+    # noise stream, so neither may move a cell.  The bytes are non-zero
+    # because a forwarded zero lights line 0 and counts as a failure.
+    rng = random.Random(2703)
+    cases = [(core, {}) for core in sorted(PROFILES)] + list(_profiles(2704, 25))
+    leaking = []
+    for core, overrides in cases:
+        draws = [(bytes(rng.randint(1, 255) for _ in range(rng.randint(1, 4))),
+                  rng.randrange(1 << 32)) for _ in range(3)]
+
+        def fails(core, overrides, draws=draws):
+            profile = _apply_profile_overrides(PROFILES[core], overrides)
+            default = _leaks(profile)
+            leaking.append(bool(default))
+            return any(_leaks(profile, secret=secret, seed=seed) != default
+                       for secret, seed in draws)
+
+        _check_law(f"a cell moved by (secret, seed) in {draws}", [(core, overrides)], fails)
+    assert sum(leaking) >= 15, leaking  # the law is not met by rows that never leak
 
 
 def _rsb_leaks(profile) -> bool:
