@@ -98,13 +98,14 @@ class AttackOutcome:
 
 
 def flush_reload(mem: MemorySystem, victim) -> list[int]:
-    """Three-phase user-mode probe of the oracle: flush every oracle line, run
-    the victim step, then time a reload of each line; returns the reload
-    latencies, which Latencies.single_hit decodes.  Whether user mode may
-    flush at all is the caller's question."""
-    mem.flush_lines(ORACLE_BASE, ORACLE_LINES)
+    """User-mode Flush+Reload of the oracle: run the victim step, then time a
+    reload of each oracle line and flush it, in the covert receiver's order;
+    returns the reload latencies, which Latencies.single_hit decodes.  The
+    oracle is cold for every victim run, since a fresh machine holds no
+    oracle line and each probe leaves none.  Whether user mode may flush at
+    all is the caller's question."""
     victim()
-    return mem.probe_lines(ORACLE_BASE, ORACLE_LINES, _USER)
+    return mem.probe_and_flush_lines(ORACLE_BASE, ORACLE_LINES, _USER)
 
 
 # -- victim programs -----------------------------------------------------------
@@ -213,27 +214,6 @@ def _victim(source: str) -> Program:
     return assemble(source)
 
 
-def _outcome(
-    variant: str,
-    profile: CpuProfile,
-    scenario: Scenario | None,
-    expected: tuple | bytes,
-    probes: list,
-) -> AttackOutcome:
-    """One recovered value per probe's latencies; the last probe's are kept."""
-    expected = tuple(expected)
-    recovered = tuple(map(profile.latencies.single_hit, probes))
-    return AttackOutcome(
-        variant=variant,
-        profile=profile.name,
-        scenario=scenario,
-        success=recovered == expected,
-        recovered=recovered,
-        expected=expected,
-        probe_latencies=tuple(probes[-1]) if probes else (),
-    )
-
-
 def _resolve_profile(profile) -> CpuProfile:
     return get_profile(profile) if isinstance(profile, str) else profile
 
@@ -247,19 +227,39 @@ def _run_from(st: MachineState, profile: CpuProfile, prog: Program, regs: dict,
     return run(prog, st, profile)
 
 
-def _attack_probe(st: MachineState, profile: CpuProfile, prog: Program, regs: dict,
-                  prepare=None) -> list:
+def _attack_probe(st: MachineState, profile: CpuProfile, prog: Program, prepare,
+                  addr) -> list:
     """Flush+Reload's latencies around one victim run of prog from pc 0,
-    after prepare(), the set-up that only this probe reads (training,
-    seeding, placing the secret).  The attacker's probe always runs
-    user-mode, whatever privilege the victim holds.  With flushes restricted
-    to privileged code the probe cannot set up, so the attack comes back
-    empty-handed: no preparation, no victim run, no latencies, no hit."""
+    after prepare(addr) has done the set-up that only this probe reads
+    (training, seeding, placing the secret) and returned the victim's
+    registers.  The attacker's probe always runs user-mode, whatever
+    privilege the victim holds.  With flushes restricted to privileged code
+    the probe cannot flush, so the attack comes back empty-handed: no
+    preparation, no victim run, no latencies, no hit."""
     if profile.mitigations.privileged_flush:
         return []
-    if prepare is not None:
-        prepare()
+    regs = prepare(addr)
     return flush_reload(st.mem, lambda: _run_from(st, profile, prog, regs))
+
+
+def _attack(variant: str, st: MachineState, profile: CpuProfile, scenario: Scenario | None,
+            source: str, expected, addrs, prepare) -> AttackOutcome:
+    """The one attack driver: a probe of the victim `source` on st per entry
+    of addrs, each prepared by prepare(addr), and one recovered value per
+    probe against `expected`; the last probe's latencies are kept."""
+    prog = _victim(source)
+    probes = [_attack_probe(st, profile, prog, prepare, addr) for addr in addrs]
+    expected = tuple(expected)
+    recovered = tuple(map(profile.latencies.single_hit, probes))
+    return AttackOutcome(
+        variant=variant,
+        profile=profile.name,
+        scenario=scenario,
+        success=recovered == expected,
+        recovered=recovered,
+        expected=expected,
+        probe_latencies=tuple(probes[-1]) if probes else (),
+    )
 
 
 def _plant(st: MachineState, base: int, secret: bytes) -> list:
@@ -287,15 +287,20 @@ def run_spectre_v1(
     out-of-bounds run; the window trigger decides how long the bound takes to
     arrive and therefore how much of the gadget executes transiently."""
     profile = _resolve_profile(profile)
-    if scenario.window_trigger is WindowTrigger.SPECULATIVE_LOAD:
-        return _run_spec_load(profile, scenario, seed)
     st = make_machine(profile, seed)
-    prog = _victim(_V1_SRC)
     st.mem.cells[BOUND_ADDR] = 16
+    if scenario.window_trigger is WindowTrigger.SPECULATIVE_LOAD:
+        def prepare_spec_load(line_addr: int) -> dict:
+            st.mem.invalidate_line(BOUND_ADDR)
+            return {1: BOUND_ADDR, 2: 64, 7: line_addr}
+
+        return _attack("V1", st, profile, scenario, _SPEC_LOAD_SRC, (SPEC_LOAD_LINE,),
+                       (ORACLE_BASE + SPEC_LOAD_LINE * LINE_SIZE,), prepare_spec_load)
+    prog = _victim(_V1_SRC)
     for i in range(16):
         st.mem.cells[ARRAY_BASE + i * LINE_SIZE] = i
 
-    def prepare(secret_addr: int) -> None:
+    def prepare(secret_addr: int) -> dict:
         st.mem.fill(BOUND_ADDR)
         for j in range(5):  # train the branch toward in-bounds
             regs = {1: BOUND_ADDR, 2: j, 4: ARRAY_BASE + j * LINE_SIZE, 8: TRAIN_ORACLE_BASE}
@@ -305,24 +310,10 @@ def run_spectre_v1(
         else:
             st.mem.pages.set_mapped(BOUND_ADDR, False)
         _place_secret(st, secret_addr, scenario.secret_location)
+        return {1: BOUND_ADDR, 2: 64, 4: secret_addr, 8: ORACLE_BASE}  # 64: way past the bound
 
-    probes = []
-    for secret_addr in _plant(st, SECRET_BASE, secret):
-        regs = {1: BOUND_ADDR, 2: 64, 4: secret_addr, 8: ORACLE_BASE}  # 64: way past the bound
-        probes.append(_attack_probe(st, profile, prog, regs,
-                                    functools.partial(prepare, secret_addr)))
-        if scenario.window_trigger is WindowTrigger.PAGE_FAULT:
-            st.mem.pages.set_mapped(BOUND_ADDR, True)
-    return _outcome("V1", profile, scenario, secret, probes)
-
-
-def _run_spec_load(profile: CpuProfile, scenario: Scenario, seed: int) -> AttackOutcome:
-    st = make_machine(profile, seed)
-    st.mem.cells[BOUND_ADDR] = 16
-    st.mem.invalidate_line(BOUND_ADDR)
-    regs = {1: BOUND_ADDR, 2: 64, 7: ORACLE_BASE + SPEC_LOAD_LINE * LINE_SIZE}
-    probe = _attack_probe(st, profile, _victim(_SPEC_LOAD_SRC), regs)
-    return _outcome("V1", profile, scenario, (SPEC_LOAD_LINE,), [probe])
+    return _attack("V1", st, profile, scenario, _V1_SRC, secret,
+                   _plant(st, SECRET_BASE, secret), prepare)
 
 
 def run_spectre_rsb(
@@ -338,14 +329,14 @@ def run_spectre_rsb(
     if scenario.window_trigger is WindowTrigger.PAGE_FAULT:
         raise ValueError(RSB_PAGE_FAULT_UNDEFINED)
     st = make_machine(profile, seed)
-    prog = _victim(_RSB_SRC.format(payload="LD r5, [r4+0]"))
     st.benign_return_pc = _RSB_DONE_PC
-    probes = []
-    for secret_addr in _plant(st, SECRET_BASE, secret):
+
+    def prepare(secret_addr: int) -> dict:
         _place_secret(st, secret_addr, scenario.secret_location)
-        regs = {4: secret_addr, 8: ORACLE_BASE, 15: STACK_TOP}
-        probes.append(_attack_probe(st, profile, prog, regs))
-    return _outcome("RSB", profile, scenario, secret, probes)
+        return {4: secret_addr, 8: ORACLE_BASE, 15: STACK_TOP}
+
+    return _attack("RSB", st, profile, scenario, _RSB_SRC.format(payload="LD r5, [r4+0]"),
+                   secret, _plant(st, SECRET_BASE, secret), prepare)
 
 
 def run_meltdown_v3(
@@ -358,15 +349,16 @@ def run_meltdown_v3(
     it, a forwarded zero lights oracle line 0 instead and the run fails."""
     profile = _resolve_profile(profile)
     st = make_machine(profile, seed)
-    prog = _victim(_V3_SRC)
     st.privilege = Privilege.USER
     st.recovery_pc = _V3_RECOVERY_PC
     st.mem.pages.set_privileged(KERNEL_BASE, True)
-    probes = []
-    for secret_addr in _plant(st, KERNEL_BASE, secret):
+
+    def prepare(secret_addr: int) -> dict:
         st.mem.fill(secret_addr)  # classic setup: the kernel touched it recently
-        probes.append(_attack_probe(st, profile, prog, {1: secret_addr, 8: ORACLE_BASE}))
-    return _outcome("V3", profile, None, secret, probes)
+        return {1: secret_addr, 8: ORACLE_BASE}
+
+    return _attack("V3", st, profile, None, _V3_SRC, secret,
+                   _plant(st, KERNEL_BASE, secret), prepare)
 
 
 def run_meltdown_v3a(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
@@ -375,12 +367,12 @@ def run_meltdown_v3a(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     so success hinges on whether the core forwards the register's value."""
     profile = _resolve_profile(profile)
     st = make_machine(profile, seed)
-    prog = _victim(_RSB_SRC.format(payload=f"MRS r5, s{SYSREG_ID}"))
     st.benign_return_pc = _RSB_DONE_PC
     st.privilege = Privilege.USER
     st.sysregs[SYSREG_ID] = SYSREG_TEST_VALUE
-    probe = _attack_probe(st, profile, prog, {8: ORACLE_BASE, 15: STACK_TOP})
-    return _outcome("V3a", profile, None, (SYSREG_TEST_VALUE,), [probe])
+    # one probe; the secret sits in a system register, at no address
+    return _attack("V3a", st, profile, None, _RSB_SRC.format(payload=f"MRS r5, s{SYSREG_ID}"),
+                   (SYSREG_TEST_VALUE,), (None,), lambda _: {8: ORACLE_BASE, 15: STACK_TOP})
 
 
 def run_spectre_v4(
@@ -394,19 +386,19 @@ def run_spectre_v4(
     dereferenced transiently before the ordering violation forces a replay."""
     profile = _resolve_profile(profile)
     st = make_machine(profile, seed)
-    prog = _victim(_V4_SRC)
     st.mem.cells[DELAY_CELL] = POINTER_SLOT
     st.mem.cells[PUBLIC_CELL] = 256  # dereferences to a line outside the oracle
-    regs = {1: DELAY_CELL, 2: POINTER_SLOT, 6: PUBLIC_CELL, 11: ORACLE_BASE}
-    probes = []
-    for secret_addr in _plant(st, SECRET_BASE, secret):
+
+    def prepare(secret_addr: int) -> dict:
         st.mem.cells[POINTER_SLOT] = secret_addr  # stale pointer, victim-visible
         st.mem.fill(POINTER_SLOT)
         st.mem.fill(secret_addr)
         st.mem.fill(PUBLIC_CELL)
         st.mem.invalidate_line(DELAY_CELL)
-        probes.append(_attack_probe(st, profile, prog, regs))
-    return _outcome("V4", profile, None, secret, probes)
+        return {1: DELAY_CELL, 2: POINTER_SLOT, 6: PUBLIC_CELL, 11: ORACLE_BASE}
+
+    return _attack("V4", st, profile, None, _V4_SRC, secret,
+                   _plant(st, SECRET_BASE, secret), prepare)
 
 
 def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
@@ -424,11 +416,11 @@ def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
     secret = SYSREG_TEST_VALUE
     st.mem.cells[SECRET_BASE] = secret
 
-    def prepare() -> None:
+    def prepare(secret_addr: int) -> dict:
         # phase 1: architecturally return into the gadget to seed the target buffer
         st.mem.cells[_UNDERFLOW_PRIME_SLOT] = _UNDERFLOW_GADGET_PC
         st.mem.fill(_UNDERFLOW_PRIME_SLOT)
-        regs = {4: SECRET_BASE, 8: TRAIN_ORACLE_BASE, 15: _UNDERFLOW_PRIME_SLOT}
+        regs = {4: secret_addr, 8: TRAIN_ORACLE_BASE, 15: _UNDERFLOW_PRIME_SLOT}
         _run_from(st, profile, prog, regs, pc=_UNDERFLOW_RET_PC)
 
         # phase 2: plant the drain chain: one self-slot per stack entry a refill
@@ -441,14 +433,13 @@ def run_refill_bypass(profile, seed: int = DEFAULT_SEED) -> AttackOutcome:
         st.mem.cells[attack_slot] = _UNDERFLOW_DONE_PC
         for off in range(0, 8 * depth + 1, LINE_SIZE):
             st.mem.fill(STACK_TOP + off)  # drains resolve fast
-        st.mem.fill(SECRET_BASE)
+        st.mem.fill(secret_addr)
         st.rsb.flush()  # the victim context starts with an empty stack
         st.mem.invalidate_line(attack_slot)  # the seeded site resolves slowly
+        # the victim enters through the context-switch point
+        return {4: secret_addr, 8: ORACLE_BASE, 15: STACK_TOP}
 
-    # the victim enters through the context-switch point
-    probe = _attack_probe(st, profile, prog, {4: SECRET_BASE, 8: ORACLE_BASE, 15: STACK_TOP},
-                          prepare)
-    return _outcome("RSB", profile, None, (secret,), [probe])
+    return _attack("RSB", st, profile, None, _UNDERFLOW_SRC, (secret,), (SECRET_BASE,), prepare)
 
 
 # variant -> its runner as (profile, scenario, secret, seed); the variants

@@ -34,10 +34,9 @@ import random
 from dataclasses import dataclass, field
 
 from .core import DEFAULT_SEED, MachineState, context_switch, make_machine, predict_return
-from .memory import Privilege
+from .memory import LINE_SIZE, Privilege
 from .profiles import CpuProfile, SquashPolicy
 
-LINE_BYTES = 64
 MIN_BITS = 1
 MAX_BITS = 6
 
@@ -51,7 +50,7 @@ BENIGN_RETURN_PC = 0x60_0080
 INTERLOPER_PC = 0x60_00C0
 # One line past the widest (b=6) probe window, so an interloper touch can
 # never masquerade as a decoded symbol.
-INTERLOPER_LINE = PROBE_BASE + (1 << MAX_BITS) * LINE_BYTES
+INTERLOPER_LINE = PROBE_BASE + (1 << MAX_BITS) * LINE_SIZE
 
 DEFAULT_MESSAGE = b"HI"
 
@@ -69,7 +68,7 @@ def gadget_address(symbol: int) -> int:
 
 
 def probe_line(symbol: int) -> int:
-    return PROBE_BASE + symbol * LINE_BYTES
+    return PROBE_BASE + symbol * LINE_SIZE
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class ChannelConfig:
 
 def required_memory_bytes(bits_per_cs: int) -> int:
     """Receiver probe footprint: one line per symbol value."""
-    return (1 << bits_per_cs) * LINE_BYTES
+    return (1 << bits_per_cs) * LINE_SIZE
 
 
 @dataclass

@@ -350,15 +350,11 @@ class MemorySystem:
         return AccessResult(self.cells.get(addr, 0), latency, level)
 
     def flush_line(self, addr: int) -> None:
-        """Invalidate a line from both levels.  Idempotent."""
-        self.flush_lines(addr, 1)
+        """Invalidate a line from both levels, one cycle.  Idempotent."""
+        self._drop_lines(line_of(addr), 1)
+        self.counter.current += 1
 
     # -- Flush+Reload -------------------------------------------------------
-
-    def flush_lines(self, base: int, count: int) -> None:
-        """Flush `count` consecutive lines from `base`, one cycle each."""
-        self._drop_lines(line_of(base), count)
-        self.counter.current += count
 
     def probe_lines(
         self, base: int, count: int, privilege: Privilege = Privilege.KERNEL
@@ -377,10 +373,10 @@ class MemorySystem:
     def probe_and_flush_lines(
         self, base: int, count: int, privilege: Privilege = Privilege.KERNEL
     ) -> list[int]:
-        """probe_lines(base, count, privilege) followed by
-        flush_lines(base, count), in one pass over the lines: the same
-        latencies, noise draws, cache and counter state and exceptions.  A
-        faulting line raises as in probe_lines and nothing is flushed."""
+        """probe_lines(base, count, privilege) followed by flush_line on
+        each of the lines, in one pass over them: the same latencies, noise
+        draws, cache and counter state and exceptions.  A faulting line
+        raises as in probe_lines and nothing is flushed."""
         timings = self._probe(base, count, privilege, drop=True)
         self.counter.current += count
         return timings

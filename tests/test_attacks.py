@@ -32,7 +32,7 @@ from transient_sim.attacks import (
     run_spectre_v1,
     run_spectre_v4,
 )
-from transient_sim.memory import MemorySystem
+from transient_sim.memory import LINE_SIZE, Level, MemorySystem
 from transient_sim.mitigations import MitigationSet, apply_mitigations
 from transient_sim.profiles import get_profile
 
@@ -230,19 +230,26 @@ def test_attack_outcome_bytes_are_unchanged():
 _SEALED_CASES = {
     **{variant: (functools.partial(run_attack, variant), MitigationSet())
        for variant in VARIANTS},
+    "spec-load": (functools.partial(run_attack, "v1",
+                                    scenario=Scenario(WindowTrigger.SPECULATIVE_LOAD)),
+                  MitigationSet()),
     "refill-bypass": (run_refill_bypass, MitigationSet(rsb_refill_on_cs=True)),
 }
+# the cache calls that an unsealed case makes none of: v3's kernel line is
+# cached and its victim flushes nothing, so it drops no line
+_UNCOUNTED = {"v3": {"invalidate_line"}}
+_CACHE_CALLS = ("fill", "invalidate_line", "probe_and_flush_lines")
 
 
 @pytest.mark.parametrize("case", _SEALED_CASES)
 def test_privileged_flush_stops_the_probe_before_it_touches_the_machine(case, monkeypatch):
     # the attacker's user-mode probe cannot flush, so it neither prepares
-    # the victim (v1's training, the refill bypass's seeding run) nor
-    # flushes nor runs the victim nor reloads: no engine run at all.  The
-    # unsealed run shows that each counter counts, and that every engine
-    # run happens inside the probe step.
+    # the victim (v1's training, the refill bypass's seeding run, placing
+    # the secret) nor runs the victim nor reloads: no engine run and no
+    # cache fill, drop or probe at all.  The unsealed run shows that each
+    # counter counts, and that every engine run happens inside the probe step.
     attack, mitigations = _SEALED_CASES[case]
-    calls = {"flush_lines": 0, "probe_lines": 0, "runs": 0, "probe_runs": 0}
+    calls = dict.fromkeys((*_CACHE_CALLS, "runs", "probe_runs"), 0)
     in_probe = []
 
     def counted(name, fn):
@@ -266,16 +273,39 @@ def test_privileged_flush_stops_the_probe_before_it_touches_the_machine(case, mo
     original_run, original_probe = attacks.run, attacks._attack_probe
     monkeypatch.setattr(attacks, "run", run)
     monkeypatch.setattr(attacks, "_attack_probe", probe)
-    for name in ("flush_lines", "probe_lines"):
+    for name in _CACHE_CALLS:
         monkeypatch.setattr(MemorySystem, name, counted(name, getattr(MemorySystem, name)))
     for core in MATRIX_PROFILES:
         base = get_profile(core)
         calls.update(dict.fromkeys(calls, 0))
         attack(apply_mitigations(base, mitigations))
-        assert min(calls.values()) > 0, core
+        assert {name for name, n in calls.items() if not n} == _UNCOUNTED.get(case, set()), core
         assert calls["runs"] == calls["probe_runs"], core
         calls.update(dict.fromkeys(calls, 0))
         sealed = dataclasses.replace(mitigations, privileged_flush=True)
         outcome = attack(apply_mitigations(base, sealed))
-        assert calls == {"flush_lines": 0, "probe_lines": 0, "runs": 0, "probe_runs": 0}, core
+        assert not any(calls.values()), (core, calls)
         assert outcome.probe_latencies == () and not outcome.success, core
+
+
+def test_the_oracle_is_cold_when_each_victim_run_starts(monkeypatch):
+    # flush_reload flushes the oracle after its reload, not before the
+    # victim runs, so no oracle line may be cached when a victim starts: a
+    # fresh machine holds none, each probe leaves none, and no prepare may
+    # fill one.  Every matrix cell on the five cores, plus the refill bypass.
+    oracle = [attacks.ORACLE_BASE + k * LINE_SIZE for k in range(attacks.ORACLE_LINES)]
+    starts = []
+
+    def checked(mem, victim):
+        warm = [hex(addr) for addr in oracle if mem.probe_level(addr) is not Level.DRAM]
+        assert not warm, f"oracle lines cached before the victim runs: {warm}"
+        starts.append(True)
+        return original(mem, victim)
+
+    original = attacks.flush_reload
+    monkeypatch.setattr(attacks, "flush_reload", checked)
+    refill = MitigationSet(rsb_refill_on_cs=True)
+    outcomes = [o for row in run_matrix().values() for o in row.values()]
+    outcomes += [run_refill_bypass(apply_mitigations(get_profile(core), refill))
+                 for core in MATRIX_PROFILES]
+    assert len(starts) == sum(len(o.recovered) for o in outcomes) > 0

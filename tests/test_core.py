@@ -917,7 +917,7 @@ class TestDecodeTable:
             (core, ("predict_return",), {"_Engine": None, "Rsb": {"pop"}}),
             (memory, (),
              {"MemorySystem": {"check_access", "probe_level", "latency_for", "fill",
-                               "_fill_lines", "_reload_drop_lines", "_probe", "flush_lines",
+                               "_fill_lines", "_reload_drop_lines", "_probe",
                                "probe_and_flush_lines"}}),
             (covert, ("receiver_decode", "_window_admits", "sender_inject", "run_channel"), {}),
             (attacks, ("flush_reload",), {}),
@@ -930,7 +930,7 @@ class TestDecodeTable:
         assert {fn.name for fn in checked} >= {
             "predict_return", "pop", "__init__", "_redirect", "_squash_younger", "_load_hazard",
             "_hold", "_issue", "_store_address_known", "_resolve_controls", "_raise", "run",
-            "check_access", "probe_level", "latency_for", "fill", "_fill_lines", "_reload_drop_lines", "_probe", "flush_lines",
+            "check_access", "probe_level", "latency_for", "fill", "_fill_lines", "_reload_drop_lines", "_probe",
             "probe_and_flush_lines", "receiver_decode", "_window_admits", "sender_inject",
             "run_channel", "flush_reload",
         }

@@ -11,7 +11,6 @@ import pytest
 import transient_sim
 from transient_sim.covert import (
     GADGET_BASE,
-    LINE_BYTES,
     PROBE_BASE,
     ChannelConfig,
     ChannelReport,
@@ -28,7 +27,7 @@ from transient_sim.covert import (
 )
 from transient_sim.core import make_machine, run
 from transient_sim.isa import assemble
-from transient_sim.memory import Latencies, Level
+from transient_sim.memory import LINE_SIZE, Latencies, Level
 from transient_sim.mitigations import MitigationSet
 from transient_sim.profiles import PROFILES, SquashPolicy, get_profile
 from transient_sim.reporting import emit_report
@@ -120,7 +119,7 @@ class TestMemoryLaw:
     def test_report_carries_the_same_number(self):
         for bits in (1, 6):
             report = run_channel(I7, ChannelConfig(bits_per_cs=bits), b"\x5a")
-            assert report.required_memory_bytes == (1 << bits) * LINE_BYTES
+            assert report.required_memory_bytes == (1 << bits) * LINE_SIZE
 
 
 class TestCostLaw:
@@ -310,7 +309,7 @@ class TestChannelRequirements:
 
     def test_gadget_misplaced_by_one_line_erases_everything(self):
         report = run_channel(
-            I7, ChannelConfig(bits_per_cs=3), b"HI", gadget_base=GADGET_BASE + LINE_BYTES
+            I7, ChannelConfig(bits_per_cs=3), b"HI", gadget_base=GADGET_BASE + LINE_SIZE
         )
         assert report.erasures == report.symbols_sent
 
@@ -358,7 +357,7 @@ class TestChannelRequirements:
         config = ChannelConfig(bits_per_cs=3)
         state = make_machine(armored, seed=3)
         sender_inject(state, 5, config.fill_depth(armored))
-        state.mem.fill(PROBE_BASE + 2 * LINE_BYTES)
+        state.mem.fill(PROBE_BASE + 2 * LINE_SIZE)
         mem = state.mem
 
         def observed():
@@ -444,7 +443,7 @@ def _pinned_channel_runs():
         yield I7.with_overrides(mitigations=mit), ChannelConfig(bits_per_cs=3), GADGET_BASE
     for depth in (3, 40):
         yield I7, ChannelConfig(bits_per_cs=3, rsb_fill_depth=depth), GADGET_BASE
-    yield I7, ChannelConfig(bits_per_cs=3), GADGET_BASE + LINE_BYTES
+    yield I7, ChannelConfig(bits_per_cs=3), GADGET_BASE + LINE_SIZE
 
 
 def test_channel_report_bytes_are_unchanged():

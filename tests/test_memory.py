@@ -238,7 +238,8 @@ class TestFaults:
         mem.flush_line(0x40)
         mem.flush_line(0x40)
         assert mem.probe_level(0x40) is Level.DRAM
-        mem.flush_lines(0x40, 5)
+        for k in range(5):
+            mem.flush_line(0x40 + k * LINE_SIZE)
         assert mem.counter.current == start + 7  # one cycle per flushed line
 
 
@@ -319,8 +320,9 @@ def test_single_hit_decodes_exactly_one_reload_below_the_threshold():
 
 
 class TestFlushReloadPrimitive:
-    """probe_lines/flush_lines against the per-line public path they replace,
-    from seeded random cache states over seeded random line ranges."""
+    """probe_lines/probe_and_flush_lines against the per-line public path
+    they replace, from seeded random cache states over seeded random line
+    ranges."""
 
     @staticmethod
     def _twins(seed, noise, pages, l1=CacheGeometry(4, 2), l2=CacheGeometry(16, 4), warm=120):
@@ -355,8 +357,8 @@ class TestFlushReloadPrimitive:
                 if step == "probe":
                     got = _outcome(lambda: fast.probe_lines(base, count, privilege))
                     want = _outcome(lambda: _per_line_probe(slow, base, count, privilege))
-                else:
-                    got = _outcome(lambda: fast.flush_lines(base, count))
+                else:  # both twins flush line by line; the next probe starts from it
+                    got = _outcome(lambda: _per_line_flush(fast, base, count))
                     want = _outcome(lambda: _per_line_flush(slow, base, count))
                 assert got == want, f"seed {seed} {step} {base:#x}+{count}"
                 assert _state(fast) == _state(slow), f"seed {seed} {step} {base:#x}+{count}"
@@ -432,7 +434,7 @@ class TestFlushReloadPrimitive:
             count = pick.randint(1, pick.choice((4, 130)))
             label = f"seed {seed}"
             self._reload_steps(fast, slow, base, count, Privilege.USER, label)
-            fast.flush_lines(base, count)
+            _per_line_flush(fast, base, count)
             _per_line_flush(slow, base, count)
             assert _state(fast) == _state(slow), f"{label} flush {base:#x}+{count}"
             self._reload_steps(fast, slow, base, count, Privilege.USER, label)

@@ -25,11 +25,11 @@ in its own process; per workload, the per-layer metrics of one run of
 (which, as always with --trace 1, writes its spans to bench/out/); and
 per-layer figures, each timed in this process through public calls on
 intel_i7 and divided by the time of bench/run.py's reference_loop: a
-256-line flush_lines plus a user-mode probe_lines, an 8-line user-mode
-probe_and_flush_lines on a machine of its own, make_machine, one run of a HALT program, one run of a
-short counted loop (load, ALU, store, compare, backward branch), and the
-assembly and decode of a fixed 24-line program (labels, a call and its
-return, memory operands and immediates).
+256-line user-mode probe_and_flush_lines of the attacks' oracle (256 reloads
+and 256 drops), an 8-line one on a machine of its own, make_machine, one run
+of a HALT program, one run of a short counted loop (load, ALU, store,
+compare, backward branch), and the assembly and decode of a fixed 24-line
+program (labels, a call and its return, memory operands and immediates).
 
 With --compare, the new figures are checked against an earlier file: the
 command exits 1 when a digest both files have for one seed differs, a run
@@ -259,8 +259,7 @@ def _layers() -> dict:
     profile = get_profile("intel_i7")
     state = make_machine(profile)
     mem = state.mem
-    # the covert receiver's probe sets are empty after each flush, so its
-    # layer gets a machine the 256-line reload does not fill
+    # the covert receiver's 8-line probe gets a machine of its own
     covert_mem = make_machine(profile).mem
     halt = assemble("HALT")
     loop = assemble("    MOVI r12, 16\ntop:\n    LD r8, [r14 + 384]\n    ADD r0, r8, r12\n"
@@ -276,16 +275,12 @@ def _layers() -> dict:
               "    FENCE\n    HALT\nhelper:\n    LD r7, [r14]\n    ADD r7, r7, r1\n"
               "    ST [r14 + 32], r7\n    NOP\n    RET\n")
 
-    def flush_probe():
-        mem.flush_lines(ORACLE_BASE, ORACLE_LINES)
-        mem.probe_lines(ORACLE_BASE, ORACLE_LINES, user)
-
     def run_loop():
         looping.pc = 0  # a run starts at the machine's pc, left on the HALT
         return run(loop, looping, profile)
 
     return {
-        "memory.flush_probe_256": flush_probe,
+        "memory.flush_probe_256": lambda: mem.probe_and_flush_lines(ORACLE_BASE, ORACLE_LINES, user),
         "memory.probe_and_flush_8": lambda: covert_mem.probe_and_flush_lines(PROBE_BASE, 8, user),
         "core.make_machine": lambda: make_machine(profile),
         "core.run_halt": lambda: run(halt, state, profile),
